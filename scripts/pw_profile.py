@@ -20,8 +20,8 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from bridgelines import avoid, bridge, suites, verify  # noqa: E402
-from bridgelines.core import Barrier, Interval, RngSeed, WeylVector  # noqa: E402
+from bridgelines import avoid, suites, verify  # noqa: E402
+from bridgelines.core import RngSeed  # noqa: E402
 
 
 def main() -> int:
@@ -32,41 +32,26 @@ def main() -> int:
     args = parser.parse_args()
 
     windows = (4, 8, 16, 32)
+    x1 = 1.5
     root = RngSeed(args.seed)
     rows = []
 
     # single free bridge
-    iv = Interval(0.0, 1.0)
-    t1, x1 = 0.5, 1.5
-    times = sorted({t1} | {t1 - 1 / w for w in windows} | {t1 + 1 / w for w in windows})
-    col = {t: i for i, t in enumerate(times)}
-    samples = bridge.sample_bridge_at(iv, 0, 0, times, args.n_samples, root.derive("single").generator())
-    singles = {}
-    for w in windows:
-        spec = verify.ObservableSpec(t1, x1, w, n_top=1)
-        est = verify.estimate_pw(
-            spec, samples[:, [col[spec.a_w]]], samples[:, [col[t1]]],
-            samples[:, [col[spec.b_w]]], cap=1000,
-        )
-        singles[w] = est
+    singles = suites.single_bridge_pw(windows, x1, args.n_samples, root.derive("single").generator(), cap=1000)
+    for w, est in singles.items():
         rows.append(("single-bridge", w, est.mean, est.se, *est.ci()))
         print(f"single-bridge  w={w:3d}  pw={est.mean:.4f} +- {est.se:.4f}")
     print("detector:", verify.curve_count_detector(singles))
 
     # two-curve ensemble with a hidden bottom curve
-    gap, grid = 0.3, 128
-    vec = WeylVector((gap / 2, -gap / 2))
-    spec2 = avoid.AvoidSpec(iv, vec, vec, Barrier.plus_inf(), Barrier.minus_inf(), grid)
+    grid = 128
+    spec2 = suites.pair_spec(0.3, grid)
     pilot, _, _ = avoid.sample_avoiding_batch(spec2, 2000, root.derive("pair/pilot").generator())
     x1h = float(np.quantile(pilot[:, 1, grid // 2], 0.8))
     vals, _, _ = avoid.sample_avoiding_batch(spec2, args.n_samples, root.derive("pair/main").generator())
     direct = float(np.mean(vals[:, 1, grid // 2] <= x1h))
-    pairs = {}
-    for w in windows:
-        ja, jt, jb = suites._window_cols(iv, grid, t1, w)
-        ow = verify.ObservableSpec(t1, x1h, w, n_top=1)
-        est = verify.estimate_pw(ow, vals[:, [0], ja], vals[:, [0], jt], vals[:, [0], jb], cap=1000)
-        pairs[w] = est
+    pairs = suites.top_curve_pw(spec2, vals, x1h, windows, cap=1000)
+    for w, est in pairs.items():
         rows.append(("two-curve", w, est.mean, est.se, *est.ci()))
         print(f"two-curve      w={w:3d}  pw={est.mean:.4f} +- {est.se:.4f}   (hidden-curve cdf {direct:.4f})")
     print("detector:", verify.curve_count_detector(pairs))

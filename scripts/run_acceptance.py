@@ -24,14 +24,9 @@ def main() -> int:
     parser.add_argument("--out", default="acceptance-reports")
     args = parser.parse_args()
 
-    order = [
-        "reflection", "walk-exact", "convergence", "glauber-stationarity",
-        "coupling", "gibbs", "tails", "pw", "detect", "transforms",
-    ]
     all_ok = True
-    for name in order:
-        kwargs = {"n_seeds": 10} if name == "detect" else {}
-        result = suites.run_suite(name, seed=args.seed, **kwargs)
+    for name in suites.SUITES:
+        result = suites.run_suite(name, seed=args.seed)
         _write_reports(result, args.out)
         status = "PASS" if result.passed else "FAIL"
         print(f"{status}  {name}")

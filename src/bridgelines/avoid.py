@@ -13,8 +13,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bridge import certify_c0, midpoint_cdf_single
-from .core import Barrier, DomainError, Interval, LineEnsemble, StructuralError, WeylVector
+from .bridge import _bridge_forward, certify_c0, midpoint_cdf_single
+from .core import (
+    Barrier, DomainError, Interval, LatticeParams, LineEnsemble, StructuralError, WeylVector,
+    _rejection_sample,
+)
 from .walk import RejectionExhausted
 
 SQRT2PI = float(np.sqrt(2.0 * np.pi))
@@ -64,54 +67,29 @@ def sample_avoiding_values(
     rng: np.random.Generator,
     max_attempts: int,
     chunk: int = 2048,
-) -> tuple[np.ndarray, int, int]:
+) -> tuple[np.ndarray, int, int, int]:
     """Rejection sampling with barriers given as value arrays on the grid.
 
-    Returns (values (n_out, k, M+1), n_drawn, n_accepted_seen, first_hit) with
-    n_out = min(n_samples, n_accepted_seen) and first_hit the 0-based draw index
-    of the first acceptance (or -1). Candidates are drawn in whole chunks so the
-    acceptance rate n_accepted_seen / n_drawn is unbiased.
+    Returns (values, n_drawn, n_accepted_seen, first_hit): values has shape
+    (n_out, k, M+1) with n_out = min(n_samples, n_accepted_seen), and first_hit
+    is the 0-based draw index of the first acceptance (or -1). Candidates are
+    drawn in whole chunks so the acceptance rate n_accepted_seen / n_drawn is
+    unbiased.
     """
-    a, b = interval.a, interval.b
     m = grid_points
     grid = interval.grid(m)
     k = len(x_vec)
-    out = np.empty((n_samples, k, m + 1))
-    got = 0
-    drawn = 0
-    seen = 0
-    first_hit = -1
-    check_f = np.any(np.isfinite(f_vals))
-    check_g = np.any(np.isfinite(g_vals))
-    while got < n_samples and drawn < max_attempts:
-        nc = min(chunk, max_attempts - drawn)
+
+    def draw(nc):
         paths = np.empty((nc, k, m + 1))
         paths[:, :, 0] = x_vec
         paths[:, :, -1] = y_vec
-        v = paths[:, :, 0].copy()
         z = rng.standard_normal((nc, k, m - 1))
-        for j in range(1, m):
-            s, t = grid[j - 1], grid[j]
-            w = (t - s) / (b - s)
-            var = (t - s) * (b - t) / (b - s)
-            v = v + w * (y_vec[None, :] - v) + np.sqrt(var) * z[:, :, j - 1]
-            paths[:, :, j] = v
-        ok = np.ones(nc, dtype=bool)
-        if k > 1:
-            ok &= np.all(paths[:, :-1, :] > paths[:, 1:, :], axis=(1, 2))
-        if check_f:
-            ok &= np.all(paths[:, 0, :] < f_vals[None, :], axis=1)
-        if check_g:
-            ok &= np.all(paths[:, -1, :] > g_vals[None, :], axis=1)
-        hits = np.flatnonzero(ok)
-        if hits.size and first_hit < 0:
-            first_hit = drawn + int(hits[0])
-        seen += int(hits.size)
-        take = hits[: n_samples - got]
-        out[got : got + take.size] = paths[take]
-        got += take.size
-        drawn += nc
-    return out[:got], drawn, seen, first_hit
+        _bridge_forward(paths[:, :, 0].copy(), y_vec, grid[0], grid[1:m], interval.b, z,
+                        paths[:, :, 1:m])
+        return paths
+
+    return _rejection_sample(draw, f_vals, g_vals, k, n_samples, max_attempts, chunk)
 
 
 def sample_avoiding_batch(
@@ -234,8 +212,6 @@ def sample_avoiding_with_fallback(
         return out, "rejection"
     if spec.f.is_finite:
         raise DomainError("the chain fallback supports lower barriers only")
-    from .core import LatticeParams
-
     lat = LatticeParams.scaled(spec.interval, lattice_scale)
     x_units = [round(v / lat.dx) for v in spec.x.values]
     y_units = [round(v / lat.dx) for v in spec.y.values]
@@ -244,12 +220,9 @@ def sample_avoiding_with_fallback(
     ):
         raise DomainError("endpoints collide after lattice snapping; increase lattice_scale")
     seeds = [np.random.default_rng(rng.integers(2**63)) for _ in range(burn_streams)]
-    hi = glauber.maximal_state(lat, x_units, y_units, spec.g)
-    lo = glauber.minimal_state(lat, x_units, y_units, spec.g)
-    coal = sorted(glauber.mixing_diagnostic(hi, lo, s) for s in seeds)
-    burn = 4 * coal[len(coal) // 2]
+    burn = glauber.coalescence_burn_in(lat, x_units, y_units, spec.g, seeds)
     thin = max(1, burn // 8)
-    state, _ = glauber.simulate_chain(hi, burn, rng)
+    state, _ = glauber.simulate_chain(glauber.maximal_state(lat, x_units, y_units, spec.g), burn, rng)
     out = np.empty((n_samples, spec.k, lat.n_steps + 1))
     for i in range(n_samples):
         state, _ = glauber.simulate_chain(state, thin, rng)

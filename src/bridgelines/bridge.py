@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .core import Curve, DomainError, Interval
+from .core import DomainError, Interval
 
 SQRT2 = float(np.sqrt(2.0))
 SQRT2PI = float(np.sqrt(2.0 * np.pi))
@@ -50,28 +50,35 @@ def transition_density(t: float, x: float, y: float) -> float:
     return float(np.exp(-((x - y) ** 2) / (2.0 * t)) / np.sqrt(2.0 * np.pi * t))
 
 
+def _bridge_step(v, y, s: float, t: float, b: float, z):
+    """The one forward step: the bridge value at t given v at s, for a bridge ending at y at b.
+
+    Draws Normal(v + (t-s)/(b-s) * (y-v), (t-s)(b-t)/(b-s)) from the standard
+    normals z; v, y and z broadcast together.
+    """
+    w = (t - s) / (b - s)
+    var = (t - s) * (b - t) / (b - s)
+    return v + w * (y - v) + np.sqrt(var) * z
+
+
+def _bridge_forward(v, y, s: float, times, b: float, z, out) -> None:
+    """Bridge values at the increasing times (s < t < b) into out[..., j], one z[..., j] each."""
+    for j, t in enumerate(times):
+        v = _bridge_step(v, y, s, t, b, z[..., j])
+        out[..., j] = v
+        s = t
+
+
 def sample_bridge_paths(spec: BridgeSpec, n_samples: int, rng: np.random.Generator) -> np.ndarray:
     """n_samples bridge paths on the grid, shape (n_samples, M+1); endpoints exact."""
-    a, b = spec.interval.a, spec.interval.b
     m = spec.grid_points
     grid = spec.interval.grid(m)
     out = np.empty((n_samples, m + 1))
     out[:, 0] = spec.x
     out[:, -1] = spec.y
-    v = out[:, 0].copy()
     z = rng.standard_normal((n_samples, m - 1))
-    for j in range(1, m):
-        s, t = grid[j - 1], grid[j]
-        w = (t - s) / (b - s)
-        var = (t - s) * (b - t) / (b - s)
-        v = v + w * (spec.y - v) + np.sqrt(var) * z[:, j - 1]
-        out[:, j] = v
+    _bridge_forward(out[:, 0].copy(), spec.y, grid[0], grid[1:m], spec.interval.b, z, out[:, 1:m])
     return out
-
-
-def sample_bridge(spec: BridgeSpec, rng: np.random.Generator) -> Curve:
-    """One bridge sample as a Curve."""
-    return Curve(spec.interval, sample_bridge_paths(spec, 1, rng)[0])
 
 
 def sample_bridge_at(
@@ -90,17 +97,9 @@ def sample_bridge_at(
     times = np.sort(np.asarray(times, dtype=float))
     if times[0] <= interval.a or times[-1] >= interval.b:
         raise DomainError("times must lie strictly inside the interval")
-    b = interval.b
     out = np.empty((n_samples, times.size))
-    v = np.full(n_samples, float(x))
-    s = interval.a
     z = rng.standard_normal((n_samples, times.size))
-    for j, t in enumerate(times):
-        w = (t - s) / (b - s)
-        var = (t - s) * (b - t) / (b - s)
-        v = v + w * (y - v) + np.sqrt(var) * z[:, j]
-        out[:, j] = v
-        s = t
+    _bridge_forward(np.full(n_samples, float(x)), y, interval.a, times, interval.b, z, out)
     return out
 
 
@@ -155,10 +154,7 @@ def grid_max_exceedance(
         log_survive = np.zeros(nc)
         for j in range(1, m + 1):
             if j < m:
-                s, t = grid[j - 1], grid[j]
-                w = (t - s) / (T - s)
-                var = (t - s) * (T - t) / (T - s)
-                v_new = v + w * (a - v) + np.sqrt(var) * rng.standard_normal(nc)
+                v_new = _bridge_step(v, a, grid[j - 1], grid[j], T, rng.standard_normal(nc))
             else:
                 v_new = np.full(nc, float(a))
             # crossing factors are negligible (< e^-40) unless the segment sits

@@ -117,6 +117,8 @@ def _barrier(const, interval) -> Barrier:
 
 
 def cmd_sample(args) -> int:
+    if args.n_samples < 1:
+        raise ValueError(f"--n-samples must be at least 1, got {args.n_samples}")
     os.makedirs(args.out, exist_ok=True)
     interval = Interval(args.a, args.b)
     seed = RngSeed(args.seed)
@@ -243,9 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="bridgelines",
         description="Samplers and statistical verification for avoiding Brownian bridge ensembles.",
     )
-    parser.add_argument("--threads", type=int, default=os.cpu_count(),
-                        help="worker parallelism cap; suites run on fixed chunk plans, "
-                             "so outputs are byte-identical for any value")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sample = sub.add_parser("sample", help="sample ensembles and write them in the columnar format")

@@ -207,15 +207,47 @@ class LineEnsemble:
 
 def check_avoiding(ens: LineEnsemble, f: Barrier, g: Barrier) -> bool:
     """True iff f > curve_0 > ... > curve_{k-1} > g strictly at every grid point."""
-    vals = ens.values
-    if vals.shape[0] > 1 and not np.all(vals[:-1] > vals[1:]):
-        return False
-    grid = ens.grid
-    if f.is_finite and not np.all(f.at(grid) > vals[0]):
-        return False
-    if g.is_finite and not np.all(g.at(grid) < vals[-1]):
-        return False
-    return True
+    return bool(_avoids(ens.values, f.at(ens.grid), g.at(ens.grid)))
+
+
+def _avoids(vals: np.ndarray, f_vals, g_vals) -> np.ndarray:
+    """The avoidance predicate: f > vals[..., 0, :] > ... > vals[..., k-1, :] > g strictly.
+
+    vals has shape (..., k, M+1) and the barriers broadcast against one curve
+    (M+1 values, +/-inf for none); the result has one bool per leading index.
+    """
+    ok = (vals[..., :-1, :] > vals[..., 1:, :]).all(axis=(-2, -1))
+    if np.isfinite(f_vals).any():
+        ok &= (vals[..., 0, :] < f_vals).all(axis=-1)
+    if np.isfinite(g_vals).any():
+        ok &= (vals[..., -1, :] > g_vals).all(axis=-1)
+    return ok
+
+
+def _rejection_sample(draw, f_vals, g_vals, k: int, n_samples: int, max_attempts: int, chunk: int):
+    """The chunked rejection loop: keep the candidates of draw(nc) that pass _avoids.
+
+    draw(nc) returns nc candidate ensembles, shape (nc, k, M+1) with M+1 =
+    len(f_vals). Candidates are drawn in whole chunks so that seen / drawn is
+    an unbiased acceptance rate. Returns (accepted (n_out, k, M+1), drawn,
+    seen, first_hit) with n_out = min(n_samples, seen) and first_hit the 0-based
+    draw index of the first acceptance, or -1.
+    """
+    out = np.empty((n_samples, k, np.size(f_vals)))
+    got = drawn = seen = 0
+    first_hit = -1
+    while got < n_samples and drawn < max_attempts:
+        nc = min(chunk, max_attempts - drawn)
+        cands = draw(nc)
+        hits = np.flatnonzero(_avoids(cands, f_vals, g_vals))
+        if hits.size and first_hit < 0:
+            first_hit = drawn + int(hits[0])
+        seen += int(hits.size)
+        take = hits[: n_samples - got]
+        out[got : got + take.size] = cands[take]
+        got += take.size
+        drawn += nc
+    return out[:got], drawn, seen, first_hit
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ stays feasible. The embedded jump chain (one uniform draw per event) has the
 same law as the continuous-time chain watched at event times; holding times are
 iid Exp(3 k (n^2 - 1)) independent of everything else, so they are never drawn.
 
-Values are stored as integer multiples of dx, so ordering and the coupling
-invariant are checked in exact integer arithmetic.
+Values are stored as integer multiples of dx, so single-site moves and the
+coupling invariant are checked in exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -18,25 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Barrier, DomainError, LatticeParams, LineEnsemble, StructuralError
+from .core import Barrier, DomainError, LatticeParams, LineEnsemble, StructuralError, _avoids
 
 
 class InfeasibleState(ValueError):
     """Requested configuration violates ordering or barrier constraints."""
-
-
-@dataclass(frozen=True)
-class ClockEvent:
-    """One clock ring: interior column, curve index, and proposed increment sign."""
-
-    time: float
-    site: int
-    curve: int
-    delta: int
-
-    def __post_init__(self):
-        if self.delta not in (-1, 0, 1):
-            raise DomainError("delta must be -1, 0, or +1")
 
 
 @dataclass(frozen=True)
@@ -62,21 +48,13 @@ class GlauberConfig:
         arr = np.asarray(self.units, dtype=np.int64)
         if np.any(np.abs(np.diff(arr, axis=1)) > 1):
             return False
-        if arr.shape[0] > 1 and not np.all(arr[:-1] > arr[1:]):
-            return False
-        if self.barrier_g.is_finite:
-            g_vals = self.barrier_g.at(self.lattice.time_grid)
-            if not np.all(arr[-1] * self.lattice.dx > g_vals):
-                return False
-        return True
+        g_vals = self.barrier_g.at(self.lattice.time_grid) if self.barrier_g.is_finite else -np.inf
+        return bool(_avoids(arr * self.lattice.dx, np.inf, g_vals))
 
     def to_ensemble(self) -> LineEnsemble:
         return LineEnsemble(
             self.lattice.interval, np.asarray(self.units, dtype=float) * self.lattice.dx
         )
-
-    def key(self) -> tuple:
-        return self.units
 
 
 def _barrier_min_units(lattice: LatticeParams, g: Barrier) -> np.ndarray:
@@ -174,23 +152,6 @@ def _draw_events(k: int, n_cols: int, num_events: int, rng: np.random.Generator)
     out[:, 1] = (raw // n_interior) % k       # curve
     out[:, 2] = raw // (n_interior * k) - 1   # delta
     return out
-
-
-def draw_clock_events(
-    config: GlauberConfig, num_events: int, rng: np.random.Generator
-) -> list[ClockEvent]:
-    """Decoded event stream: ring times plus the uniform (site, curve, delta) draws.
-
-    Holding times are iid Exp(3 k (n_steps - 1)); the chain simulators consume
-    the same embedded draws without materializing the times.
-    """
-    rate = 3.0 * config.k * (config.lattice.n_steps - 1)
-    rows = _draw_events(config.k, config.lattice.n_steps + 1, num_events, rng)
-    times = np.cumsum(rng.exponential(1.0 / rate, size=num_events))
-    return [
-        ClockEvent(float(times[e]), int(rows[e, 0]), int(rows[e, 1]), int(rows[e, 2]))
-        for e in range(num_events)
-    ]
 
 
 def simulate_chain(
@@ -343,10 +304,10 @@ def coalescence_burn_in(
     x_units: list[int],
     y_units: list[int],
     g: Barrier,
-    rng_seeds,
+    rngs,
 ) -> int:
-    """Burn-in = 4 x median coalescence count from the extremal states over the given streams."""
+    """Burn-in = 4 x median coalescence count from the extremal states, one run per generator."""
     hi = maximal_state(lattice, x_units, y_units, g)
     lo = minimal_state(lattice, x_units, y_units, g)
-    counts = sorted(mixing_diagnostic(hi, lo, seed.generator()) for seed in rng_seeds)
+    counts = sorted(mixing_diagnostic(hi, lo, rng) for rng in rngs)
     return 4 * counts[len(counts) // 2]

@@ -227,7 +227,7 @@ def glauber_stationarity_suite(cfg: StationarityConfig) -> SuiteResult:
         if g is None:
             g = Barrier.constant(-0.5 * lat.dx, lat.interval)
         support = _chain_support(lat, xu, yu, g, len(xu))
-        burn_streams = [root.derive(f"stationarity/{name}/burn/{i}") for i in range(cfg.burn_seeds)]
+        burn_streams = [root.derive(f"stationarity/{name}/burn/{i}").generator() for i in range(cfg.burn_seeds)]
         burn = glauber.coalescence_burn_in(lat, xu, yu, g, burn_streams)
         thin = max(1, burn // 16)
         init = glauber.maximal_state(lat, xu, yu, g)
@@ -455,32 +455,39 @@ class PwConfig:
     domination_budget: float = 0.001
 
 
-def _single_bridge_pw(cfg: PwConfig, root: RngSeed) -> dict[int, verify.PwEstimate]:
-    iv = Interval(0.0, 1.0)
+def single_bridge_pw(windows, x1: float, n_samples: int, rng: np.random.Generator,
+                     cap: int | None = None) -> dict[int, verify.PwEstimate]:
+    """p_w profile of one free bridge from 0 to 0 on [0, 1]: threshold x1 at t1 = 1/2, per window width."""
     t1 = 0.5
-    times = sorted({t1} | {t1 - 1.0 / w for w in cfg.windows} | {t1 + 1.0 / w for w in cfg.windows})
-    rng = root.derive("pw/single").generator()
-    samples = bridge.sample_bridge_at(iv, 0.0, 0.0, times, cfg.n_single, rng)
+    times = sorted({t1} | {t1 - 1.0 / w for w in windows} | {t1 + 1.0 / w for w in windows})
+    samples = bridge.sample_bridge_at(Interval(0.0, 1.0), 0.0, 0.0, times, n_samples, rng)
     col = {t: i for i, t in enumerate(times)}
     out = {}
-    for w in cfg.windows:
-        spec = verify.ObservableSpec(t1, cfg.single_x1, w, n_top=1)
+    for w in windows:
+        spec = verify.ObservableSpec(t1, x1, w, n_top=1)
         out[w] = verify.estimate_pw(
-            spec,
-            samples[:, [col[spec.a_w]]],
-            samples[:, [col[t1]]],
-            samples[:, [col[spec.b_w]]],
+            spec, samples[:, [col[spec.a_w]]], samples[:, [col[t1]]],
+            samples[:, [col[spec.b_w]]], cap=cap,
         )
     return out
 
 
-def _pair_ensemble_samples(cfg: PwConfig, root: RngSeed, n: int, label: str) -> tuple[np.ndarray, avoid.AvoidSpec]:
-    iv = Interval(*cfg.pair_interval)
-    half = cfg.pair_gap / 2.0
-    vec = WeylVector((half, -half))
-    spec = avoid.AvoidSpec(iv, vec, vec, Barrier.plus_inf(), Barrier.minus_inf(), cfg.pair_grid)
-    vals, _, _ = avoid.sample_avoiding_batch(spec, n, root.derive(label).generator())
-    return vals, spec
+def pair_spec(gap: float, grid_points: int, interval: Interval = Interval(0.0, 1.0)) -> avoid.AvoidSpec:
+    """Two barrier-free avoiding bridges from (gap/2, -gap/2) back to the same points."""
+    vec = WeylVector((gap / 2.0, -gap / 2.0))
+    return avoid.AvoidSpec(interval, vec, vec, Barrier.plus_inf(), Barrier.minus_inf(), grid_points)
+
+
+def top_curve_pw(spec: avoid.AvoidSpec, vals: np.ndarray, x1: float, windows,
+                 cap: int | None = None) -> dict[int, verify.PwEstimate]:
+    """p_w profile of the top curve of samples vals (n, k, M+1) of spec, at the interval midpoint."""
+    t1 = spec.interval.midpoint
+    out = {}
+    for w in windows:
+        ja, jt, jb = _window_cols(spec.interval, spec.grid_points, t1, w)
+        ow = verify.ObservableSpec(t1, x1, w, n_top=1)
+        out[w] = verify.estimate_pw(ow, vals[:, [0], ja], vals[:, [0], jt], vals[:, [0], jb], cap=cap)
+    return out
 
 
 def _window_cols(spec_iv: Interval, grid_points: int, t1: float, w: int) -> tuple[int, int, int]:
@@ -498,7 +505,7 @@ def pw_suite(cfg: PwConfig) -> SuiteResult:
     root = RngSeed(cfg.seed)
     reports = []
     # (a) one free bridge: every window's CI must contain 1
-    singles = _single_bridge_pw(cfg, root)
+    singles = single_bridge_pw(cfg.windows, cfg.single_x1, cfg.n_single, root.derive("pw/single").generator())
     for w, est in sorted(singles.items()):
         lo, hi = est.ci()
         ok = lo <= 1.0 <= hi
@@ -508,13 +515,15 @@ def pw_suite(cfg: PwConfig) -> SuiteResult:
             details=f"se={est.se:.4g} capped={ {c: round(v, 5) for c, v in est.capped.items()} } degenerate={est.degenerate}",
         ))
     # (b) calibrated two-curve ensemble at the largest window
-    pilot, spec = _pair_ensemble_samples(cfg, root, cfg.n_pilot, "pw/pair/pilot")
-    t1 = spec.interval.midpoint
-    ja, jt, jb = _window_cols(spec.interval, cfg.pair_grid, t1, cfg.pair_w)
-    x1 = float(np.quantile(pilot[:, 0, jt], cfg.pair_top_quantile))
-    vals, _ = _pair_ensemble_samples(cfg, root, cfg.n_pair, "pw/pair/main")
-    obs = verify.ObservableSpec(t1, x1, cfg.pair_w, n_top=1)
-    est = verify.estimate_pw(obs, vals[:, [0], ja], vals[:, [0], jt], vals[:, [0], jb])
+    spec = pair_spec(cfg.pair_gap, cfg.pair_grid, Interval(*cfg.pair_interval))
+
+    def pair(n, label):
+        return avoid.sample_avoiding_batch(spec, n, root.derive(label).generator())[0]
+
+    ja, jt, jb = _window_cols(spec.interval, cfg.pair_grid, spec.interval.midpoint, cfg.pair_w)
+    x1 = float(np.quantile(pair(cfg.n_pilot, "pw/pair/pilot")[:, 0, jt], cfg.pair_top_quantile))
+    vals = pair(cfg.n_pair, "pw/pair/main")
+    est = top_curve_pw(spec, vals, x1, (cfg.pair_w,))[cfg.pair_w]
     hidden = vals[:, 1, jt]
     hits = int(np.count_nonzero(hidden <= x1))
     direct = hits / cfg.n_pair
@@ -531,7 +540,7 @@ def pw_suite(cfg: PwConfig) -> SuiteResult:
         ),
     ))
     # (c) per-sample domination against the hidden curve (oracle mode, nested MC)
-    dom_vals, _ = _pair_ensemble_samples(cfg, root, cfg.n_domination, "pw/pair/domination")
+    dom_vals = pair(cfg.n_domination, "pw/pair/domination")
     window = Interval(spec.interval.grid(cfg.pair_grid)[ja], spec.interval.grid(cfg.pair_grid)[jb])
     sub_width = jb - ja
     rng = root.derive("pw/domination").generator()
@@ -591,44 +600,21 @@ class DetectConfig:
 
 
 def _detect_single_case(cfg: DetectConfig, root: RngSeed, s: int) -> str:
-    iv = Interval(0.0, 1.0)
-    t1 = 0.5
-    times = sorted({t1} | {t1 - 1.0 / w for w in cfg.windows} | {t1 + 1.0 / w for w in cfg.windows})
     rng = root.derive(f"detect/none/{s}").generator()
-    samples = bridge.sample_bridge_at(iv, 0.0, 0.0, times, cfg.n_samples, rng)
-    col = {t: i for i, t in enumerate(times)}
-    ests = {}
-    for w in cfg.windows:
-        spec = verify.ObservableSpec(t1, cfg.single_x1, w, n_top=1)
-        ests[w] = verify.estimate_pw(
-            spec, samples[:, [col[spec.a_w]]], samples[:, [col[t1]]],
-            samples[:, [col[spec.b_w]]], cap=cfg.cap,
-        )
+    ests = single_bridge_pw(cfg.windows, cfg.single_x1, cfg.n_samples, rng, cap=cfg.cap)
     return verify.curve_count_detector(ests, cfg.tau)
 
 
 def _detect_hidden_case(cfg: DetectConfig, root: RngSeed, s: int) -> str:
-    iv = Interval(0.0, 1.0)
-    half = cfg.pair_gap / 2.0
-    vec = WeylVector((half, -half))
-    spec = avoid.AvoidSpec(iv, vec, vec, Barrier.plus_inf(), Barrier.minus_inf(), cfg.grid_points)
-    t1 = 0.5
+    spec = pair_spec(cfg.pair_gap, cfg.grid_points)
     pilot, _, _ = avoid.sample_avoiding_batch(
         spec, cfg.n_pilot, root.derive(f"detect/hidden/{s}/pilot").generator()
     )
-    jt = cfg.grid_points // 2
-    x1 = float(np.quantile(pilot[:, 1, jt], cfg.hidden_quantile))
+    x1 = float(np.quantile(pilot[:, 1, cfg.grid_points // 2], cfg.hidden_quantile))
     vals, _, _ = avoid.sample_avoiding_batch(
         spec, cfg.n_samples, root.derive(f"detect/hidden/{s}/main").generator()
     )
-    ests = {}
-    for w in cfg.windows:
-        ja, jt_, jb = _window_cols(iv, cfg.grid_points, t1, w)
-        ow = verify.ObservableSpec(t1, x1, w, n_top=1)
-        ests[w] = verify.estimate_pw(
-            ow, vals[:, [0], ja], vals[:, [0], jt_], vals[:, [0], jb], cap=cfg.cap
-        )
-    return verify.curve_count_detector(ests, cfg.tau)
+    return verify.curve_count_detector(top_curve_pw(spec, vals, x1, cfg.windows, cfg.cap), cfg.tau)
 
 
 def detect_suite(cfg: DetectConfig) -> SuiteResult:
@@ -742,8 +728,12 @@ def run_suite(name: str, **overrides) -> SuiteResult:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
     cfg_cls, fn = SUITES[name]
-    valid = {f.name for f in fields(cfg_cls)}
-    bad = set(overrides) - valid
+    defaults = {f.name: f.default for f in fields(cfg_cls)}
+    bad = set(overrides) - set(defaults)
     if bad:
         raise KeyError(f"unknown config keys for suite {name}: {sorted(bad)}")
+    for key, value in overrides.items():
+        want = type(defaults[key])
+        if not isinstance(value, (int, float) if want is float else want):
+            raise ValueError(f"config key {key} of suite {name} must be {want.__name__}, got {value!r}")
     return fn(cfg_cls(**overrides))

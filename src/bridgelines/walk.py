@@ -23,6 +23,8 @@ from .core import (
     LineEnsemble,
     StructuralError,
     WeylVector,
+    _avoids,
+    _rejection_sample,
 )
 
 
@@ -199,16 +201,26 @@ class WalkEnsembleSpec:
         return len(self.x)
 
 
-def _accept_mask(spec: WalkEnsembleSpec, vals: np.ndarray, units: np.ndarray,
-                 f_vals: np.ndarray, g_vals: np.ndarray) -> np.ndarray:
-    ok = np.ones(vals.shape[0], dtype=bool)
-    if spec.k > 1:
-        ok &= np.all(units[:, :-1, :] > units[:, 1:, :], axis=(1, 2))
-    if spec.f.is_finite:
-        ok &= np.all(vals[:, 0, :] < f_vals[None, :], axis=1)
-    if spec.g.is_finite:
-        ok &= np.all(vals[:, -1, :] > g_vals[None, :], axis=1)
-    return ok
+def _sample_walks(spec: WalkEnsembleSpec, n_samples: int, rng: np.random.Generator,
+                  max_attempts: int, chunk: int):
+    """The rejection loop over ensembles of k independent walk bridges; see _rejection_sample."""
+    lat = spec.lattice
+    n = lat.n_steps
+    x_units = np.array([lat.snap_units(v) for v in spec.x.values])
+    z_units = np.array([lat.snap_units(v) for v in spec.y.values]) - x_units
+
+    def draw(nc):
+        units = np.empty((nc, spec.k, n + 1), dtype=np.int64)
+        units[:, :, 0] = 0
+        for i in range(spec.k):
+            steps = sample_walk_steps(n, int(z_units[i]), nc, rng)
+            units[:, i, 1:] = np.cumsum(steps, axis=1, dtype=np.int64)
+        units += x_units[None, :, None]
+        return units * lat.dx
+
+    grid = lat.time_grid
+    return _rejection_sample(draw, spec.f.at(grid), spec.g.at(grid), spec.k, n_samples,
+                             max_attempts, chunk)
 
 
 def sample_avoiding_walks_batch(
@@ -224,32 +236,8 @@ def sample_avoiding_walks_batch(
     chunks, so n_accepted_seen / n_drawn is an unbiased acceptance-rate estimate
     even when more than n_samples acceptances landed in the final chunk.
     """
-    lat = spec.lattice
-    n = lat.n_steps
-    x_units = np.array([lat.snap_units(v) for v in spec.x.values])
-    z_units = np.array([lat.snap_units(v) for v in spec.y.values]) - x_units
-    grid = lat.time_grid
-    f_vals = spec.f.at(grid)
-    g_vals = spec.g.at(grid)
-    accepted: list[LineEnsemble] = []
-    drawn = 0
-    seen = 0
-    while len(accepted) < n_samples and drawn < max_attempts:
-        nc = min(chunk, max_attempts - drawn)
-        units = np.empty((nc, spec.k, n + 1), dtype=np.int64)
-        units[:, :, 0] = 0
-        for i in range(spec.k):
-            steps = sample_walk_steps(n, int(z_units[i]), nc, rng)
-            units[:, i, 1:] = np.cumsum(steps, axis=1, dtype=np.int64)
-        units += x_units[None, :, None]
-        vals = units * lat.dx
-        ok = _accept_mask(spec, vals, units, f_vals, g_vals)
-        seen += int(np.count_nonzero(ok))
-        for idx in np.flatnonzero(ok):
-            if len(accepted) < n_samples:
-                accepted.append(LineEnsemble(lat.interval, vals[idx]))
-        drawn += nc
-    return accepted, drawn, seen
+    vals, drawn, seen, _ = _sample_walks(spec, n_samples, rng, max_attempts, chunk)
+    return [LineEnsemble(spec.lattice.interval, v) for v in vals], drawn, seen
 
 
 def sample_avoiding_walks(
@@ -258,30 +246,10 @@ def sample_avoiding_walks(
     max_attempts: int = 100000,
 ) -> tuple[LineEnsemble, int]:
     """First accepted ensemble plus the candidate count; raises RejectionExhausted."""
-    lat = spec.lattice
-    n = lat.n_steps
-    x_units = np.array([lat.snap_units(v) for v in spec.x.values])
-    z_units = np.array([lat.snap_units(v) for v in spec.y.values]) - x_units
-    grid = lat.time_grid
-    f_vals = spec.f.at(grid)
-    g_vals = spec.g.at(grid)
-    attempts = 0
-    chunk = 512
-    while attempts < max_attempts:
-        nc = min(chunk, max_attempts - attempts)
-        units = np.empty((nc, spec.k, n + 1), dtype=np.int64)
-        units[:, :, 0] = 0
-        for i in range(spec.k):
-            steps = sample_walk_steps(n, int(z_units[i]), nc, rng)
-            units[:, i, 1:] = np.cumsum(steps, axis=1, dtype=np.int64)
-        units += x_units[None, :, None]
-        vals = units * lat.dx
-        ok = _accept_mask(spec, vals, units, f_vals, g_vals)
-        hits = np.flatnonzero(ok)
-        if hits.size:
-            return LineEnsemble(lat.interval, vals[hits[0]]), attempts + int(hits[0]) + 1
-        attempts += nc
-    raise RejectionExhausted(attempts)
+    vals, drawn, _, first_hit = _sample_walks(spec, 1, rng, max_attempts, 512)
+    if not vals.shape[0]:
+        raise RejectionExhausted(drawn)
+    return LineEnsemble(spec.lattice.interval, vals[0]), first_hit + 1
 
 
 def enumerate_avoiding_configs(spec: WalkEnsembleSpec, guard: int = 10**7) -> list[LineEnsemble]:
@@ -309,13 +277,7 @@ def enumerate_avoiding_configs(spec: WalkEnsembleSpec, guard: int = 10**7) -> li
 
     out: list[LineEnsemble] = []
     for combo in itertools.product(*per_curve):
-        units = np.stack(combo)
-        vals = units * lat.dx
-        if spec.k > 1 and not np.all(units[:-1] > units[1:]):
-            continue
-        if spec.f.is_finite and not np.all(vals[0] < f_vals):
-            continue
-        if spec.g.is_finite and not np.all(vals[-1] > g_vals):
-            continue
-        out.append(LineEnsemble(lat.interval, vals))
+        vals = np.stack(combo) * lat.dx
+        if _avoids(vals, f_vals, g_vals):
+            out.append(LineEnsemble(lat.interval, vals))
     return out

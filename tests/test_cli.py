@@ -80,7 +80,8 @@ def test_verify_deterministic_and_exit_codes(tmp_path):
 
 def test_verify_config_file_overrides(tmp_path):
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("# comment line\nn_samples = 4000\nmax_steps = 3\n")
+    # an int is accepted for a float field (telescope_tol)
+    cfg.write_text("# comment line\nn_samples = 4000\nmax_steps = 3\ntelescope_tol = 1\n")
     out = tmp_path / "v"
     rc = run(["verify", "--suite", "walk-exact", "--seed", "1",
               "--config", str(cfg), "--out", str(out)])
@@ -89,15 +90,27 @@ def test_verify_config_file_overrides(tmp_path):
     assert "N<=3" in txt
 
 
-def test_verify_unknown_suite_and_bad_key(tmp_path):
-    assert run(["verify", "--suite", "nope", "--out", str(tmp_path / "x")]) == 2
-    assert run(["verify", "--suite", "tails", "--set", "bogus=1",
-                "--out", str(tmp_path / "y")]) == 2
+def test_verify_unknown_suite_and_bad_key(tmp_path, capsys):
+    for argv in (
+        ["--suite", "nope"],
+        ["--suite", "tails", "--set", "bogus=1"],
+        ["--suite", "tails", "--set", "n_samples=abc"],
+        ["--suite", "tails", "--set", "rs=0.5"],
+    ):
+        assert run(["verify", *argv, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
-def test_unknown_sample_kind_is_usage_error(tmp_path):
+def test_unknown_sample_kind_is_usage_error(tmp_path, capsys):
     # argparse rejects the choice before cmd_sample runs
     assert run(["sample", "--kind", "wrong", "--out", str(tmp_path / "z")]) == 2
+    capsys.readouterr()
+    for kind in ("bridge", "avoid", "walk", "glauber"):
+        assert run(["sample", "--kind", kind, "--n-samples", "0", "--out", str(tmp_path / "z")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "z").exists()
 
 
 def test_bench_runs(capsys):

@@ -13,6 +13,7 @@ from bridgelines.core import (
     RngSeed,
     StructuralError,
     WeylVector,
+    _avoids,
     check_avoiding,
     eval_curve,
     read_ensembles,
@@ -63,6 +64,33 @@ def test_check_avoiding_examples():
     assert check_avoiding(two, Barrier.plus_inf(), Barrier.minus_inf())
     touching = LineEnsemble(iv, np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0]]))
     assert not check_avoiding(touching, Barrier.plus_inf(), Barrier.minus_inf())
+
+
+def _avoids_oracle(rows, f, g):
+    # plain-Python reading of f > row_0 > ... > row_{k-1} > g at every column
+    for j in range(len(rows[0])):
+        col = [f[j]] + [row[j] for row in rows] + [g[j]]
+        if any(col[i] <= col[i + 1] for i in range(len(col) - 1)):
+            return False
+    return True
+
+
+def test_avoids_predicate_table():
+    # curves at integer levels two apart plus noise in {-1, 0, 1}: neighbours and
+    # barriers touch (compare equal) in a good share of the rows
+    rng = np.random.default_rng(0)
+    inf = np.full(5, np.inf)
+    for k in (1, 2, 3):
+        levels = 2.0 * np.arange(k)[::-1, None] - (k - 1)
+        stack = levels + rng.integers(-1, 2, size=(400, k, 5))
+        f = k + np.array([1.0, 0.0, 1.0, 1.0, 1.0])
+        g = -f[::-1]
+        for f_vals, g_vals in ((inf, -inf), (f, -inf), (inf, g), (f, g)):
+            got = _avoids(stack, f_vals, g_vals)
+            want = [_avoids_oracle(rows.tolist(), f_vals.tolist(), g_vals.tolist()) for rows in stack]
+            assert got.shape == (400,) and got.tolist() == want
+            constrained = k > 1 or f_vals is f or g_vals is g
+            assert any(want) and (not all(want) or not constrained)
 
 
 def test_check_avoiding_barriers():

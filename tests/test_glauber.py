@@ -145,21 +145,9 @@ def test_mixing_diagnostic():
     ]
     assert all(0 < c < 10**6 for c in counts)
     seeds = [RngSeed(8).derive(i) for i in range(9)]
-    burn = glauber.coalescence_burn_in(lat, [0], [0], Barrier.minus_inf(), seeds)
+    burn = glauber.coalescence_burn_in(lat, [0], [0], Barrier.minus_inf(), [s.generator() for s in seeds])
     replay = sorted(glauber.mixing_diagnostic(hi, lo, s.generator()) for s in seeds)
     assert burn == 4 * replay[4]
-
-
-def test_clock_event_stream():
-    lat = _lat(16)
-    cfg = glauber.maximal_state(lat, [2, 0], [2, 0], Barrier.minus_inf())
-    events = glauber.draw_clock_events(cfg, 200, RngSeed(10).generator())
-    assert len(events) == 200
-    assert all(1 <= e.site <= lat.n_steps - 1 for e in events)
-    assert all(0 <= e.curve < 2 and e.delta in (-1, 0, 1) for e in events)
-    assert all(b.time > a.time for a, b in zip(events, events[1:]))
-    with pytest.raises(Exception):
-        glauber.ClockEvent(1.0, 3, 0, 2)
 
 
 def test_marginal_law_matches_enumeration_after_coupling_run():
