@@ -15,8 +15,8 @@ import numpy as np
 
 from .bridge import _bridge_forward, certify_c0, midpoint_cdf_single
 from .core import (
-    Barrier, DomainError, Interval, LatticeParams, LineEnsemble, StructuralError, WeylVector,
-    _rejection_sample,
+    Barrier, Curve, DomainError, Interval, LatticeParams, LineEnsemble, StructuralError, WeylVector,
+    _rejection_sample, eval_curve,
 )
 from .walk import RejectionExhausted
 
@@ -186,10 +186,11 @@ def sample_avoiding_with_fallback(
     A pilot of pilot_attempts candidates estimates the acceptance rate; below
     min_rate the sampler switches to the lattice pipeline: endpoints snapped to
     the dx-grid of a scaled lattice, single-site chain run from the maximal
-    state past a coalescence burn-in, then thinned snapshots. Chain samples are
-    the lattice approximation of the target law (exact only as the scale
-    grows; coarser scales mix faster). Returns (values (n, k, cols), method)
-    with method one of "rejection" | "chain".
+    state past a coalescence burn-in, then thinned snapshots, linearly
+    interpolated onto the spec's grid. Chain samples are the lattice
+    approximation of the target law (exact only as the scale grows; coarser
+    scales mix faster). Returns (values (n, k, grid_points + 1), method) with
+    method one of "rejection" | "chain".
     """
     from . import glauber  # local import: glauber depends on core only
 
@@ -223,11 +224,10 @@ def sample_avoiding_with_fallback(
     burn = glauber.coalescence_burn_in(lat, x_units, y_units, spec.g, seeds)
     thin = max(1, burn // 8)
     state, _ = glauber.simulate_chain(glauber.maximal_state(lat, x_units, y_units, spec.g), burn, rng)
-    out = np.empty((n_samples, spec.k, lat.n_steps + 1))
-    for i in range(n_samples):
-        state, _ = glauber.simulate_chain(state, thin, rng)
-        out[i] = np.asarray(state.units, dtype=float) * lat.dx
-    return out, "chain"
+    _, units = glauber.simulate_chain(state, n_samples * thin, rng, record_every=thin)
+    # lattice states read on the spec's grid, so both paths return grid_points + 1 columns
+    out = [[eval_curve(Curve(lat.interval, row), grid) for row in u] for u in units * lat.dx]
+    return np.asarray(out), "chain"
 
 
 # ---------------------------------------------------------------------------

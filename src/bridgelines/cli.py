@@ -119,6 +119,8 @@ def _barrier(const, interval) -> Barrier:
 def cmd_sample(args) -> int:
     if args.n_samples < 1:
         raise ValueError(f"--n-samples must be at least 1, got {args.n_samples}")
+    if args.kind == "glauber" and args.events_per_sample < 1:
+        raise ValueError(f"--events-per-sample must be at least 1, got {args.events_per_sample}")
     os.makedirs(args.out, exist_ok=True)
     interval = Interval(args.a, args.b)
     seed = RngSeed(args.seed)
@@ -175,13 +177,12 @@ def cmd_sample(args) -> int:
         lat = LatticeParams.scaled(interval, args.n_scale)
         xu, yu = _units(args.x_units), _units(args.y_units)
         g = Barrier.minus_inf() if args.g_const is None else Barrier.constant(args.g_const, interval)
-        init = glauber.maximal_state(lat, xu, yu, g)
-        state = init
         rng = seed.derive("sample/glauber").generator()
-        state, _ = glauber.simulate_chain(state, args.burn_in, rng)
-        for _ in range(args.n_samples):
-            state, _ = glauber.simulate_chain(state, args.events_per_sample, rng)
-            ensembles.append(state.to_ensemble())
+        state, _ = glauber.simulate_chain(glauber.maximal_state(lat, xu, yu, g), args.burn_in, rng)
+        _, units = glauber.simulate_chain(
+            state, args.n_samples * args.events_per_sample, rng, record_every=args.events_per_sample
+        )
+        ensembles = [LineEnsemble(lat.interval, u * lat.dx) for u in units]
         manifest += [
             ("n_scale", args.n_scale), ("x_units", args.x_units), ("y_units", args.y_units),
             ("burn_in", args.burn_in), ("events_per_sample", args.events_per_sample),

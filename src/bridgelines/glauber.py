@@ -14,11 +14,12 @@ coupling invariant are checked in exact integer arithmetic.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Barrier, DomainError, LatticeParams, LineEnsemble, StructuralError, _avoids
+from .core import Barrier, DomainError, LatticeParams, StructuralError, _avoids
 
 
 class InfeasibleState(ValueError):
@@ -45,25 +46,18 @@ class GlauberConfig:
         return len(self.units)
 
     def is_feasible(self) -> bool:
-        arr = np.asarray(self.units, dtype=np.int64)
-        if np.any(np.abs(np.diff(arr, axis=1)) > 1):
-            return False
-        g_vals = self.barrier_g.at(self.lattice.time_grid) if self.barrier_g.is_finite else -np.inf
-        return bool(_avoids(arr * self.lattice.dx, np.inf, g_vals))
-
-    def to_ensemble(self) -> LineEnsemble:
-        return LineEnsemble(
-            self.lattice.interval, np.asarray(self.units, dtype=float) * self.lattice.dx
-        )
+        return bool(_feasible(np.asarray(self.units, dtype=np.int64), self.lattice, self.barrier_g))
 
 
-def _barrier_min_units(lattice: LatticeParams, g: Barrier) -> np.ndarray:
-    """Per-column smallest lattice value strictly above g."""
-    n_cols = lattice.n_steps + 1
-    if not g.is_finite:
-        return np.full(n_cols, np.iinfo(np.int64).min // 2, dtype=np.int64)
-    g_vals = g.at(lattice.time_grid)
-    return (np.floor(g_vals / lattice.dx) + 1).astype(np.int64)
+def _feasible(units: np.ndarray, lattice: LatticeParams, g: Barrier) -> np.ndarray:
+    """Increments in {-1, 0, +1} plus core._avoids over (..., k, cols) units; one bool per state."""
+    steps_ok = (np.abs(np.diff(units, axis=-1)) <= 1).all(axis=(-2, -1))
+    g_vals = g.at(lattice.time_grid) if g.is_finite else -np.inf
+    return steps_ok & _avoids(units * lattice.dx, np.inf, g_vals)
+
+
+def _config(like: GlauberConfig, rows: list[list[int]]) -> GlauberConfig:
+    return GlauberConfig(like.lattice, tuple(tuple(r) for r in rows), like.barrier_g)
 
 
 def maximal_state(
@@ -102,17 +96,14 @@ def minimal_state(
     """
     n = lattice.n_steps
     cols = np.arange(n + 1)
-    k = len(x_units)
-    floor_units = _barrier_min_units(lattice, g)
-    rows: list[np.ndarray] = [None] * k
-    below = floor_units - 1  # bottom curve must stay strictly above the barrier
-    for i in range(k - 1, -1, -1):
-        xi, yi = x_units[i], y_units[i]
+    rows: list[np.ndarray] = []
+    # the bottom curve sits at floor + 1 or higher: strictly above the barrier
+    below = np.floor(_barrier_units_floor(lattice, g))
+    for xi, yi in zip(x_units[::-1], y_units[::-1]):
         if abs(yi - xi) > n:
             raise DomainError("endpoints not reachable")
-        prof = np.maximum(np.maximum(xi - cols, yi - (n - cols)), below + 1)
-        rows[i] = prof
-        below = prof
+        below = np.maximum(np.maximum(xi - cols, yi - (n - cols)), below + 1)
+        rows.insert(0, below)
     try:
         return GlauberConfig(lattice, tuple(tuple(int(v) for v in r) for r in rows), g)
     except InfeasibleState as exc:
@@ -121,12 +112,9 @@ def minimal_state(
         ) from exc
 
 
-def _barrier_units_floor(config: GlauberConfig) -> list[float]:
-    """Per-column strict lower limits for the bottom curve, in dx units."""
-    if not config.barrier_g.is_finite:
-        return [-np.inf] * (config.lattice.n_steps + 1)
-    g_vals = config.barrier_g.at(config.lattice.time_grid)
-    return list(np.asarray(g_vals, dtype=float) / config.lattice.dx)
+def _barrier_units_floor(lattice: LatticeParams, g: Barrier) -> list[float]:
+    """Per-column strict lower limits for the bottom curve, in dx units (-inf for none)."""
+    return (g.at(lattice.time_grid) / lattice.dx).tolist()
 
 
 def _move_ok(rows: list[list[int]], g_units: list[float], i: int, r: int, v_new: int) -> bool:
@@ -154,27 +142,81 @@ def _draw_events(k: int, n_cols: int, num_events: int, rng: np.random.Generator)
     return out
 
 
+_CHUNK = 4096  # events drawn and decoded per piece; bounds the memory of long runs
+
+
+def _run(
+    rows: list[list[int]],
+    g_units: list[float],
+    num_events: int,
+    rng: np.random.Generator,
+    every: int = 0,
+    upper: tuple[list[list[int]], list[float]] | None = None,
+    stop_at_meet: bool = False,
+) -> tuple[int, np.ndarray]:
+    """The chain event loop: apply up to num_events clock rings to rows in place.
+
+    Each event moves one site of rows when _move_ok accepts it against the
+    bottom-curve limits g_units. With upper = (rows_b, g_b) a second chain sees
+    the same events (shared clocks); after each event the touched site must
+    keep rows <= rows_b, else AssertionError. With stop_at_meet the loop ends
+    at the event where the pair coincides. Every `every` events the state of
+    rows is recorded. Events are drawn in pieces of _CHUNK, which give the same
+    stream as one draw. Returns (events run, snapshots as an int64 array of
+    shape (n, k, cols)).
+    """
+    if num_events < 0 or every < 0:
+        raise DomainError("event counts must be non-negative")
+    k, n_cols = len(rows), len(rows[0])
+    rows_b, g_b = upper or (None, None)
+    flat: list[int] = []
+    met = stop_at_meet and rows == rows_b
+    done = 0
+    while done < num_events and not met:
+        events = _draw_events(k, n_cols, min(_CHUNK, num_events - done), rng).tolist()
+        for e, (r, i, delta) in enumerate(events, done + 1):
+            if delta:
+                v = rows[i][r] + delta
+                if _move_ok(rows, g_units, i, r, v):
+                    rows[i][r] = v
+                if rows_b is not None:
+                    v = rows_b[i][r] + delta
+                    if _move_ok(rows_b, g_b, i, r, v):
+                        rows_b[i][r] = v
+                    # explicit raise: this check must survive interpreter -O mode
+                    if rows[i][r] > rows_b[i][r]:
+                        raise AssertionError("coupling invariant broken at touched site")
+                    if stop_at_meet and rows[i][r] == rows_b[i][r] and rows == rows_b:
+                        met = True
+                        break
+            if every and e % every == 0:
+                for row in rows:
+                    flat.extend(row)
+        done = e  # the last event of the piece, or the one where the pair met
+    return done, np.array(flat, dtype=np.int64).reshape(-1, k, n_cols)
+
+
 def simulate_chain(
     init: GlauberConfig,
     num_events: int,
     rng: np.random.Generator,
     record_every: int = 0,
-) -> tuple[GlauberConfig, list[GlauberConfig]]:
-    """Run the chain for num_events clock rings; optionally record snapshots."""
+) -> tuple[GlauberConfig, np.ndarray]:
+    """Run the chain for num_events clock rings; optionally record snapshots.
+
+    Returns (final state, snapshots). With record_every > 0 the state after
+    every record_every-th event is recorded, and the snapshots are one int64
+    array of shape (num_events // record_every, k, n_steps + 1) in dx units;
+    with record_every = 0 the array has no rows. The whole array is checked in
+    one batched call of the predicate behind GlauberConfig.is_feasible
+    (increments plus core._avoids).
+    """
     rows = [list(r) for r in init.units]
-    g_units = _barrier_units_floor(init)
-    events = _draw_events(init.k, init.lattice.n_steps + 1, num_events, rng)
-    snaps: list[GlauberConfig] = []
-    for e in range(num_events):
-        r, i, delta = int(events[e, 0]), int(events[e, 1]), int(events[e, 2])
-        if delta:
-            v_new = rows[i][r] + delta
-            if _move_ok(rows, g_units, i, r, v_new):
-                rows[i][r] = v_new
-        if record_every and (e + 1) % record_every == 0:
-            snaps.append(GlauberConfig(init.lattice, tuple(tuple(r_) for r_ in rows), init.barrier_g))
-    final = GlauberConfig(init.lattice, tuple(tuple(r_) for r_ in rows), init.barrier_g)
-    return final, snaps
+    g_units = _barrier_units_floor(init.lattice, init.barrier_g)
+    _, snaps = _run(rows, g_units, num_events, rng, every=record_every)
+    if not _feasible(snaps, init.lattice, init.barrier_g).all():
+        raise InfeasibleState("chain snapshot violates increments, ordering, or barrier")
+    return _config(init, rows), snaps
 
 
 def sample_stationary_keys(
@@ -186,20 +228,10 @@ def sample_stationary_keys(
 ) -> dict[tuple, int]:
     """Visit counts of state keys after burn-in, one sample every `thin` events."""
     rows = [list(r) for r in init.units]
-    g_units = _barrier_units_floor(init)
-    total = burn_in + n_samples * thin
-    events = _draw_events(init.k, init.lattice.n_steps + 1, total, rng)
-    counts: dict[tuple, int] = {}
-    for e in range(total):
-        r, i, delta = int(events[e, 0]), int(events[e, 1]), int(events[e, 2])
-        if delta:
-            v_new = rows[i][r] + delta
-            if _move_ok(rows, g_units, i, r, v_new):
-                rows[i][r] = v_new
-        if e >= burn_in and (e - burn_in + 1) % thin == 0:
-            key = tuple(tuple(r_) for r_ in rows)
-            counts[key] = counts.get(key, 0) + 1
-    return counts
+    g_units = _barrier_units_floor(init.lattice, init.barrier_g)
+    _run(rows, g_units, burn_in, rng)
+    _, snaps = _run(rows, g_units, n_samples * thin, rng, every=thin)
+    return dict(Counter(tuple(map(tuple, snap)) for snap in snaps.tolist()))
 
 
 @dataclass(frozen=True)
@@ -222,41 +254,24 @@ def simulate_coupled(
     init_b: GlauberConfig,
     num_events: int,
     rng: np.random.Generator,
-    full_check_every: int = 1000,
 ) -> CoupledState:
     """Drive both chains with one shared event stream; A <= B is asserted throughout.
 
-    An ordering violation raises AssertionError: it would falsify the update
-    rule, not the inputs.
+    Only the touched site is checked after each event, which is enough by
+    induction: CoupledState checks A <= B at every site before the first
+    event, and an event changes at most one site, the same one in both chains,
+    so every other site keeps its order. An ordering violation raises
+    AssertionError: it would falsify the update rule, not the inputs.
     """
     CoupledState(init_a, init_b)  # validates ordering of the inputs
-    rows_a = [list(r) for r in init_a.units]
-    rows_b = [list(r) for r in init_b.units]
-    ga = _barrier_units_floor(init_a)
-    gb = _barrier_units_floor(init_b)
+    ga = _barrier_units_floor(init_a.lattice, init_a.barrier_g)
+    gb = _barrier_units_floor(init_b.lattice, init_b.barrier_g)
     if any(x > y for x, y in zip(ga, gb)):
         raise InfeasibleState("coupled barriers must satisfy g_b <= g_t")
-    events = _draw_events(init_a.k, init_a.lattice.n_steps + 1, num_events, rng)
-    for e in range(num_events):
-        r, i, delta = int(events[e, 0]), int(events[e, 1]), int(events[e, 2])
-        if delta:
-            va = rows_a[i][r] + delta
-            if _move_ok(rows_a, ga, i, r, va):
-                rows_a[i][r] = va
-            vb = rows_b[i][r] + delta
-            if _move_ok(rows_b, gb, i, r, vb):
-                rows_b[i][r] = vb
-            # explicit raise: this check must survive interpreter -O mode
-            if rows_a[i][r] > rows_b[i][r]:
-                raise AssertionError("coupling invariant broken at touched site")
-        if full_check_every and (e + 1) % full_check_every == 0:
-            for ra, rb in zip(rows_a, rows_b):
-                if any(x > y for x, y in zip(ra, rb)):
-                    raise AssertionError("coupling invariant broken")
-    return CoupledState(
-        GlauberConfig(init_a.lattice, tuple(tuple(r_) for r_ in rows_a), init_a.barrier_g),
-        GlauberConfig(init_b.lattice, tuple(tuple(r_) for r_ in rows_b), init_b.barrier_g),
-    )
+    rows_a = [list(r) for r in init_a.units]
+    rows_b = [list(r) for r in init_b.units]
+    _run(rows_a, ga, num_events, rng, upper=(rows_b, gb))
+    return CoupledState(_config(init_a, rows_a), _config(init_b, rows_b))
 
 
 def mixing_diagnostic(
@@ -267,36 +282,18 @@ def mixing_diagnostic(
 ) -> int:
     """Events until the coupled chains started at (lo, hi) coincide; same barrier both sides.
 
-    Returns the coalescence event count; raises RejectionExhausted-style RuntimeError
-    at the cap.
+    init_lo <= init_hi must hold at every site (InfeasibleState otherwise).
+    Returns the coalescence event count; raises RuntimeError when the chains
+    have not met after max_events.
     """
+    CoupledState(init_lo, init_hi)  # validates lo <= hi
+    g_units = _barrier_units_floor(init_lo.lattice, init_lo.barrier_g)
     rows_lo = [list(r) for r in init_lo.units]
     rows_hi = [list(r) for r in init_hi.units]
-    g_units = _barrier_units_floor(init_lo)
-    gap = sum(h - l for rl, rh in zip(rows_lo, rows_hi) for l, h in zip(rl, rh))
-    if gap < 0:
-        raise InfeasibleState("need init_lo <= init_hi coordinatewise")
-    if gap == 0:
-        return 0
-    chunk = 4096
-    done = 0
-    while done < max_events:
-        events = _draw_events(init_lo.k, init_lo.lattice.n_steps + 1, chunk, rng)
-        for e in range(chunk):
-            r, i, delta = int(events[e, 0]), int(events[e, 1]), int(events[e, 2])
-            if delta:
-                v = rows_lo[i][r] + delta
-                if _move_ok(rows_lo, g_units, i, r, v):
-                    rows_lo[i][r] = v
-                    gap -= delta
-                v = rows_hi[i][r] + delta
-                if _move_ok(rows_hi, g_units, i, r, v):
-                    rows_hi[i][r] = v
-                    gap += delta
-            if gap == 0:
-                return done + e + 1
-        done += chunk
-    raise RuntimeError(f"no coalescence within {max_events} events")
+    done, _ = _run(rows_lo, g_units, max_events, rng, upper=(rows_hi, g_units), stop_at_meet=True)
+    if rows_lo != rows_hi:
+        raise RuntimeError(f"no coalescence within {max_events} events")
+    return done
 
 
 def coalescence_burn_in(

@@ -108,8 +108,8 @@ def frequency_vs_bound(
     check fails only when the CI lies entirely above it; 'lower' symmetric.
     Bounds that cannot bind (>= 1 for upper, <= 0 for lower) record VACUOUS.
     """
+    lo, hi = wilson_ci(hits, n, z)  # raises DomainError when n <= 0
     freq = hits / n
-    lo, hi = wilson_ci(hits, n, z)
     if direction == "upper":
         verdict = "VACUOUS" if bound >= 1.0 else ("PASS" if lo <= bound else "FAIL")
     elif direction == "lower":

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from bridgelines import avoid, bridge, walk
-from bridgelines.core import Barrier, DomainError, Interval, LineEnsemble, RngSeed, WeylVector
+from bridgelines.core import Barrier, DomainError, Interval, LatticeParams, LineEnsemble, RngSeed, WeylVector
 
 
 def _spec(x, y, grid=128, f=None, g=None, iv=None):
@@ -205,11 +205,32 @@ def test_fallback_switches_to_chain_on_collapsed_acceptance():
         spec, 6, RngSeed(14).generator(), lattice_scale=6, burn_streams=4
     )
     assert method == "chain"
-    assert vals.shape[0] == 6 and vals.shape[1] == 5
-    from bridgelines.core import LineEnsemble
+    # both paths return the spec's grid_points + 1 columns
+    assert vals.shape == (6, 5, 257)
     for v in vals:
-        ens = LineEnsemble(Interval(0, 1), v)
         assert np.all(v[:-1] > v[1:])
+
+
+def test_fallback_chain_values_on_a_lattice_aligned_grid():
+    # grid 32 on a 16-step lattice: every second grid column is a lattice column
+    spec = _spec((1.0, -1.0), (1.0, -1.0), grid=32)
+    vals, method = avoid.sample_avoiding_with_fallback(
+        spec, 3, RngSeed(3).generator(), lattice_scale=4, min_rate=1.0, burn_streams=4
+    )
+    assert method == "chain" and vals.shape == (3, 2, 33)
+    # lattice states in dx units, recorded when the chain path returned lattice columns
+    units = [
+        [[3, 3, 2, 1, 0, 1, 1, 2, 3, 2, 2, 3, 4, 3, 2, 3, 3],
+         [-3, -3, -2, -3, -2, -3, -4, -5, -6, -7, -6, -5, -4, -3, -3, -2, -3]],
+        [[3, 4, 4, 5, 6, 5, 4, 5, 4, 4, 3, 4, 4, 4, 4, 4, 3],
+         [-3, -4, -4, -5, -6, -5, -4, -5, -5, -4, -3, -2, -1, -2, -2, -3, -3]],
+        [[3, 4, 4, 3, 3, 3, 3, 4, 3, 3, 3, 2, 2, 2, 2, 3, 3],
+         [-3, -4, -5, -4, -3, -3, -4, -3, -3, -2, -1, -1, -2, -1, -2, -3, -3]],
+    ]
+    dx = LatticeParams.scaled(Interval(0, 1), 4).dx
+    np.testing.assert_array_equal(vals[:, :, ::2], np.asarray(units) * dx)
+    # the columns in between are the linear interpolation of their neighbours
+    np.testing.assert_allclose(vals[:, :, 1::2], 0.5 * (vals[:, :, :-1:2] + vals[:, :, 2::2]))
 
 
 def test_wilson_ci():

@@ -96,6 +96,7 @@ def test_verify_unknown_suite_and_bad_key(tmp_path, capsys):
         ["--suite", "tails", "--set", "bogus=1"],
         ["--suite", "tails", "--set", "n_samples=abc"],
         ["--suite", "tails", "--set", "rs=0.5"],
+        ["--suite", "tails", "--set", "n_samples=0"],
     ):
         assert run(["verify", *argv, "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
@@ -106,8 +107,9 @@ def test_unknown_sample_kind_is_usage_error(tmp_path, capsys):
     # argparse rejects the choice before cmd_sample runs
     assert run(["sample", "--kind", "wrong", "--out", str(tmp_path / "z")]) == 2
     capsys.readouterr()
-    for kind in ("bridge", "avoid", "walk", "glauber"):
-        assert run(["sample", "--kind", kind, "--n-samples", "0", "--out", str(tmp_path / "z")]) == 2
+    bad = [["--kind", kind, "--n-samples", "0"] for kind in ("bridge", "avoid", "walk", "glauber")]
+    for argv in bad + [["--kind", "glauber", "--events-per-sample", "0"]]:
+        assert run(["sample", *argv, "--out", str(tmp_path / "z")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not (tmp_path / "z").exists()

@@ -40,7 +40,7 @@ def test_zero_move_is_always_kept_and_peak_moves_rejected():
     lat = _lat(2)
     cfg = glauber.maximal_state(lat, [0], [0], Barrier.minus_inf())  # (0, 1, 0)
     rows = [list(r) for r in cfg.units]
-    g_units = glauber._barrier_units_floor(cfg)
+    g_units = glauber._barrier_units_floor(cfg.lattice, cfg.barrier_g)
     # +1 at the peak would need increments of 2
     assert not glauber._move_ok(rows, g_units, 0, 1, 2)
     # -1 from the peak is fine
@@ -63,7 +63,7 @@ def test_local_feasibility_matches_full_validation():
     g = Barrier.constant(g_level, lat.interval)
     cfg = glauber.maximal_state(lat, [2, 0], [2, 0], g)
     rows = [list(r) for r in cfg.units]
-    g_units = glauber._barrier_units_floor(cfg)
+    g_units = glauber._barrier_units_floor(cfg.lattice, cfg.barrier_g)
     for _ in range(500):
         r = int(rng.integers(1, lat.n_steps))
         i = int(rng.integers(0, 2))
@@ -114,7 +114,7 @@ def test_coupled_chain_preserves_order():
     lat = _lat(16)
     a = glauber.maximal_state(lat, [1, -1], [1, -1], Barrier.minus_inf())
     b = glauber.maximal_state(lat, [3, 0], [2, 0], Barrier.minus_inf())
-    state = glauber.simulate_coupled(a, b, 30000, RngSeed(4).generator(), full_check_every=500)
+    state = glauber.simulate_coupled(a, b, 30000, RngSeed(4).generator())
     for ra, rb in zip(state.a.units, state.b.units):
         assert all(x <= y for x, y in zip(ra, rb))
 
@@ -139,6 +139,12 @@ def test_mixing_diagnostic():
     hi = glauber.maximal_state(lat, [0], [0], Barrier.minus_inf())
     lo = glauber.minimal_state(lat, [0], [0], Barrier.minus_inf())
     assert glauber.mixing_diagnostic(hi, hi, RngSeed(6).generator()) == 0
+    # crossing start states: the differences sum to 0 but the pair is not ordered
+    lat4 = _lat(4)
+    up = glauber.GlauberConfig(lat4, ((0, -1, 0, 1, 0),), Barrier.minus_inf())
+    down = glauber.GlauberConfig(lat4, ((0, 1, 0, -1, 0),), Barrier.minus_inf())
+    with pytest.raises(glauber.InfeasibleState):
+        glauber.mixing_diagnostic(up, down, RngSeed(6).generator())
     counts = [
         glauber.mixing_diagnostic(hi, lo, RngSeed(7).derive(i).generator())
         for i in range(16)
@@ -165,3 +171,50 @@ def test_marginal_law_matches_enumeration_after_coupling_run():
     total = sum(counts.values())
     tv = 0.5 * sum(abs(v / total - 1 / 3) for v in counts.values())
     assert tv <= 0.03
+
+
+def test_chain_outputs_pinned_at_fixed_seeds():
+    # values recorded before the four event loops were merged into one kernel
+    lat = _lat(4)
+    g = Barrier.constant(-1.5 * lat.dx, lat.interval)
+    hi = glauber.maximal_state(lat, [2, 0], [2, 0], g)
+    lo = glauber.minimal_state(lat, [2, 0], [2, 0], g)
+    assert lo.units == ((2, 1, 0, 1, 2), (0, -1, -1, -1, 0))
+    counts = [glauber.mixing_diagnostic(hi, lo, RngSeed(7).derive(i).generator()) for i in range(6)]
+    assert counts == [110, 140, 192, 140, 132, 116]
+    rngs = [RngSeed(8).derive(i).generator() for i in range(5)]
+    assert glauber.coalescence_burn_in(lat, [2, 0], [2, 0], g, rngs) == 728
+    # 10,000 events cross several draw pieces
+    final, snaps = glauber.simulate_chain(hi, 10000, RngSeed(1).generator(), record_every=2500)
+    assert final.units == ((2, 2, 2, 1, 2), (0, 1, 0, -1, 0))
+    assert snaps.dtype == np.int64 and snaps.shape == (4, 2, 5)
+    assert snaps.tolist() == [
+        [[2, 2, 2, 3, 2], [0, 1, 0, 1, 0]],
+        [[2, 2, 1, 2, 2], [0, 0, -1, 0, 0]],
+        [[2, 3, 2, 2, 2], [0, -1, 0, 0, 0]],
+        [[2, 2, 2, 1, 2], [0, 1, 0, -1, 0]],
+    ]
+    state = glauber.simulate_coupled(lo, hi, 40, RngSeed(2).generator())
+    assert state.a.units == ((2, 2, 2, 1, 2), (0, -1, 0, 0, 0))
+    assert state.b.units == ((2, 2, 3, 2, 2), (0, -1, 0, 1, 0))
+    top = glauber.maximal_state(_lat(2), [0], [0], Barrier.minus_inf())
+    keys = glauber.sample_stationary_keys(top, 50, 300, 3, RngSeed(3).generator())
+    assert keys == {((0, -1, 0),): 96, ((0, 0, 0),): 107, ((0, 1, 0),): 97}
+
+
+def test_coupling_check_fires_on_non_monotone_rule(monkeypatch):
+    # a rule that accepts every move of the lower chain breaks the order;
+    # the touched-site check must catch it
+    strict = glauber._move_ok
+    first = []
+
+    def loose(rows, g_units, i, r, v_new):
+        if not first:
+            first.append(rows)  # the kernel asks about the lower chain first
+        return rows is first[0] or strict(rows, g_units, i, r, v_new)
+
+    monkeypatch.setattr(glauber, "_move_ok", loose)
+    lat = _lat(4)
+    init = glauber.maximal_state(lat, [2, 0], [2, 0], Barrier.minus_inf())
+    with pytest.raises(AssertionError, match="coupling invariant"):
+        glauber.simulate_coupled(init, init, 5000, RngSeed(5).generator())
