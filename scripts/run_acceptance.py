@@ -5,11 +5,13 @@ Usage:
     python scripts/run_acceptance.py [--seed N] [--out DIR]
 
 Exit code 0 iff every suite passes. Equivalent to `pytest tests/test_acceptance.py`
-but emits the CSV/text reports of each suite into one directory.
+but emits the CSV/text reports of each suite into one directory. Each suite's
+wall time goes to stderr, so the reports in --out stay byte-identical across runs.
 """
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -26,7 +28,9 @@ def main() -> int:
 
     all_ok = True
     for name in suites.SUITES:
+        t0 = time.perf_counter()
         result = suites.run_suite(name, seed=args.seed)
+        print(f"{name}: {time.perf_counter() - t0:.2f} s", file=sys.stderr)
         _write_reports(result, args.out)
         status = "PASS" if result.passed else "FAIL"
         print(f"{status}  {name}")

@@ -67,7 +67,7 @@ def sample_avoiding_values(
     rng: np.random.Generator,
     max_attempts: int,
     chunk: int = 2048,
-) -> tuple[np.ndarray, int, int, int]:
+) -> tuple[np.ndarray, int, int, int | np.ndarray]:
     """Rejection sampling with barriers given as value arrays on the grid.
 
     Returns (values, n_drawn, n_accepted_seen, first_hit): values has shape
@@ -75,21 +75,34 @@ def sample_avoiding_values(
     is the 0-based draw index of the first acceptance (or -1). Candidates are
     drawn in whole chunks so the acceptance rate n_accepted_seen / n_drawn is
     unbiased.
+
+    Given (R, k) endpoint rows, each with its own barrier rows (R, M+1) (or
+    barriers shared as (M+1,)), all rows are sampled together: values has
+    shape (R, n_out, k, M+1), n_out being the fewest samples any row got, the
+    draw counts are totals over the rows and first_hit is a per-row array.
     """
     m = grid_points
     grid = interval.grid(m)
-    k = len(x_vec)
+    x_rows, y_rows = np.atleast_2d(np.asarray(x_vec, dtype=float), np.asarray(y_vec, dtype=float))
+    n_rows, k = x_rows.shape
 
-    def draw(nc):
-        paths = np.empty((nc, k, m + 1))
-        paths[:, :, 0] = x_vec
-        paths[:, :, -1] = y_vec
-        z = rng.standard_normal((nc, k, m - 1))
-        _bridge_forward(paths[:, :, 0].copy(), y_vec, grid[0], grid[1:m], interval.b, z,
-                        paths[:, :, 1:m])
+    def draw(rows, nc):
+        paths = np.empty((rows.size, nc, k, m + 1))
+        paths[..., 0] = x_rows[rows, None]
+        paths[..., -1] = y_rows[rows, None]
+        z = rng.standard_normal((rows.size, nc, k, m - 1))
+        _bridge_forward(paths[..., 0].copy(), y_rows[rows, None], grid[0], grid[1:m], interval.b, z,
+                        paths[..., 1:m])
         return paths
 
-    return _rejection_sample(draw, f_vals, g_vals, k, n_samples, max_attempts, chunk)
+    vals, drawn, seen, first_hit = _rejection_sample(
+        draw, np.broadcast_to(f_vals, (n_rows, m + 1)), np.broadcast_to(g_vals, (n_rows, m + 1)),
+        k, n_samples, max_attempts, chunk,
+    )
+    drawn, seen = int(drawn.sum()), int(seen.sum())
+    if np.ndim(x_vec) == 2:
+        return vals, drawn, seen, first_hit
+    return vals[0], drawn, seen, int(first_hit[0])
 
 
 def sample_avoiding_batch(

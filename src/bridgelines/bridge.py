@@ -172,12 +172,15 @@ def grid_max_exceedance(
     return hits / n_samples, missed_sum / n_samples
 
 
-def midpoint_cdf_single(r: float, s: float, t: float, x: float, y: float) -> float:
-    """P(bridge from x at s to y at t has midpoint <= r): Gaussian with mean (x+y)/2, var (t-s)/4."""
+def midpoint_cdf_single(r, s: float, t: float, x, y) -> float | np.ndarray:
+    """P(bridge from x at s to y at t has midpoint <= r): Gaussian with mean (x+y)/2, var (t-s)/4.
+
+    r, x and y broadcast as arrays; scalar input gives a float.
+    """
     if s >= t:
         raise DomainError(f"need s < t, got s={s}, t={t}")
     sd = np.sqrt((t - s) / 4.0)
-    return float(normal_cdf((r - 0.5 * (x + y)) / sd))
+    return normal_cdf((r - 0.5 * (np.asarray(x, dtype=float) + y)) / sd)
 
 
 def mills_ratio(x) -> float | np.ndarray:

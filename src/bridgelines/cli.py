@@ -121,7 +121,6 @@ def cmd_sample(args) -> int:
         raise ValueError(f"--n-samples must be at least 1, got {args.n_samples}")
     if args.kind == "glauber" and args.events_per_sample < 1:
         raise ValueError(f"--events-per-sample must be at least 1, got {args.events_per_sample}")
-    os.makedirs(args.out, exist_ok=True)
     interval = Interval(args.a, args.b)
     seed = RngSeed(args.seed)
     manifest: list[tuple[str, object]] = [
@@ -190,6 +189,7 @@ def cmd_sample(args) -> int:
     else:
         print(f"error: unknown kind {args.kind!r}", file=sys.stderr)
         return 2
+    os.makedirs(args.out, exist_ok=True)
     curves_path = os.path.join(args.out, "curves.txt")
     write_ensembles(curves_path, ensembles)
     manifest.append(("curves_file", "curves.txt"))

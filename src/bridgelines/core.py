@@ -225,29 +225,44 @@ def _avoids(vals: np.ndarray, f_vals, g_vals) -> np.ndarray:
 
 
 def _rejection_sample(draw, f_vals, g_vals, k: int, n_samples: int, max_attempts: int, chunk: int):
-    """The chunked rejection loop: keep the candidates of draw(nc) that pass _avoids.
+    """The chunked rejection loop over R rows: each row keeps its candidates that pass _avoids.
 
-    draw(nc) returns nc candidate ensembles, shape (nc, k, M+1) with M+1 =
-    len(f_vals). Candidates are drawn in whole chunks so that seen / drawn is
-    an unbiased acceptance rate. Returns (accepted (n_out, k, M+1), drawn,
-    seen, first_hit) with n_out = min(n_samples, seen) and first_hit the 0-based
-    draw index of the first acceptance, or -1.
+    f_vals and g_vals have shape (R, M+1), one barrier pair per row. draw(rows,
+    nc) returns nc candidate ensembles for each of the given rows, shape
+    (len(rows), nc, k, M+1). Each round, every row still short of n_samples
+    draws max(1, chunk // pending) candidates (capped at max_attempts per row)
+    and keeps its first accepting ones in draw order, so every row samples its
+    own conditional law; with one row the draws are whole chunks. Candidates
+    are drawn in whole rounds so that seen / drawn is an unbiased acceptance
+    rate. Returns (accepted (R, n_out, k, M+1), drawn, seen, first_hit), the
+    last three per row, with n_out the fewest samples any row got and
+    first_hit the 0-based draw index of a row's first acceptance, or -1.
     """
-    out = np.empty((n_samples, k, np.size(f_vals)))
-    got = drawn = seen = 0
-    first_hit = -1
-    while got < n_samples and drawn < max_attempts:
-        nc = min(chunk, max_attempts - drawn)
-        cands = draw(nc)
-        hits = np.flatnonzero(_avoids(cands, f_vals, g_vals))
-        if hits.size and first_hit < 0:
-            first_hit = drawn + int(hits[0])
-        seen += int(hits.size)
-        take = hits[: n_samples - got]
-        out[got : got + take.size] = cands[take]
-        got += take.size
-        drawn += nc
-    return out[:got], drawn, seen, first_hit
+    n_rows, cols = np.shape(f_vals)
+    out = np.empty((n_rows, n_samples, k, cols))
+    got = np.zeros(n_rows, dtype=np.int64)
+    drawn = np.zeros(n_rows, dtype=np.int64)
+    seen = np.zeros(n_rows, dtype=np.int64)
+    first_hit = np.full(n_rows, -1, dtype=np.int64)
+    pending = np.flatnonzero(got < n_samples)
+    # pending rows have all drawn in every round so far, so they share one draw count
+    while pending.size and drawn[pending[0]] < max_attempts:
+        nc = int(min(max(1, chunk // pending.size), max_attempts - drawn[pending[0]]))
+        cands = draw(pending, nc)
+        ok = _avoids(cands, f_vals[pending, None], g_vals[pending, None])
+        # per-row bookkeeping costs a few Python steps per row and round, less
+        # than fancy-indexed scatters cost the one-row callers per candidate
+        for i, r in enumerate(pending):
+            hits = np.flatnonzero(ok[i])
+            if hits.size and first_hit[r] < 0:
+                first_hit[r] = drawn[r] + hits[0]
+            seen[r] += hits.size
+            take = hits[: n_samples - got[r]]
+            out[r, got[r] : got[r] + take.size] = cands[i, take]
+            got[r] += take.size
+        drawn[pending] += nc
+        pending = pending[got[pending] < n_samples]
+    return out[:, : got.min(initial=n_samples)], drawn, seen, first_hit
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +363,7 @@ def write_ensembles(path, ensembles: list[LineEnsemble]) -> None:
             grid = ens.grid
             for j in range(ens.m + 1):
                 row = " ".join(repr(float(v)) for v in ens.values[:, j])
-                fh.write(f"{grid[j]!r} {row}\n")
+                fh.write(f"{float(grid[j])!r} {row}\n")
 
 
 def read_ensembles(path) -> list[LineEnsemble]:

@@ -60,6 +60,13 @@ def _config(like: GlauberConfig, rows: list[list[int]]) -> GlauberConfig:
     return GlauberConfig(like.lattice, tuple(tuple(r) for r in rows), like.barrier_g)
 
 
+def _check_lengths(x_units: list[int], y_units: list[int]) -> None:
+    if len(x_units) != len(y_units):
+        raise StructuralError(
+            f"entrance and exit units must have equal length, got {len(x_units)} and {len(y_units)}"
+        )
+
+
 def maximal_state(
     lattice: LatticeParams, x_units: list[int], y_units: list[int], g: Barrier
 ) -> GlauberConfig:
@@ -69,6 +76,7 @@ def maximal_state(
     the lexicographically maximal symbol list (all up-steps, one 0 on odd
     parity, then down-steps).
     """
+    _check_lengths(x_units, y_units)
     n = lattice.n_steps
     cols = np.arange(n + 1)
     rows = []
@@ -94,6 +102,7 @@ def minimal_state(
     increments stay in {-1, 0, +1}. With no barrier this is the mirror of the
     maximal construction (all down-steps first).
     """
+    _check_lengths(x_units, y_units)
     n = lattice.n_steps
     cols = np.arange(n + 1)
     rows: list[np.ndarray] = []

@@ -736,4 +736,10 @@ def run_suite(name: str, **overrides) -> SuiteResult:
         want = type(defaults[key])
         if not isinstance(value, (int, float) if want is float else want):
             raise ValueError(f"config key {key} of suite {name} must be {want.__name__}, got {value!r}")
-    return fn(cfg_cls(**overrides))
+    cfg = cfg_cls(**overrides)
+    try:
+        return fn(cfg)
+    except walk.RejectionExhausted as exc:
+        return SuiteResult(name, [_report(
+            f"{name}-rejection-exhausted", 0.0, "FAIL", f"{cfg.seed}", n1=exc.attempts, details=str(exc),
+        )])

@@ -147,6 +147,10 @@ def tv_distance_report(
 # Gibbs block-resampling invariance
 # ---------------------------------------------------------------------------
 
+# candidate values drawn per round of the batched block redraw (32 MB of floats)
+_ROUND_VALUES = 2**22
+
+
 def resample_block(
     values: np.ndarray,
     interval: Interval,
@@ -156,14 +160,16 @@ def resample_block(
     ignore_lower: bool = False,
     max_attempts: int = 200000,
 ) -> np.ndarray:
-    """Redraw curves block[0]..block[1] on columns sub_cols[0]..sub_cols[1].
+    """Redraw curves block[0]..block[1] on columns sub_cols[0]..sub_cols[1] of every sample.
 
-    Boundary data is read from the sample itself: entrance/exit vectors at the
-    sub-interval ends, the curve above the block as the upper barrier and the
-    curve below as the lower one. ignore_lower plants the negative-control
-    defect (the lower bracketing curve is dropped).
+    values has shape (n, k, M+1). Each sample's boundary data is read from the
+    sample itself: entrance/exit vectors at the sub-interval ends, the curve
+    above the block as the upper barrier and the curve below as the lower one.
+    All n blocks are redrawn in one batched rejection pass, each from its own
+    conditional law. ignore_lower plants the negative-control defect (the
+    lower bracketing curve is dropped).
     """
-    k, m_plus = values.shape
+    _, k, m_plus = values.shape
     i0, i1 = block
     j0, j1 = sub_cols
     if not (0 <= i0 <= i1 < k) or not (0 <= j0 < j1 <= m_plus - 1):
@@ -171,29 +177,29 @@ def resample_block(
     grid = interval.grid(m_plus - 1)
     sub_iv = Interval(float(grid[j0]), float(grid[j1]))
     width = j1 - j0
-    f_vals = values[i0 - 1, j0 : j1 + 1] if i0 > 0 else np.full(width + 1, np.inf)
+    f_vals = values[:, i0 - 1, j0 : j1 + 1] if i0 > 0 else np.full(width + 1, np.inf)
     if i1 < k - 1 and not ignore_lower:
-        g_vals = values[i1 + 1, j0 : j1 + 1]
+        g_vals = values[:, i1 + 1, j0 : j1 + 1]
     else:
         g_vals = np.full(width + 1, -np.inf)
     block_vals, _, _, _ = sample_avoiding_values(
         sub_iv,
-        values[i0 : i1 + 1, j0],
-        values[i0 : i1 + 1, j1],
+        values[:, i0 : i1 + 1, j0],
+        values[:, i0 : i1 + 1, j1],
         f_vals,
         g_vals,
         width,
         1,
         rng,
         max_attempts,
-        chunk=128,
+        chunk=max(1, _ROUND_VALUES // ((i1 - i0 + 1) * (width + 1))),
     )
-    if not block_vals.shape[0]:
+    if not block_vals.shape[1]:
         raise RejectionExhausted(
             max_attempts, f"nested resampling of block {block} on cols {sub_cols} exhausted"
         )
     out = values.copy()
-    out[i0 : i1 + 1, j0 : j1 + 1] = block_vals[0]
+    out[:, i0 : i1 + 1, j0 : j1 + 1] = block_vals[:, 0]
     return out
 
 
@@ -218,11 +224,7 @@ def gibbs_resample_test(
     """
     originals = sampler(num_samples, rng)
     others = sampler(num_samples, rng)
-    resampled = np.empty_like(others)
-    for s in range(num_samples):
-        resampled[s] = resample_block(
-            others[s], interval, block, sub_cols, rng, ignore_lower=ignore_lower
-        )
+    resampled = resample_block(others, interval, block, sub_cols, rng, ignore_lower=ignore_lower)
     tag = "defect" if ignore_lower else "gibbs"
     reports = []
     for ci, col in marginals:
@@ -292,12 +294,7 @@ def _denominators(
 ) -> np.ndarray:
     n = vals_aw.shape[0]
     if spec.n_top == 1:
-        return np.array(
-            [
-                midpoint_cdf_single(spec.x1, spec.a_w, spec.b_w, vals_aw[s, 0], vals_bw[s, 0])
-                for s in range(n)
-            ]
-        )
+        return midpoint_cdf_single(spec.x1, spec.a_w, spec.b_w, vals_aw[:, 0], vals_bw[:, 0])
     if rng is None:
         raise DomainError("n_top >= 2 needs an RNG for the nested estimate")
     window = Interval(spec.a_w, spec.b_w)

@@ -209,18 +209,19 @@ def _sample_walks(spec: WalkEnsembleSpec, n_samples: int, rng: np.random.Generat
     x_units = np.array([lat.snap_units(v) for v in spec.x.values])
     z_units = np.array([lat.snap_units(v) for v in spec.y.values]) - x_units
 
-    def draw(nc):
+    def draw(rows, nc):  # the loop runs one row here, the spec's
         units = np.empty((nc, spec.k, n + 1), dtype=np.int64)
         units[:, :, 0] = 0
         for i in range(spec.k):
             steps = sample_walk_steps(n, int(z_units[i]), nc, rng)
             units[:, i, 1:] = np.cumsum(steps, axis=1, dtype=np.int64)
         units += x_units[None, :, None]
-        return units * lat.dx
+        return units[None] * lat.dx
 
     grid = lat.time_grid
-    return _rejection_sample(draw, spec.f.at(grid), spec.g.at(grid), spec.k, n_samples,
-                             max_attempts, chunk)
+    vals, drawn, seen, first_hit = _rejection_sample(
+        draw, spec.f.at(grid)[None], spec.g.at(grid)[None], spec.k, n_samples, max_attempts, chunk)
+    return vals[0], int(drawn[0]), int(seen[0]), int(first_hit[0])
 
 
 def sample_avoiding_walks_batch(

@@ -20,6 +20,41 @@ def _spec(x, y, grid=128, f=None, g=None, iv=None):
     )
 
 
+def test_sample_avoiding_values_pinned_at_fixed_seeds():
+    # values recorded before the rejection loop gained its row axis: the
+    # one-row stream (draws, kept candidates, counts, generator state) is unchanged
+    iv = Interval(0.0, 1.0)
+    inf = np.full(5, np.inf)
+
+    def run(x, f_vals, g_vals, n_samples, max_attempts, chunk):
+        rng = RngSeed(21).generator()
+        out = avoid.sample_avoiding_values(iv, x, x, f_vals, g_vals, 4, n_samples, rng, max_attempts,
+                                           chunk)
+        return out, float(rng.random())
+
+    (vals, drawn, seen, first), nxt = run(np.array([0.5, -0.5]), inf, -inf, 3, 10**4, 2048)
+    assert vals.shape == (3, 2, 5) and (drawn, seen, first) == (2048, 1750, 0)
+    assert vals[:, :, 2].tolist() == [
+        [1.2203003903366865, -0.032433789348743504],
+        [0.7289939759327692, -0.7726972674248657],
+        [0.8219410634739965, -0.35870574461935445],
+    ]
+    assert nxt == 0.0894586821003025
+    # a tight lower barrier and chunks of 4: the two acceptances come from different chunks
+    (vals, drawn, seen, first), nxt = run(np.array([0.15, -0.15]), inf, np.full(5, -0.3), 2, 100, 4)
+    assert vals.shape == (2, 2, 5) and (drawn, seen, first) == (28, 2, 23)
+    assert vals[:, :, 2].tolist() == [
+        [0.3167902207378811, -0.14598353422343416],
+        [-0.17089475000503515, -0.28531594732534665],
+    ]
+    assert nxt == 0.011735130404212257
+    # exhaustion: 10 attempts in chunks of 4, 4, 2
+    (vals, drawn, seen, first), nxt = run(np.array([0.1, -0.1]), np.full(5, 0.2), np.full(5, -0.2),
+                                          1, 10, 4)
+    assert vals.shape == (0, 2, 5) and (drawn, seen, first) == (10, 0, -1)
+    assert nxt == 0.33930018248772564
+
+
 def test_spec_validates_barrier_clearance():
     _spec((1.0,), (1.0,), g=0.0)
     with pytest.raises(DomainError):

@@ -31,6 +31,13 @@ def test_midpoint_cdf_single_values():
     assert bridge.midpoint_cdf_single(-1, 0, 1, 0, 0) == pytest.approx(1 - phi2)
     with pytest.raises(DomainError):
         bridge.midpoint_cdf_single(0, 1, 1, 0, 0)
+    # array endpoints give, bit for bit, the scalar results; scalars give a float
+    rng = np.random.default_rng(3)
+    xs, ys = rng.normal(0, 2, 500), rng.normal(0, 2, 500)
+    arr = bridge.midpoint_cdf_single(0.4, 0.1, 0.35, xs, ys)
+    assert arr.shape == (500,)
+    assert arr.tolist() == [bridge.midpoint_cdf_single(0.4, 0.1, 0.35, x, y) for x, y in zip(xs, ys)]
+    assert type(bridge.midpoint_cdf_single(0.4, 0.1, 0.35, xs[0], ys[0])) is float
 
 
 def test_midpoint_cdf_single_monotone_and_symmetric():

@@ -78,6 +78,21 @@ def test_verify_deterministic_and_exit_codes(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_verify_reports_exhausted_rejection_as_failure(tmp_path, capsys, monkeypatch):
+    def exhausted(spec, n, rng, max_attempts=0):
+        raise walk.RejectionExhausted(1234, "0/5 accepted in 1234 draws")
+
+    monkeypatch.setattr(cli.suites.avoid, "sample_avoiding_batch", exhausted)
+    out = tmp_path / "v"
+    assert run(["verify", "--suite", "gibbs", "--seed", "2", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "SUITE FAIL gibbs" in captured.out
+    rows = (out / "gibbs.csv").read_text().splitlines()
+    assert len(rows) == 2
+    assert rows[1].startswith("gibbs-rejection-exhausted,0.0,,,,1234,0,FAIL,2,")
+
+
 def test_verify_config_file_overrides(tmp_path):
     cfg = tmp_path / "cfg.txt"
     # an int is accepted for a float field (telescope_tol)
@@ -108,7 +123,9 @@ def test_unknown_sample_kind_is_usage_error(tmp_path, capsys):
     assert run(["sample", "--kind", "wrong", "--out", str(tmp_path / "z")]) == 2
     capsys.readouterr()
     bad = [["--kind", kind, "--n-samples", "0"] for kind in ("bridge", "avoid", "walk", "glauber")]
-    for argv in bad + [["--kind", "glauber", "--events-per-sample", "0"]]:
+    bad += [["--kind", "glauber", "--events-per-sample", "0"],
+            ["--kind", "glauber", "--x-units", "2,0", "--y-units", "2"]]
+    for argv in bad:
         assert run(["sample", *argv, "--out", str(tmp_path / "z")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -14,6 +14,7 @@ from bridgelines.core import (
     StructuralError,
     WeylVector,
     _avoids,
+    _rejection_sample,
     check_avoiding,
     eval_curve,
     read_ensembles,
@@ -152,6 +153,31 @@ def test_rng_seed_reproducible_and_derivation():
         RngSeed(-1)
 
 
+def test_rejection_rows_keep_their_first_acceptances():
+    # k = 1, one column: each row's candidates are its own draw indices 0, 1, 2, ...
+    # and row r accepts the ones above its lower barrier
+    def draw(rows, nc):
+        start = drawn_so_far[rows]
+        drawn_so_far[rows] += nc
+        return (start[:, None] + np.arange(nc))[:, :, None, None].astype(float)
+
+    thresholds = np.array([[0.5], [2.5], [5.5]])
+    inf = np.full((3, 1), np.inf)
+    drawn_so_far = np.zeros(3, dtype=int)
+    vals, drawn, seen, first_hit = _rejection_sample(draw, inf, thresholds, 1, 2, 100, 4)
+    # chunk 4: one draw per row while 3 rows wait, then 2 for 2 rows, then 4 for the last
+    assert vals[:, :, 0, 0].tolist() == [[1.0, 2.0], [3.0, 4.0], [6.0, 7.0]]
+    assert drawn.tolist() == [3, 5, 9]
+    assert seen.tolist() == [2, 2, 3]
+    assert first_hit.tolist() == [1, 3, 6]
+    # max_attempts caps each row: the last row draws index 5 only and gets nothing
+    drawn_so_far[:] = 0
+    vals, drawn, seen, first_hit = _rejection_sample(draw, inf, thresholds, 1, 2, 6, 4)
+    assert vals.shape == (3, 0, 1, 1)
+    assert drawn.tolist() == [3, 5, 6]
+    assert first_hit.tolist() == [1, 3, -1]
+
+
 def test_serialization_roundtrip(tmp_path):
     iv = Interval(-1.0, 2.5)
     rng = np.random.default_rng(0)
@@ -166,6 +192,15 @@ def test_serialization_roundtrip(tmp_path):
     for orig, got in zip(ens, back):
         assert got.interval == orig.interval
         assert np.array_equal(got.values, orig.values)
+    # every data line starts with its grid time as a plain float literal
+    lines = path.read_text().splitlines()
+    pos = 0
+    for orig in ens:
+        pos += 1
+        for t in orig.grid:
+            assert float(lines[pos].split()[0]) == t
+            pos += 1
+    assert pos == len(lines)
 
 
 def test_barrier_requires_curve_consistency():

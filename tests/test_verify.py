@@ -152,15 +152,15 @@ def test_resample_block_preserves_constraints_and_boundaries():
     vec = WeylVector((0.5, -0.5))
     spec = avoid.AvoidSpec(iv, vec, vec, Barrier.plus_inf(), Barrier.minus_inf(), 64)
     vals, _, _ = avoid.sample_avoiding_batch(spec, 20, RngSeed(6).generator())
-    rng = RngSeed(7).generator()
+    out = verify.resample_block(vals, iv, (0, 0), (16, 48), RngSeed(7).generator())
+    assert out.shape == vals.shape
     for s in range(20):
-        out = verify.resample_block(vals[s], iv, (0, 0), (16, 48), rng)
         # outside the block nothing changes
-        assert np.array_equal(out[1], vals[s][1])
-        assert np.array_equal(out[0, :16], vals[s][0, :16])
-        assert np.array_equal(out[0, 49:], vals[s][0, 49:])
+        assert np.array_equal(out[s, 1], vals[s][1])
+        assert np.array_equal(out[s, 0, :16], vals[s][0, :16])
+        assert np.array_equal(out[s, 0, 49:], vals[s][0, 49:])
         # inside, the new block still clears the lower curve
-        assert np.all(out[0, 16:49] > out[1, 16:49])
+        assert np.all(out[s, 0, 16:49] > out[s, 1, 16:49])
 
 
 def test_resample_bottom_block_respects_upper_curve():
@@ -169,12 +169,42 @@ def test_resample_bottom_block_respects_upper_curve():
     vec = WeylVector((0.5, -0.5))
     spec = avoid.AvoidSpec(iv, vec, vec, Barrier.plus_inf(), Barrier.minus_inf(), 64)
     vals, _, _ = avoid.sample_avoiding_batch(spec, 15, RngSeed(11).generator())
-    rng = RngSeed(12).generator()
+    out = verify.resample_block(vals, iv, (1, 1), (16, 48), RngSeed(12).generator())
     for s in range(15):
-        out = verify.resample_block(vals[s], iv, (1, 1), (16, 48), rng)
-        assert np.array_equal(out[0], vals[s][0])
-        assert np.all(out[1, 16:49] < out[0, 16:49])
-        assert out[1, 16] == vals[s][1, 16] and out[1, 48] == vals[s][1, 48]
+        assert np.array_equal(out[s, 0], vals[s][0])
+        assert np.all(out[s, 1, 16:49] < out[s, 0, 16:49])
+        assert out[s, 1, 16] == vals[s][1, 16] and out[s, 1, 48] == vals[s][1, 48]
+
+
+def test_resampled_free_block_midpoint_matches_bridge_law():
+    # with no barriers each row's block is a plain bridge between its own
+    # endpoints, so the PIT of the sub-interval midpoint is Uniform(0, 1)
+    iv = Interval(0, 1)
+    vec = WeylVector((0.5, -0.5))
+    spec = avoid.AvoidSpec(iv, vec, vec, Barrier.plus_inf(), Barrier.minus_inf(), 64)
+    vals, _, _ = avoid.sample_avoiding_batch(spec, 4000, RngSeed(31).generator())
+    out = verify.resample_block(vals, iv, (0, 0), (16, 48), RngSeed(32).generator(),
+                                ignore_lower=True)
+    grid = iv.grid(64)
+    u = bridge.midpoint_cdf_single(out[:, 0, 32], grid[16], grid[48], vals[:, 0, 16], vals[:, 0, 48])
+    assert stats.kstest(u, "uniform").pvalue > 1e-4
+
+
+def test_resample_block_reads_each_rows_own_boundary_data():
+    # alternate rows: endpoints 1.0 over a lower curve at 0.9, and endpoints
+    # -4.0 over a lower curve at -5.0; borrowing another row's data shows up
+    iv = Interval(0, 1)
+    n, high = 400, np.arange(400) % 2 == 0
+    vals = np.empty((n, 2, 17))
+    vals[:, 0] = np.where(high, 1.0, -4.0)[:, None]
+    vals[:, 1] = np.where(high, 0.9, -5.0)[:, None]
+    out = verify.resample_block(vals, iv, (0, 0), (2, 14), RngSeed(41).generator())
+    assert np.array_equal(out[:, :, [0, 1, 2, 14, 15, 16]], vals[:, :, [0, 1, 2, 14, 15, 16]])
+    assert np.array_equal(out[:, 1], vals[:, 1])
+    assert np.all(out[:, 0, 2:15] > vals[:, 1, 2:15])
+    # the low rows' barrier sits 1.0 below their endpoints, so most of them fall 0.1 below
+    dips = (out[~high, 0, 2:15] < -4.1).any(axis=1)
+    assert dips.mean() > 0.5
 
 
 def test_gibbs_bottom_block_invariance():
