@@ -15,12 +15,13 @@ import numpy as np
 
 from .bridge import _bridge_forward, certify_c0, midpoint_cdf_single
 from .core import (
-    Barrier, Curve, DomainError, Interval, LatticeParams, LineEnsemble, StructuralError, WeylVector,
-    _rejection_sample, eval_curve,
+    Barrier, Curve, DomainError, Interval, LatticeParams, LineEnsemble, RejectionExhausted,
+    StructuralError, WeylVector, _rejection_sample, eval_curve,
 )
-from .walk import RejectionExhausted
 
 SQRT2PI = float(np.sqrt(2.0 * np.pi))
+# half-width, in standard errors, of the Wilson and p_w confidence intervals
+CI_Z = 3.0
 
 
 @dataclass(frozen=True)
@@ -146,10 +147,11 @@ def sample_avoiding(
     return LineEnsemble(spec.interval, vals[0]), first_hit + 1
 
 
-def wilson_ci(successes: int, n: int, z: float = 3.0) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_ci(successes: int, n: int) -> tuple[float, float]:
+    """Wilson score interval for a binomial proportion, CI_Z standard errors wide."""
     if n <= 0:
         raise DomainError("need at least one trial")
+    z = CI_Z
     p = successes / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom

@@ -21,6 +21,7 @@ from .core import (
     Interval,
     LatticeParams,
     LineEnsemble,
+    RejectionExhausted,
     RngSeed,
     WeylVector,
     write_ensembles,
@@ -128,67 +129,61 @@ def cmd_sample(args) -> int:
         ("n_samples", args.n_samples), ("grid", args.grid),
     ]
     ensembles: list[LineEnsemble] = []
-    if args.kind == "bridge":
-        rng = seed.derive("sample/bridge").generator()
-        spec = bridge.BridgeSpec(interval, args.x, args.y, args.grid)
-        paths = bridge.sample_bridge_paths(spec, args.n_samples, rng)
-        ensembles = [LineEnsemble(interval, p[None, :]) for p in paths]
-        manifest += [("x", args.x), ("y", args.y)]
-    elif args.kind == "avoid":
-        xv, yv = _vector(args.x_vec), _vector(args.y_vec)
-        g = Barrier.minus_inf() if args.g_const is None else Barrier.constant(args.g_const, interval)
-        f = Barrier.plus_inf() if args.f_const is None else Barrier.constant(args.f_const, interval)
-        spec = avoid.AvoidSpec(interval, xv, yv, f, g, args.grid)
-        try:
+    try:
+        if args.kind == "bridge":
+            rng = seed.derive("sample/bridge").generator()
+            spec = bridge.BridgeSpec(interval, args.x, args.y, args.grid)
+            paths = bridge.sample_bridge_paths(spec, args.n_samples, rng)
+            ensembles = [LineEnsemble(interval, p[None, :]) for p in paths]
+            manifest += [("x", args.x), ("y", args.y)]
+        elif args.kind == "avoid":
+            xv, yv = _vector(args.x_vec), _vector(args.y_vec)
+            f = Barrier.plus_inf() if args.f_const is None else Barrier.constant(args.f_const, interval)
+            spec = avoid.AvoidSpec(interval, xv, yv, f, _barrier(args.g_const, interval), args.grid)
             vals, drawn, seen = avoid.sample_avoiding_batch(
                 spec, args.n_samples, seed.derive("sample/avoid").generator(), args.max_attempts
             )
-        except walk.RejectionExhausted as exc:
-            print(f"error: rejection exhausted after {exc.attempts} attempts", file=sys.stderr)
-            return 1
-        ensembles = [LineEnsemble(interval, v) for v in vals]
-        manifest += [
-            ("x_vec", args.x_vec), ("y_vec", args.y_vec),
-            ("candidates_drawn", drawn), ("accepted_seen", seen),
-            ("acceptance_rate", repr(seen / drawn)),
-        ]
-    elif args.kind == "walk":
-        lat = LatticeParams.scaled(interval, args.n_scale)
-        xu, yu = _units(args.x_units), _units(args.y_units)
-        xv = WeylVector(tuple(u * lat.dx for u in xu))
-        yv = WeylVector(tuple(u * lat.dx for u in yu))
-        g = Barrier.minus_inf() if args.g_const is None else Barrier.constant(args.g_const, interval)
-        spec = walk.WalkEnsembleSpec(lat, xv, yv, Barrier.plus_inf(), g)
-        samples, drawn, seen = walk.sample_avoiding_walks_batch(
-            spec, args.n_samples, seed.derive("sample/walk").generator(), args.max_attempts
-        )
-        if len(samples) < args.n_samples:
-            print(f"error: rejection exhausted after {drawn} attempts", file=sys.stderr)
-            return 1
-        ensembles = samples
-        manifest += [
-            ("n_scale", args.n_scale), ("dt", repr(lat.dt)), ("dx", repr(lat.dx)),
-            ("x_units", args.x_units), ("y_units", args.y_units),
-            ("candidates_drawn", drawn), ("accepted_seen", seen),
-            ("acceptance_rate", repr(seen / drawn)),
-        ]
-    elif args.kind == "glauber":
-        lat = LatticeParams.scaled(interval, args.n_scale)
-        xu, yu = _units(args.x_units), _units(args.y_units)
-        g = Barrier.minus_inf() if args.g_const is None else Barrier.constant(args.g_const, interval)
-        rng = seed.derive("sample/glauber").generator()
-        state, _ = glauber.simulate_chain(glauber.maximal_state(lat, xu, yu, g), args.burn_in, rng)
-        _, units = glauber.simulate_chain(
-            state, args.n_samples * args.events_per_sample, rng, record_every=args.events_per_sample
-        )
-        ensembles = [LineEnsemble(lat.interval, u * lat.dx) for u in units]
-        manifest += [
-            ("n_scale", args.n_scale), ("x_units", args.x_units), ("y_units", args.y_units),
-            ("burn_in", args.burn_in), ("events_per_sample", args.events_per_sample),
-        ]
-    else:
-        print(f"error: unknown kind {args.kind!r}", file=sys.stderr)
-        return 2
+            ensembles = [LineEnsemble(interval, v) for v in vals]
+            manifest += [
+                ("x_vec", args.x_vec), ("y_vec", args.y_vec),
+                ("candidates_drawn", drawn), ("accepted_seen", seen),
+                ("acceptance_rate", repr(seen / drawn)),
+            ]
+        elif args.kind == "walk":
+            lat = LatticeParams.scaled(interval, args.n_scale)
+            xu, yu = _units(args.x_units), _units(args.y_units)
+            xv = WeylVector(tuple(u * lat.dx for u in xu))
+            yv = WeylVector(tuple(u * lat.dx for u in yu))
+            spec = walk.WalkEnsembleSpec(lat, xv, yv, Barrier.plus_inf(), _barrier(args.g_const, interval))
+            ensembles, drawn, seen = walk.sample_avoiding_walks_batch(
+                spec, args.n_samples, seed.derive("sample/walk").generator(), args.max_attempts
+            )
+            manifest += [
+                ("n_scale", args.n_scale), ("dt", repr(lat.dt)), ("dx", repr(lat.dx)),
+                ("x_units", args.x_units), ("y_units", args.y_units),
+                ("candidates_drawn", drawn), ("accepted_seen", seen),
+                ("acceptance_rate", repr(seen / drawn)),
+            ]
+        elif args.kind == "glauber":
+            lat = LatticeParams.scaled(interval, args.n_scale)
+            xu, yu = _units(args.x_units), _units(args.y_units)
+            g = _barrier(args.g_const, interval)
+            rng = seed.derive("sample/glauber").generator()
+            state, _ = glauber.simulate_chain(glauber.maximal_state(lat, xu, yu, g), args.burn_in, rng)
+            _, units = glauber.simulate_chain(
+                state, args.n_samples * args.events_per_sample, rng, record_every=args.events_per_sample
+            )
+            ensembles = [LineEnsemble(lat.interval, u * lat.dx) for u in units]
+            manifest += [
+                ("n_scale", args.n_scale), ("x_units", args.x_units), ("y_units", args.y_units),
+                ("burn_in", args.burn_in), ("events_per_sample", args.events_per_sample),
+            ]
+        else:
+            print(f"error: unknown kind {args.kind!r}", file=sys.stderr)
+            return 2
+    except RejectionExhausted as exc:
+        print(f"error: rejection exhausted after {exc.attempts} attempts", file=sys.stderr)
+        return 1
     os.makedirs(args.out, exist_ok=True)
     curves_path = os.path.join(args.out, "curves.txt")
     write_ensembles(curves_path, ensembles)

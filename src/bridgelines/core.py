@@ -43,9 +43,6 @@ class Interval:
     def midpoint(self) -> float:
         return 0.5 * (self.a + self.b)
 
-    def contains(self, t: float) -> bool:
-        return self.a <= t <= self.b
-
     def grid(self, m: int) -> np.ndarray:
         """Uniform grid of m+1 points from a to b."""
         return np.linspace(self.a, self.b, m + 1)
@@ -73,9 +70,6 @@ class WeylVector:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=float)
-
-    def shifted(self, delta: float) -> "WeylVector":
-        return WeylVector(tuple(v + delta for v in self.values))
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +195,6 @@ class LineEnsemble:
     def curve(self, i: int) -> Curve:
         return Curve(self.interval, self.values[i])
 
-    def curves(self) -> list[Curve]:
-        return [self.curve(i) for i in range(self.k)]
-
 
 def check_avoiding(ens: LineEnsemble, f: Barrier, g: Barrier) -> bool:
     """True iff f > curve_0 > ... > curve_{k-1} > g strictly at every grid point."""
@@ -222,6 +213,14 @@ def _avoids(vals: np.ndarray, f_vals, g_vals) -> np.ndarray:
     if np.isfinite(g_vals).any():
         ok &= (vals[..., -1, :] > g_vals).all(axis=-1)
     return ok
+
+
+class RejectionExhausted(RuntimeError):
+    """Rejection sampler ran out of attempts; carries the attempt count."""
+
+    def __init__(self, attempts: int, msg: str = ""):
+        super().__init__(msg or f"no acceptance in {attempts} attempts")
+        self.attempts = attempts
 
 
 def _rejection_sample(draw, f_vals, g_vals, k: int, n_samples: int, max_attempts: int, chunk: int):
@@ -308,18 +307,6 @@ class LatticeParams:
         if abs(u - r) > 1e-12 * max(1.0, abs(u)):
             raise DomainError(f"{x} is not an integer multiple of dx={self.dx}")
         return int(r)
-
-    def snap_window(self, lo: float, hi: float) -> tuple[int, int]:
-        """Column indices of the smallest lattice window containing [lo, hi].
-
-        The left edge snaps down (maximal lattice time <= lo) and the right
-        edge snaps up (minimal lattice time >= hi), clamped to the grid.
-        """
-        if not (self.interval.a <= lo < hi <= self.interval.b):
-            raise DomainError("window must sit inside the lattice interval")
-        j_lo = int(np.floor((lo - self.interval.a) / self.dt + 1e-12))
-        j_hi = int(np.ceil((hi - self.interval.a) / self.dt - 1e-12))
-        return max(0, j_lo), min(self.n_steps, j_hi)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 from scipy import stats
 
 from . import avoid, bridge, glauber, verify, walk
-from .core import Barrier, Interval, LatticeParams, RngSeed, WeylVector
+from .core import Barrier, Interval, LatticeParams, LineEnsemble, RejectionExhausted, RngSeed, WeylVector
 from .verify import SUITE_P_FLOOR, TestReport
 
 
@@ -309,15 +309,10 @@ def coupling_suite(cfg: CouplingConfig) -> SuiteResult:
     hi_vals, _, _ = avoid.sample_avoiding_batch(hi_spec, cfg.n_marginal_samples,
                                                 root.derive("coupling/xy/hi").generator())
     cols = [cfg.grid_points // 4, cfg.grid_points // 2, 3 * cfg.grid_points // 4]
-    for i in range(2):
-        for col in cols:
-            # dominance: cdf(hi) <= cdf(lo) everywhere; the one-sided statistic
-            # sup(cdf_hi - cdf_lo) detects violations of that direction
-            reports.append(verify.ks_two_sample(
-                hi_vals[:, i, col], lo_vals[:, i, col],
-                name=f"dominance-endpoints-curve{i}-col{col}",
-                seed_label=f"{cfg.seed}", alternative="greater",
-            ))
+    # dominance: cdf(hi) <= cdf(lo) everywhere; the one-sided statistic
+    # sup(cdf_hi - cdf_lo) detects violations of that direction
+    reports += verify.marginal_ks(hi_vals, lo_vals, itertools.product(range(2), cols),
+                                  "dominance-endpoints", f"{cfg.seed}", alternative="greater")
     # dominance under a raised lower barrier
     base = avoid.AvoidSpec(iv, WeylVector((1.0, -1.0)), WeylVector((1.0, -1.0)),
                            Barrier.plus_inf(), Barrier.minus_inf(), cfg.grid_points)
@@ -327,13 +322,8 @@ def coupling_suite(cfg: CouplingConfig) -> SuiteResult:
                                                root.derive("coupling/fg/base").generator())
     r_vals, _, _ = avoid.sample_avoiding_batch(raised, cfg.n_marginal_samples,
                                                root.derive("coupling/fg/raised").generator())
-    for i in range(2):
-        col = cfg.grid_points // 2
-        reports.append(verify.ks_two_sample(
-            r_vals[:, i, col], b_vals[:, i, col],
-            name=f"dominance-barrier-curve{i}-col{col}",
-            seed_label=f"{cfg.seed}", alternative="greater",
-        ))
+    reports += verify.marginal_ks(r_vals, b_vals, [(i, cfg.grid_points // 2) for i in range(2)],
+                                  "dominance-barrier", f"{cfg.seed}", alternative="greater")
     return SuiteResult("coupling", reports)
 
 
@@ -357,18 +347,13 @@ def gibbs_suite(cfg: GibbsConfig) -> SuiteResult:
     iv = Interval(0.0, 1.0)
     vec = WeylVector(cfg.endpoints)
     spec = avoid.AvoidSpec(iv, vec, vec, Barrier.plus_inf(), Barrier.minus_inf(), cfg.grid_points)
-
-    def sampler(n, rng):
-        vals, _, _ = avoid.sample_avoiding_batch(spec, n, rng)
-        return vals
-
     marginals = [(cfg.block[0], col) for col in cfg.marginal_cols]
     reports = verify.gibbs_resample_test(
-        sampler, iv, cfg.block, cfg.sub_cols, marginals, cfg.n_samples,
+        spec, cfg.block, cfg.sub_cols, marginals, cfg.n_samples,
         root.derive("gibbs/main").generator(), f"{cfg.seed}",
     )
     defect = verify.gibbs_resample_test(
-        sampler, iv, cfg.block, cfg.sub_cols, marginals, cfg.n_samples,
+        spec, cfg.block, cfg.sub_cols, marginals, cfg.n_samples,
         root.derive("gibbs/defect").generator(), f"{cfg.seed}", ignore_lower=True,
     )
     min_p = min(r.p_value for r in defect)
@@ -458,18 +443,11 @@ class PwConfig:
 def single_bridge_pw(windows, x1: float, n_samples: int, rng: np.random.Generator,
                      cap: int | None = None) -> dict[int, verify.PwEstimate]:
     """p_w profile of one free bridge from 0 to 0 on [0, 1]: threshold x1 at t1 = 1/2, per window width."""
-    t1 = 0.5
-    times = sorted({t1} | {t1 - 1.0 / w for w in windows} | {t1 + 1.0 / w for w in windows})
-    samples = bridge.sample_bridge_at(Interval(0.0, 1.0), 0.0, 0.0, times, n_samples, rng)
-    col = {t: i for i, t in enumerate(times)}
-    out = {}
-    for w in windows:
-        spec = verify.ObservableSpec(t1, x1, w, n_top=1)
-        out[w] = verify.estimate_pw(
-            spec, samples[:, [col[spec.a_w]]], samples[:, [col[t1]]],
-            samples[:, [col[spec.b_w]]], cap=cap,
-        )
-    return out
+    iv = Interval(0.0, 1.0)
+    t1 = iv.midpoint
+    times = np.array(sorted({t1} | {t1 - 1.0 / w for w in windows} | {t1 + 1.0 / w for w in windows}))
+    samples = bridge.sample_bridge_at(iv, 0.0, 0.0, times, n_samples, rng)
+    return _top_curve_profile(iv, times, samples, x1, windows, cap)
 
 
 def pair_spec(gap: float, grid_points: int, interval: Interval = Interval(0.0, 1.0)) -> avoid.AvoidSpec:
@@ -481,24 +459,34 @@ def pair_spec(gap: float, grid_points: int, interval: Interval = Interval(0.0, 1
 def top_curve_pw(spec: avoid.AvoidSpec, vals: np.ndarray, x1: float, windows,
                  cap: int | None = None) -> dict[int, verify.PwEstimate]:
     """p_w profile of the top curve of samples vals (n, k, M+1) of spec, at the interval midpoint."""
-    t1 = spec.interval.midpoint
+    grid = spec.interval.grid(spec.grid_points)
+    return _top_curve_profile(spec.interval, grid, vals[:, 0], x1, windows, cap)
+
+
+def _top_curve_profile(iv: Interval, times: np.ndarray, top: np.ndarray, x1: float, windows,
+                       cap: int | None) -> dict[int, verify.PwEstimate]:
+    """p_w per window width of the top-curve values top (n, len(times)), t1 the midpoint of iv."""
     out = {}
     for w in windows:
-        ja, jt, jb = _window_cols(spec.interval, spec.grid_points, t1, w)
-        ow = verify.ObservableSpec(t1, x1, w, n_top=1)
-        out[w] = verify.estimate_pw(ow, vals[:, [0], ja], vals[:, [0], jt], vals[:, [0], jb], cap=cap)
+        ja, jt, jb = _window_cols(iv, times, w)
+        ow = verify.ObservableSpec(iv.midpoint, x1, w)
+        out[w] = verify.estimate_pw(ow, top[:, [ja]], top[:, [jt]], top[:, [jb]], cap=cap)
     return out
 
 
-def _window_cols(spec_iv: Interval, grid_points: int, t1: float, w: int) -> tuple[int, int, int]:
-    dt = spec_iv.length / grid_points
-    ja = round((t1 - 1.0 / w - spec_iv.a) / dt)
-    jt = round((t1 - spec_iv.a) / dt)
-    jb = round((t1 + 1.0 / w - spec_iv.a) / dt)
-    for j, t in ((ja, t1 - 1.0 / w), (jt, t1), (jb, t1 + 1.0 / w)):
-        if abs(spec_iv.a + j * dt - t) > 1e-9 * max(1.0, abs(t)):
-            raise verify.DomainError("window edges must land on grid points")
-    return ja, jt, jb
+def _window_cols(iv: Interval, times: np.ndarray, w: int) -> tuple[int, int, int]:
+    """Columns of t1 - 1/w, t1 and t1 + 1/w in the time array times, t1 the midpoint of iv.
+
+    The window must lie strictly inside iv and its three times must be among
+    times (to 1e-9 relative); otherwise DomainError.
+    """
+    window = verify.ObservableSpec(iv.midpoint, 0.0, w)  # the threshold does not move the window
+    window.check_inside(iv)
+    want = np.array([window.a_w, window.t1, window.b_w])
+    cols = np.abs(times[:, None] - want).argmin(axis=0)
+    if np.any(np.abs(times[cols] - want) > 1e-9 * np.maximum(1.0, np.abs(want))):
+        raise verify.DomainError("window edges must land on grid points")
+    return tuple(cols.tolist())
 
 
 def pw_suite(cfg: PwConfig) -> SuiteResult:
@@ -520,7 +508,8 @@ def pw_suite(cfg: PwConfig) -> SuiteResult:
     def pair(n, label):
         return avoid.sample_avoiding_batch(spec, n, root.derive(label).generator())[0]
 
-    ja, jt, jb = _window_cols(spec.interval, cfg.pair_grid, spec.interval.midpoint, cfg.pair_w)
+    grid = spec.interval.grid(cfg.pair_grid)
+    ja, jt, jb = _window_cols(spec.interval, grid, cfg.pair_w)
     x1 = float(np.quantile(pair(cfg.n_pilot, "pw/pair/pilot")[:, 0, jt], cfg.pair_top_quantile))
     vals = pair(cfg.n_pair, "pw/pair/main")
     est = top_curve_pw(spec, vals, x1, (cfg.pair_w,))[cfg.pair_w]
@@ -541,7 +530,7 @@ def pw_suite(cfg: PwConfig) -> SuiteResult:
     ))
     # (c) per-sample domination against the hidden curve (oracle mode, nested MC)
     dom_vals = pair(cfg.n_domination, "pw/pair/domination")
-    window = Interval(spec.interval.grid(cfg.pair_grid)[ja], spec.interval.grid(cfg.pair_grid)[jb])
+    window = Interval(grid[ja], grid[jb])
     sub_width = jb - ja
     rng = root.derive("pw/domination").generator()
     violations = 0
@@ -667,26 +656,21 @@ def transforms_suite(cfg: TransformsConfig) -> SuiteResult:
                                Barrier.plus_inf(), Barrier.minus_inf(), cfg.grid_points)
     src, _, _ = avoid.sample_avoiding_batch(src_spec, cfg.n_samples,
                                             root.derive("transforms/src").generator())
-    reports = []
     cols = [cfg.grid_points // 4, cfg.grid_points // 2, 3 * cfg.grid_points // 4]
+    cells = list(itertools.product(range(2), cols))
     # affine: transformed source law must match the directly sampled target law
+    # on the transformed interval; grid columns correspond under the affine time map
     c, u, r = cfg.affine
-    tgt_iv = Interval(c * c * iv.a + u, c * c * iv.b + u)
+    moved = [avoid.affine_transform(LineEnsemble(iv, v), c, u, r) for v in src]
     tgt_spec = avoid.AvoidSpec(
-        tgt_iv,
+        moved[0].interval,
         WeylVector(tuple(c * v + r for v in src_spec.x.values)),
         WeylVector(tuple(c * v + r for v in src_spec.y.values)),
         Barrier.plus_inf(), Barrier.minus_inf(), cfg.grid_points,
     )
     tgt, _, _ = avoid.sample_avoiding_batch(tgt_spec, cfg.n_samples,
                                             root.derive("transforms/affine-tgt").generator())
-    moved = c * src + r  # grid columns correspond under the affine time map
-    for i in range(2):
-        for col in cols:
-            reports.append(verify.ks_two_sample(
-                moved[:, i, col], tgt[:, i, col],
-                name=f"affine-curve{i}-col{col}", seed_label=f"{cfg.seed}",
-            ))
+    reports = verify.marginal_ks(np.stack([e.values for e in moved]), tgt, cells, "affine", f"{cfg.seed}")
     # flip: negate and reverse curve order; target swaps and negates boundary data
     flip_spec = avoid.AvoidSpec(
         iv,
@@ -696,13 +680,8 @@ def transforms_suite(cfg: TransformsConfig) -> SuiteResult:
     )
     flp, _, _ = avoid.sample_avoiding_batch(flip_spec, cfg.n_samples,
                                             root.derive("transforms/flip-tgt").generator())
-    flipped = -src[:, ::-1, :]
-    for i in range(2):
-        for col in cols:
-            reports.append(verify.ks_two_sample(
-                flipped[:, i, col], flp[:, i, col],
-                name=f"flip-curve{i}-col{col}", seed_label=f"{cfg.seed}",
-            ))
+    flipped = np.stack([avoid.flip_transform(LineEnsemble(iv, v)).values for v in src])
+    reports += verify.marginal_ks(flipped, flp, cells, "flip", f"{cfg.seed}")
     return SuiteResult("transforms", reports)
 
 
@@ -739,7 +718,7 @@ def run_suite(name: str, **overrides) -> SuiteResult:
     cfg = cfg_cls(**overrides)
     try:
         return fn(cfg)
-    except walk.RejectionExhausted as exc:
+    except RejectionExhausted as exc:
         return SuiteResult(name, [_report(
             f"{name}-rejection-exhausted", 0.0, "FAIL", f"{cfg.seed}", n1=exc.attempts, details=str(exc),
         )])

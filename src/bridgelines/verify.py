@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
-from .avoid import sample_avoiding_values, wilson_ci
+from . import avoid  # read at call time, so replacing avoid.sample_avoiding_batch reaches gibbs_resample_test
+from .avoid import CI_Z, AvoidSpec, sample_avoiding_values, wilson_ci
 from .bridge import midpoint_cdf_single
-from .core import DomainError, Interval
-from .walk import RejectionExhausted
+from .core import DomainError, Interval, RejectionExhausted
 
 SUITE_P_FLOOR = 1e-5
 NEGATIVE_CONTROL_P = 1e-6
@@ -55,9 +55,8 @@ def ks_two_sample(
     name: str = "ks",
     seed_label: str = "",
     alternative: str = "two-sided",
-    p_floor: float = SUITE_P_FLOOR,
 ) -> TestReport:
-    """Two-sample Kolmogorov-Smirnov test; PASS iff the p-value clears the floor.
+    """Two-sample Kolmogorov-Smirnov test; PASS iff the p-value clears SUITE_P_FLOOR.
 
     alternative='greater' detects violations of 'sample 1 stochastically
     dominates sample 2' (its statistic is sup of cdf1 - cdf2).
@@ -67,29 +66,46 @@ def ks_two_sample(
     if s1.size == 0 or s2.size == 0:
         raise DomainError("both sample sets must be nonempty")
     res = stats.ks_2samp(s1, s2, alternative=alternative, method="asymp")
-    verdict = "PASS" if res.pvalue >= p_floor else "FAIL"
+    verdict = "PASS" if res.pvalue >= SUITE_P_FLOOR else "FAIL"
     return TestReport(
         name, float(res.statistic), float(res.pvalue), None,
         s1.size, s2.size, verdict, seed_label,
-        details=f"alternative={alternative} floor={p_floor:g}",
+        details=f"alternative={alternative} floor={SUITE_P_FLOOR:g}",
     )
+
+
+def marginal_ks(
+    s1: np.ndarray,
+    s2: np.ndarray,
+    cells,
+    prefix: str,
+    seed_label: str,
+    alternative: str = "two-sided",
+) -> list[TestReport]:
+    """One ks_two_sample report per (curve, column) cell of two (n, k, M+1) sample arrays.
+
+    Reports are named {prefix}-curve{i}-col{j} and come in the order of cells.
+    """
+    return [
+        ks_two_sample(s1[:, i, j], s2[:, i, j], f"{prefix}-curve{i}-col{j}", seed_label, alternative)
+        for i, j in cells
+    ]
 
 
 def chi_square_uniform(
     observed: np.ndarray,
     name: str,
     seed_label: str,
-    p_floor: float = SUITE_P_FLOOR,
 ) -> TestReport:
-    """Chi-square test of uniformity over categories from raw counts."""
+    """Chi-square test of uniformity over categories from raw counts; PASS iff p >= SUITE_P_FLOOR."""
     observed = np.asarray(observed, dtype=float)
     n = observed.sum()
     expected = np.full(observed.size, n / observed.size)
     stat, p = stats.chisquare(observed, expected)
-    verdict = "PASS" if p >= p_floor else "FAIL"
+    verdict = "PASS" if p >= SUITE_P_FLOOR else "FAIL"
     return TestReport(
         name, float(stat), float(p), None, int(n), observed.size, verdict, seed_label,
-        details=f"categories={observed.size} floor={p_floor:g}",
+        details=f"categories={observed.size} floor={SUITE_P_FLOOR:g}",
     )
 
 
@@ -100,7 +116,6 @@ def frequency_vs_bound(
     direction: str,
     name: str,
     seed_label: str,
-    z: float = 3.0,
 ) -> TestReport:
     """PASS iff the Wilson CI is compatible with the closed-form bound.
 
@@ -108,7 +123,7 @@ def frequency_vs_bound(
     check fails only when the CI lies entirely above it; 'lower' symmetric.
     Bounds that cannot bind (>= 1 for upper, <= 0 for lower) record VACUOUS.
     """
-    lo, hi = wilson_ci(hits, n, z)  # raises DomainError when n <= 0
+    lo, hi = wilson_ci(hits, n)  # raises DomainError when n <= 0
     freq = hits / n
     if direction == "upper":
         verdict = "VACUOUS" if bound >= 1.0 else ("PASS" if lo <= bound else "FAIL")
@@ -149,6 +164,8 @@ def tv_distance_report(
 
 # candidate values drawn per round of the batched block redraw (32 MB of floats)
 _ROUND_VALUES = 2**22
+# candidates each block may draw before the redraw counts as exhausted
+_BLOCK_ATTEMPTS = 200000
 
 
 def resample_block(
@@ -158,7 +175,6 @@ def resample_block(
     sub_cols: tuple[int, int],
     rng: np.random.Generator,
     ignore_lower: bool = False,
-    max_attempts: int = 200000,
 ) -> np.ndarray:
     """Redraw curves block[0]..block[1] on columns sub_cols[0]..sub_cols[1] of every sample.
 
@@ -191,12 +207,12 @@ def resample_block(
         width,
         1,
         rng,
-        max_attempts,
+        _BLOCK_ATTEMPTS,
         chunk=max(1, _ROUND_VALUES // ((i1 - i0 + 1) * (width + 1))),
     )
     if not block_vals.shape[1]:
         raise RejectionExhausted(
-            max_attempts, f"nested resampling of block {block} on cols {sub_cols} exhausted"
+            _BLOCK_ATTEMPTS, f"nested resampling of block {block} on cols {sub_cols} exhausted"
         )
     out = values.copy()
     out[:, i0 : i1 + 1, j0 : j1 + 1] = block_vals[:, 0]
@@ -204,8 +220,7 @@ def resample_block(
 
 
 def gibbs_resample_test(
-    sampler,
-    interval: Interval,
+    spec: AvoidSpec,
     block: tuple[int, int],
     sub_cols: tuple[int, int],
     marginals: list[tuple[int, int]],
@@ -213,50 +228,41 @@ def gibbs_resample_test(
     rng: np.random.Generator,
     seed_label: str,
     ignore_lower: bool = False,
-    p_floor: float = SUITE_P_FLOOR,
 ) -> list[TestReport]:
-    """Compare original vs block-resampled marginals with two-sample KS tests.
+    """Compare original vs block-resampled marginals of spec's law with two-sample KS tests.
 
-    sampler(n, rng) must return an (n, k, M+1) array of ensemble values. Two
-    independent outer batches are drawn so the two compared sample sets are
-    independent. Marginals are (curve index, grid column) pairs; the aggregate
-    multiplicity rule is the per-test suite floor.
+    Two independent outer batches of num_samples ensembles are drawn from spec
+    with sample_avoiding_batch, so the two compared sample sets are
+    independent; the second has its block redrawn by resample_block. Marginals
+    are (curve index, grid column) pairs; the aggregate multiplicity rule is
+    the per-test suite floor.
     """
-    originals = sampler(num_samples, rng)
-    others = sampler(num_samples, rng)
-    resampled = resample_block(others, interval, block, sub_cols, rng, ignore_lower=ignore_lower)
-    tag = "defect" if ignore_lower else "gibbs"
-    reports = []
-    for ci, col in marginals:
-        reports.append(
-            ks_two_sample(
-                originals[:, ci, col],
-                resampled[:, ci, col],
-                name=f"{tag}-marginal-curve{ci}-col{col}",
-                seed_label=seed_label,
-                p_floor=p_floor,
-            )
-        )
-    return reports
+    originals, _, _ = avoid.sample_avoiding_batch(spec, num_samples, rng)
+    others, _, _ = avoid.sample_avoiding_batch(spec, num_samples, rng)
+    resampled = resample_block(others, spec.interval, block, sub_cols, rng, ignore_lower=ignore_lower)
+    prefix = "defect-marginal" if ignore_lower else "gibbs-marginal"
+    return marginal_ks(originals, resampled, marginals, prefix, seed_label)
 
 
 # ---------------------------------------------------------------------------
 # the p_w observable
 # ---------------------------------------------------------------------------
 
+# the caps of the truncated variants min(cap, 1/F) that estimate_pw reports
+_PW_CAPS = (10, 100, 1000)
+
+
 @dataclass(frozen=True)
 class ObservableSpec:
-    """Window observable parameters: threshold x1 at time t1 with half-width 1/w."""
+    """Top-curve window observable: threshold x1 at time t1, window [t1 - 1/w, t1 + 1/w]."""
 
     t1: float
     x1: float
     w: int
-    n_top: int = 1
-    caps: tuple[int, ...] = (10, 100, 1000)
 
     def __post_init__(self):
-        if self.w < 1 or self.n_top < 1:
-            raise DomainError("w and n_top must be positive")
+        if self.w < 1:
+            raise DomainError("w must be positive")
 
     @property
     def a_w(self) -> float:
@@ -281,38 +287,8 @@ class PwEstimate:
     capped: dict[int, float] = field(default_factory=dict)
     degenerate: int = 0
 
-    def ci(self, z: float = 3.0) -> tuple[float, float]:
-        return (self.mean - z * self.se, self.mean + z * self.se)
-
-
-def _denominators(
-    spec: ObservableSpec,
-    vals_aw: np.ndarray,
-    vals_bw: np.ndarray,
-    inner_samples: int,
-    rng: np.random.Generator | None,
-) -> np.ndarray:
-    n = vals_aw.shape[0]
-    if spec.n_top == 1:
-        return midpoint_cdf_single(spec.x1, spec.a_w, spec.b_w, vals_aw[:, 0], vals_bw[:, 0])
-    if rng is None:
-        raise DomainError("n_top >= 2 needs an RNG for the nested estimate")
-    window = Interval(spec.a_w, spec.b_w)
-    inner_grid = 64
-    f_inf = np.full(inner_grid + 1, np.inf)
-    g_inf = np.full(inner_grid + 1, -np.inf)
-    out = np.empty(n)
-    for s in range(n):
-        vals, _, _, _ = sample_avoiding_values(
-            window, vals_aw[s], vals_bw[s], f_inf, g_inf,
-            inner_grid, inner_samples, rng, max_attempts=200 * inner_samples,
-        )
-        if vals.shape[0] == 0:
-            out[s] = 0.0
-            continue
-        mid = vals[:, -1, inner_grid // 2]
-        out[s] = float(np.mean(mid <= spec.x1))
-    return out
+    def ci(self) -> tuple[float, float]:
+        return (self.mean - CI_Z * self.se, self.mean + CI_Z * self.se)
 
 
 def estimate_pw(
@@ -320,31 +296,27 @@ def estimate_pw(
     vals_aw: np.ndarray,
     vals_t1: np.ndarray,
     vals_bw: np.ndarray,
-    inner_samples: int = 10**4,
-    rng: np.random.Generator | None = None,
     cap: int | None = None,
 ) -> PwEstimate:
-    """Mean of 1{bottom visible curve at t1 <= x1} / F over the outer samples.
+    """Mean of 1{top curve at t1 <= x1} / F over the outer samples.
 
-    vals_* hold the visible curves 1..n_top at the window edges and center,
-    shape (n, n_top). The denominator F is the closed-form bridge midpoint CDF
-    for n_top = 1 and a nested Monte Carlo estimate otherwise. Capped variants
-    min(cap, 1/F) are reported alongside; outer samples with a zero denominator
-    estimate and a firing indicator are degenerate and excluded from the
-    uncapped mean (they are counted, and enter the capped means at the cap).
+    vals_* hold the top curve at the window edges and center, shape (n, 1).
+    The denominator F is the closed-form midpoint CDF of a free bridge across
+    the window between each sample's edge values. Capped variants
+    min(cap, 1/F), one per cap in _PW_CAPS, are reported alongside; outer
+    samples whose F underflows to 0 while the indicator fires are degenerate
+    and excluded from the uncapped mean (they are counted, and enter the
+    capped means at the cap).
 
     With cap set, the primary estimate is the truncated observable
     1{...} min(cap, 1/F) itself: downward biased, but with finite variance,
     which is what CI-based consumers like the curve-count detector need.
     """
-    vals_aw = np.atleast_2d(vals_aw)
-    vals_t1 = np.atleast_2d(vals_t1)
-    vals_bw = np.atleast_2d(vals_bw)
+    if any(np.shape(v)[1:] != (1,) for v in (vals_aw, vals_t1, vals_bw)):
+        raise DomainError("expected the top curve alone, arrays of shape (n, 1)")
     n = vals_aw.shape[0]
-    if vals_aw.shape[1] != spec.n_top:
-        raise DomainError(f"expected {spec.n_top} visible curves")
-    indicator = vals_t1[:, spec.n_top - 1] <= spec.x1
-    denom = _denominators(spec, vals_aw, vals_bw, inner_samples, rng)
+    indicator = vals_t1[:, 0] <= spec.x1
+    denom = midpoint_cdf_single(spec.x1, spec.a_w, spec.b_w, vals_aw[:, 0], vals_bw[:, 0])
     degenerate = indicator & (denom <= 0.0)
     with np.errstate(divide="ignore"):
         raw = np.where(denom > 0, 1.0 / np.maximum(denom, 1e-300), np.inf)
@@ -352,7 +324,7 @@ def estimate_pw(
     def capped_values(c: float) -> np.ndarray:
         return np.where(indicator, np.minimum(float(c), raw), 0.0)
 
-    capped = {c: float(np.mean(capped_values(c))) for c in spec.caps}
+    capped = {c: float(np.mean(capped_values(c))) for c in _PW_CAPS}
     if cap is not None:
         vals = capped_values(cap)
         mean = float(np.mean(vals))
@@ -371,7 +343,6 @@ def estimate_pw(
 def curve_count_detector(
     estimates: dict[int, PwEstimate],
     tau: float = 0.9,
-    z: float = 3.0,
 ) -> str:
     """Classify the window-ratio profile: NO_HIDDEN_CURVE, HIDDEN_CURVE, or INCONCLUSIVE.
 
@@ -390,12 +361,12 @@ def curve_count_detector(
     upper_level = 1.0 - (1.0 - tau) / 2.0
     no_hidden = True
     for w in ws:
-        lo, hi = estimates[w].ci(z)
+        lo, hi = estimates[w].ci()
         if hi < upper_level or lo > 1.0:
             no_hidden = False
     if no_hidden:
         return "NO_HIDDEN_CURVE"
-    lo, hi = estimates[ws[-1]].ci(z)
+    lo, hi = estimates[ws[-1]].ci()
     if hi < tau:
         return "HIDDEN_CURVE"
     return "INCONCLUSIVE"

@@ -21,19 +21,12 @@ from .core import (
     DomainError,
     LatticeParams,
     LineEnsemble,
+    RejectionExhausted,
     StructuralError,
     WeylVector,
     _avoids,
     _rejection_sample,
 )
-
-
-class RejectionExhausted(RuntimeError):
-    """Rejection sampler ran out of attempts; carries the attempt count."""
-
-    def __init__(self, attempts: int, msg: str = ""):
-        super().__init__(msg or f"no acceptance in {attempts} attempts")
-        self.attempts = attempts
 
 
 @dataclass(frozen=True)
@@ -231,13 +224,15 @@ def sample_avoiding_walks_batch(
     max_attempts: int,
     chunk: int = 4096,
 ) -> tuple[list[LineEnsemble], int, int]:
-    """Accepted ensembles of k independent walk bridges.
+    """Accepted ensembles of k independent walk bridges; raises RejectionExhausted when short.
 
     Returns (samples, n_drawn, n_accepted_seen): candidates are drawn in whole
     chunks, so n_accepted_seen / n_drawn is an unbiased acceptance-rate estimate
     even when more than n_samples acceptances landed in the final chunk.
     """
     vals, drawn, seen, _ = _sample_walks(spec, n_samples, rng, max_attempts, chunk)
+    if vals.shape[0] < n_samples:
+        raise RejectionExhausted(drawn, f"{vals.shape[0]}/{n_samples} accepted in {drawn} draws")
     return [LineEnsemble(spec.lattice.interval, v) for v in vals], drawn, seen
 
 

@@ -269,7 +269,7 @@ def test_fallback_chain_values_on_a_lattice_aligned_grid():
 
 
 def test_wilson_ci():
-    lo, hi = avoid.wilson_ci(50, 100, z=3.0)
+    lo, hi = avoid.wilson_ci(50, 100)
     assert lo < 0.5 < hi
     lo0, hi0 = avoid.wilson_ci(0, 100)
     assert lo0 == 0.0 and hi0 > 0

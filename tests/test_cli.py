@@ -112,6 +112,7 @@ def test_verify_unknown_suite_and_bad_key(tmp_path, capsys):
         ["--suite", "tails", "--set", "n_samples=abc"],
         ["--suite", "tails", "--set", "rs=0.5"],
         ["--suite", "tails", "--set", "n_samples=0"],
+        ["--suite", "pw", "--set", "pair_w=1"],  # window reaches outside the interval
     ):
         assert run(["verify", *argv, "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err

@@ -131,16 +131,6 @@ def test_lattice_params_invariants():
         lat.snap_units(0.4999 * lat.dx)
 
 
-def test_snap_window_floor_ceil_alignment():
-    lat = LatticeParams.scaled(Interval(0, 1), 4)  # dt = 1/16
-    # left edge snaps down, right edge snaps up
-    assert lat.snap_window(0.09, 0.26) == (1, 5)
-    # exact grid times stay put
-    assert lat.snap_window(0.125, 0.25) == (2, 4)
-    with pytest.raises(DomainError):
-        lat.snap_window(-0.1, 0.5)
-
-
 def test_rng_seed_reproducible_and_derivation():
     a = RngSeed(42, 7).generator().standard_normal(8)
     b = RngSeed(42, 7).generator().standard_normal(8)

@@ -1,0 +1,113 @@
+"""Report text of the statistics-backed suites, pinned at small sample sizes.
+
+The acceptance gate judges each criterion on PASS/FAIL only; this test pins
+every report line and its details string, so a renamed, reordered or changed
+report shows up. The sizes are small for speed, so verdicts here carry no
+meaning: at 200 samples the gibbs negative control lacks the power to fire.
+"""
+
+from bridgelines import suites
+
+CASES = {
+    "pw": dict(n_single=2000, n_pair=300, n_pilot=300, n_domination=20, inner_samples=2000),
+    "detect": dict(planted="both", n_seeds=1, n_samples=2000, n_pilot=300),
+    "coupling": dict(n_chain_seeds=4, chain_events=500, n_marginal_samples=300),
+    "gibbs": dict(n_samples=200),
+    "transforms": dict(n_samples=300),
+}
+
+# (line, details) per report, then the suite verdict line; seed 1
+EXPECTED = {
+    'pw': [
+        ('PASS         pw-single-w4                                 stat=1.00014 p=- ci=[0.997987,1.0023] n=(2000,0) seed=1',
+         'se=0.0007186 capped={10: 1.00014, 100: 1.00014, 1000: 1.00014} degenerate=0'),
+        ('PASS         pw-single-w8                                 stat=1.00009 p=- ci=[0.997736,1.00245] n=(2000,0) seed=1',
+         'se=0.0007849 capped={10: 1.00009, 100: 1.00009, 1000: 1.00009} degenerate=0'),
+        ('PASS         pw-single-w16                                stat=1.00014 p=- ci=[0.997369,1.00291] n=(2000,0) seed=1',
+         'se=0.0009241 capped={10: 1.00014, 100: 1.00014, 1000: 1.00014} degenerate=0'),
+        ('PASS         pw-single-w32                                stat=0.99981 p=- ci=[0.997456,1.00216] n=(2000,0) seed=1',
+         'se=0.0007848 capped={10: 0.99981, 100: 0.99981, 1000: 0.99981} degenerate=0'),
+        ('PASS         pw-sandwich-w32                              stat=0.998896 p=- ci=[0.943936,1.05386] n=(300,0) seed=1',
+         'direct=1 x1=1.4125 |diff|=0.0011035 tol=0.05496 capped={10: 0.9989, 100: 0.9989, 1000: 0.9989} degenerate=0'),
+        ('PASS         pw-domination-oracle                         stat=0 p=- ci=- n=(20,0) seed=1',
+         'violations=0 checked=20 skipped=0 budget=0.001'),
+        ('SUITE PASS pw', None),
+    ],
+    'detect': [
+        ('PASS         detector-verdicts                            stat=2 p=- ci=- n=(2,0) seed=1',
+         '2/2 correct verdicts (planted=both)'),
+        ('SUITE PASS detect', None),
+    ],
+    'coupling': [
+        ('PASS         coupling-pathwise-4seeds                     stat=0 p=- ci=- n=(2000,0) seed=1',
+         'ordering violations across coupled chain runs'),
+        ('PASS         dominance-endpoints-curve0-col32             stat=0 p=1 ci=- n=(300,300) seed=1',
+         'alternative=greater floor=1e-05'),
+        ('PASS         dominance-endpoints-curve0-col64             stat=0 p=1 ci=- n=(300,300) seed=1',
+         'alternative=greater floor=1e-05'),
+        ('PASS         dominance-endpoints-curve0-col96             stat=0 p=1 ci=- n=(300,300) seed=1',
+         'alternative=greater floor=1e-05'),
+        ('PASS         dominance-endpoints-curve1-col32             stat=0 p=1 ci=- n=(300,300) seed=1',
+         'alternative=greater floor=1e-05'),
+        ('PASS         dominance-endpoints-curve1-col64             stat=0 p=1 ci=- n=(300,300) seed=1',
+         'alternative=greater floor=1e-05'),
+        ('PASS         dominance-endpoints-curve1-col96             stat=0 p=1 ci=- n=(300,300) seed=1',
+         'alternative=greater floor=1e-05'),
+        ('PASS         dominance-barrier-curve0-col64               stat=0.06 p=0.32 ci=- n=(300,300) seed=1',
+         'alternative=greater floor=1e-05'),
+        ('PASS         dominance-barrier-curve1-col64               stat=0.01 p=0.961 ci=- n=(300,300) seed=1',
+         'alternative=greater floor=1e-05'),
+        ('SUITE PASS coupling', None),
+    ],
+    'gibbs': [
+        ('PASS         gibbs-marginal-curve0-col72                  stat=0.12 p=0.103 ci=- n=(200,200) seed=1',
+         'alternative=two-sided floor=1e-05'),
+        ('PASS         gibbs-marginal-curve0-col96                  stat=0.075 p=0.6 ci=- n=(200,200) seed=1',
+         'alternative=two-sided floor=1e-05'),
+        ('PASS         gibbs-marginal-curve0-col120                 stat=0.085 p=0.441 ci=- n=(200,200) seed=1',
+         'alternative=two-sided floor=1e-05'),
+        ('PASS         gibbs-marginal-curve0-col136                 stat=0.08 p=0.518 ci=- n=(200,200) seed=1',
+         'alternative=two-sided floor=1e-05'),
+        ('PASS         gibbs-marginal-curve0-col160                 stat=0.12 p=0.103 ci=- n=(200,200) seed=1',
+         'alternative=two-sided floor=1e-05'),
+        ('PASS         gibbs-marginal-curve0-col184                 stat=0.085 p=0.441 ci=- n=(200,200) seed=1',
+         'alternative=two-sided floor=1e-05'),
+        ('FAIL         gibbs-negative-control                       stat=0.026797 p=0.0268 ci=- n=(200,0) seed=1',
+         'planted defect must be detected: min p < 1e-06'),
+        ('SUITE FAIL gibbs', None),
+    ],
+    'transforms': [
+        ('PASS         affine-curve0-col32                          stat=0.06 p=0.631 ci=- n=(300,300) seed=1',
+         'alternative=two-sided floor=1e-05'),
+        ('PASS         affine-curve0-col64                          stat=0.0566667 p=0.699 ci=- n=(300,300) seed=1',
+         'alternative=two-sided floor=1e-05'),
+        ('PASS         affine-curve0-col96                          stat=0.116667 p=0.031 ci=- n=(300,300) seed=1',
+         'alternative=two-sided floor=1e-05'),
+        ('PASS         affine-curve1-col32                          stat=0.0633333 p=0.562 ci=- n=(300,300) seed=1',
+         'alternative=two-sided floor=1e-05'),
+        ('PASS         affine-curve1-col64                          stat=0.103333 p=0.0756 ci=- n=(300,300) seed=1',
+         'alternative=two-sided floor=1e-05'),
+        ('PASS         affine-curve1-col96                          stat=0.0933333 p=0.138 ci=- n=(300,300) seed=1',
+         'alternative=two-sided floor=1e-05'),
+        ('PASS         flip-curve0-col32                            stat=0.0533333 p=0.766 ci=- n=(300,300) seed=1',
+         'alternative=two-sided floor=1e-05'),
+        ('PASS         flip-curve0-col64                            stat=0.0666667 p=0.497 ci=- n=(300,300) seed=1',
+         'alternative=two-sided floor=1e-05'),
+        ('PASS         flip-curve0-col96                            stat=0.0733333 p=0.377 ci=- n=(300,300) seed=1',
+         'alternative=two-sided floor=1e-05'),
+        ('PASS         flip-curve1-col32                            stat=0.08 p=0.277 ci=- n=(300,300) seed=1',
+         'alternative=two-sided floor=1e-05'),
+        ('PASS         flip-curve1-col64                            stat=0.0833333 p=0.235 ci=- n=(300,300) seed=1',
+         'alternative=two-sided floor=1e-05'),
+        ('PASS         flip-curve1-col96                            stat=0.11 p=0.0491 ci=- n=(300,300) seed=1',
+         'alternative=two-sided floor=1e-05'),
+        ('SUITE PASS transforms', None),
+    ],
+}
+
+
+def test_small_suite_reports_are_pinned():
+    for name, overrides in CASES.items():
+        result = suites.run_suite(name, seed=1, **overrides)
+        got = list(zip(result.lines(), [r.details for r in result.reports] + [None]))
+        assert got == EXPECTED[name], name

@@ -92,7 +92,7 @@ def test_observable_spec_windows():
 def test_estimate_pw_single_bridge_is_one():
     # H_w = indicator / F applied to the free bridge has mean exactly 1
     iv = Interval(0, 1)
-    spec = verify.ObservableSpec(0.5, 1.0, 8, n_top=1)
+    spec = verify.ObservableSpec(0.5, 1.0, 8)
     samples = bridge.sample_bridge_at(
         iv, 0.0, 0.0, [spec.a_w, 0.5, spec.b_w], 30000, RngSeed(4).generator()
     )
@@ -105,27 +105,6 @@ def test_estimate_pw_single_bridge_is_one():
     vals = [est.capped[c] for c in caps]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     assert vals[-1] <= est.mean + 1e-12
-
-
-def test_estimate_pw_nested_denominator():
-    # n_top = 2: nested Monte Carlo denominator; widely separated curves make
-    # the bottom-curve window CDF behave like a single free bridge
-    spec = verify.ObservableSpec(0.5, 0.2, 8, n_top=2)
-    rng = RngSeed(5).generator()
-    n = 40
-    aw = np.column_stack([np.full(n, 50.0), rng.normal(0, 0.1, n)])
-    t1 = np.column_stack([np.full(n, 50.0), rng.normal(0, 0.1, n)])
-    bw = np.column_stack([np.full(n, 50.0), rng.normal(0, 0.1, n)])
-    est = verify.estimate_pw(spec, aw, t1, bw, inner_samples=2000, rng=rng)
-    # each ratio is indicator / F with F ~= single-bridge midpoint CDF
-    assert est.n == n
-    assert 0 <= est.mean
-    ref = np.mean([
-        (t1[s, 1] <= 0.2)
-        / bridge.midpoint_cdf_single(0.2, spec.a_w, spec.b_w, aw[s, 1], bw[s, 1])
-        for s in range(n)
-    ])
-    assert est.mean == pytest.approx(ref, rel=0.15)
 
 
 def test_curve_count_detector_logic():
@@ -211,13 +190,8 @@ def test_gibbs_bottom_block_invariance():
     iv = Interval(0, 1)
     vec = WeylVector((0.5, -0.5))
     spec = avoid.AvoidSpec(iv, vec, vec, Barrier.plus_inf(), Barrier.minus_inf(), 64)
-
-    def sampler(n, rng):
-        out, _, _ = avoid.sample_avoiding_batch(spec, n, rng)
-        return out
-
     reports = verify.gibbs_resample_test(
-        sampler, iv, (1, 1), (16, 48), [(1, 24), (1, 32), (1, 40)], 2000,
+        spec, (1, 1), (16, 48), [(1, 24), (1, 32), (1, 40)], 2000,
         RngSeed(13).generator(), "t",
     )
     assert all(r.passed for r in reports)
@@ -226,13 +200,14 @@ def test_gibbs_bottom_block_invariance():
 def test_estimate_pw_degenerate_accounting():
     # a zero denominator estimate with a firing indicator is flagged degenerate:
     # excluded from the uncapped mean, entered at the cap in capped means.
-    # Inverted boundary vectors make the inner acceptance event empty.
-    spec = verify.ObservableSpec(0.5, 10.0, 8, n_top=2, caps=(10,))
-    rng = RngSeed(14).generator()
-    aw = np.array([[0.0, 1.0], [0.0, 1.0]])  # wrong order at the window edge
-    t1 = np.array([[0.0, -1.0], [0.0, -1.0]])  # indicator fires (bottom <= 10)
-    bw = np.array([[0.0, 1.0], [0.0, 1.0]])
-    est = verify.estimate_pw(spec, aw, t1, bw, inner_samples=50, rng=rng)
+    # A threshold 40 below a bridge pinned at 0 across a window of length 1/2
+    # underflows the midpoint CDF to 0.
+    spec = verify.ObservableSpec(0.5, -40.0, 4)
+    assert bridge.midpoint_cdf_single(spec.x1, spec.a_w, spec.b_w, 0.0, 0.0) == 0.0
+    aw = np.zeros((2, 1))
+    t1 = np.full((2, 1), -41.0)  # indicator fires (top <= -40)
+    bw = np.zeros((2, 1))
+    est = verify.estimate_pw(spec, aw, t1, bw)
     assert est.degenerate == 2
     assert est.n == 0 and est.mean == 0.0
     assert est.capped[10] == 10.0
@@ -244,13 +219,8 @@ def test_gibbs_full_redraw_is_exact():
     iv = Interval(0, 1)
     vec = WeylVector((0.5, -0.5))
     spec = avoid.AvoidSpec(iv, vec, vec, Barrier.plus_inf(), Barrier.minus_inf(), 32)
-
-    def sampler(n, rng):
-        out, _, _ = avoid.sample_avoiding_batch(spec, n, rng)
-        return out
-
     reports = verify.gibbs_resample_test(
-        sampler, iv, (0, 1), (1, 31), [(0, 16), (1, 16)], 1500,
+        spec, (0, 1), (1, 31), [(0, 16), (1, 16)], 1500,
         RngSeed(8).generator(), "t",
     )
     assert all(r.passed for r in reports)

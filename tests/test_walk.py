@@ -144,6 +144,10 @@ def test_impossible_barrier_exhausts():
     spec, _ = _tiny_spec(g=5)  # barrier above the endpoints: empty event
     with pytest.raises(walk.RejectionExhausted):
         walk.sample_avoiding_walks(spec, RngSeed(6).generator(), max_attempts=500)
+    # the batch sampler raises too, rather than returning fewer ensembles
+    with pytest.raises(walk.RejectionExhausted) as exc:
+        walk.sample_avoiding_walks_batch(spec, 3, RngSeed(6).generator(), max_attempts=500)
+    assert exc.value.attempts == 500
 
 
 def test_walk_midpoint_matches_exact_law():
