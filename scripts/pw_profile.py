@@ -20,7 +20,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from bridgelines import avoid, suites, verify  # noqa: E402
+from bridgelines import suites, verify  # noqa: E402
 from bridgelines.core import RngSeed  # noqa: E402
 
 
@@ -43,14 +43,12 @@ def main() -> int:
         print(f"single-bridge  w={w:3d}  pw={est.mean:.4f} +- {est.se:.4f}")
     print("detector:", verify.curve_count_detector(singles))
 
-    # two-curve ensemble with a hidden bottom curve
-    grid = 128
-    spec2 = suites.pair_spec(0.3, grid)
-    pilot, _, _ = avoid.sample_avoiding_batch(spec2, 2000, root.derive("pair/pilot").generator())
-    x1h = float(np.quantile(pilot[:, 1, grid // 2], 0.8))
-    vals, _, _ = avoid.sample_avoiding_batch(spec2, args.n_samples, root.derive("pair/main").generator())
-    direct = float(np.mean(vals[:, 1, grid // 2] <= x1h))
-    pairs = suites.top_curve_pw(spec2, vals, x1h, windows, cap=1000)
+    # two-curve ensemble with a hidden bottom curve, drawn exactly at the window times
+    x1h, hidden, pairs = suites.hidden_pair_pw(
+        windows, 0.3, 0.8, 2000, args.n_samples,
+        root.derive("pair/pilot").generator(), root.derive("pair/main").generator(), cap=1000,
+    )
+    direct = float(np.mean(hidden <= x1h))
     for w, est in pairs.items():
         rows.append(("two-curve", w, est.mean, est.se, *est.ci()))
         print(f"two-curve      w={w:3d}  pw={est.mean:.4f} +- {est.se:.4f}   (hidden-curve cdf {direct:.4f})")

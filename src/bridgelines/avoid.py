@@ -1,13 +1,15 @@
 """Samplers and transforms for avoiding (non-intersecting) Brownian bridge ensembles.
 
 The primary sampler is rejection: draw k independent bridges, accept iff the
-strict ordering and barrier constraints hold at every grid point. Closed-form
-tail bounds for the bottom curve and the affine/flip distributional identities
-live here too.
+strict ordering and barrier constraints hold at every grid point. Without
+barriers, sample_avoiding_at samples the continuous law exactly at a few times
+instead, accepting with Karlin-McGregor weights. Closed-form tail bounds for
+the bottom curve and the affine/flip distributional identities live here too.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -16,12 +18,14 @@ import numpy as np
 from .bridge import _bridge_forward, certify_c0, midpoint_cdf_single
 from .core import (
     Barrier, Curve, DomainError, Interval, LatticeParams, LineEnsemble, RejectionExhausted,
-    StructuralError, WeylVector, _rejection_sample, eval_curve,
+    StructuralError, WeylVector, _avoids, _rejection_loop, _rejection_sample, eval_curve,
 )
 
 SQRT2PI = float(np.sqrt(2.0 * np.pi))
 # half-width, in standard errors, of the Wilson and p_w confidence intervals
 CI_Z = 3.0
+# candidates per round of sample_avoiding_at (each holds only k x (len(times) + 2) values)
+_KM_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -104,6 +108,79 @@ def sample_avoiding_values(
     if np.ndim(x_vec) == 2:
         return vals, drawn, seen, first_hit
     return vals[0], drawn, seen, int(first_hit[0])
+
+
+def _km_weight(vals: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Probability that k independent Brownian bridges through vals never meet (Karlin-McGregor).
+
+    vals has shape (..., k, len(times)): the curves at the increasing times,
+    interval ends included. The weight is the product over the segments
+    between consecutive times of det[p(dt; a_i, b_j)] / prod_i p(dt; a_i, b_i)
+    (Karlin & McGregor 1959, "Coincidence probabilities"), each determinant
+    clipped at 0; for k = 2 a segment gives 1 - exp(-(a_0 - a_1)(b_0 - b_1) / dt).
+    It is 0 unless the curves are strictly ordered at every time.
+
+    The determinant, rows divided by their diagonal entries, is summed over
+    the k! permutations s as exp(sum_i [(a_i - b_i)^2 - (a_i - b_s(i))^2] / 2dt).
+    For ordered a and b every term lies in [0, 1] (rearrangement inequality),
+    so the sum stays accurate where LU elimination of the normalised matrix,
+    whose entries reach e^60 on short segments, does not.
+    """
+    ok = _avoids(vals, np.inf, -np.inf)
+    v = vals[ok]  # (n_ok, k, len(times))
+    perms = list(itertools.permutations(range(v.shape[-2])))  # the identity first
+    sq = ((v[:, None, :, :-1] - v[:, perms, 1:]) ** 2).sum(axis=2)  # (n_ok, k!, segments)
+    terms = np.exp((sq[:, :1] - sq) / (2.0 * np.diff(times)))
+    det = np.linalg.det(np.eye(v.shape[-2])[perms]) @ terms  # permutation signs times terms
+    out = np.zeros(ok.shape)
+    out[ok] = np.maximum(det, 0.0).prod(axis=-1)
+    return out
+
+
+def sample_avoiding_at(
+    interval: Interval,
+    x_vec: np.ndarray,
+    y_vec: np.ndarray,
+    times,
+    n_samples: int,
+    rng: np.random.Generator,
+    max_attempts: int = 10**7,
+) -> tuple[np.ndarray, int, int]:
+    """Exact joint samples of k barrier-free avoiding bridges at the given interior times.
+
+    The k-curve counterpart of bridge.sample_bridge_at: no grid is involved, so
+    the values follow the continuous non-intersecting law at those times. Each
+    candidate is k independent bridges seen at the sorted times, accepted with
+    probability _km_weight; its uniform is drawn after the round's candidates.
+    Returns (values (n_samples, k, len(times)) with columns in time order,
+    n_drawn, n_accepted_seen) and raises RejectionExhausted when fewer than
+    n_samples are accepted within max_attempts candidates.
+    """
+    times = np.sort(np.asarray(times, dtype=float))
+    if times[0] <= interval.a or times[-1] >= interval.b or np.any(np.diff(times) == 0):
+        raise DomainError("times must be distinct and lie strictly inside the interval")
+    x, y = np.asarray(x_vec, dtype=float), np.asarray(y_vec, dtype=float)
+    if x.shape != y.shape or np.any(np.diff(x) >= 0) or np.any(np.diff(y) >= 0):
+        raise DomainError("entrance and exit vectors must be strictly decreasing and of equal length")
+    knots = np.concatenate([[interval.a], times, [interval.b]])
+
+    def draw(rows, nc):
+        paths = np.empty((1, nc, x.size, knots.size))
+        paths[..., 0] = x
+        paths[..., -1] = y
+        z = rng.standard_normal((1, nc, x.size, times.size))
+        _bridge_forward(x, y, interval.a, times, interval.b, z, paths[..., 1:-1])
+        return paths
+
+    def accept(rows, paths):
+        return rng.random(paths.shape[:2]) < _km_weight(paths, knots)
+
+    vals, drawn, seen, _ = _rejection_loop(draw, accept, 1, (x.size, knots.size), n_samples,
+                                           max_attempts, _KM_CHUNK)
+    drawn, seen = int(drawn[0]), int(seen[0])
+    if vals.shape[1] < n_samples:
+        raise RejectionExhausted(drawn, f"{vals.shape[1]}/{n_samples} accepted in {drawn} draws")
+    return vals[0, ..., 1:-1], drawn, seen
 
 
 def sample_avoiding_batch(

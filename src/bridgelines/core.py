@@ -224,21 +224,36 @@ class RejectionExhausted(RuntimeError):
 
 
 def _rejection_sample(draw, f_vals, g_vals, k: int, n_samples: int, max_attempts: int, chunk: int):
-    """The chunked rejection loop over R rows: each row keeps its candidates that pass _avoids.
+    """Grid-check rejection over R rows: each row keeps its candidates that pass _avoids.
 
-    f_vals and g_vals have shape (R, M+1), one barrier pair per row. draw(rows,
-    nc) returns nc candidate ensembles for each of the given rows, shape
-    (len(rows), nc, k, M+1). Each round, every row still short of n_samples
-    draws max(1, chunk // pending) candidates (capped at max_attempts per row)
-    and keeps its first accepting ones in draw order, so every row samples its
-    own conditional law; with one row the draws are whole chunks. Candidates
-    are drawn in whole rounds so that seen / drawn is an unbiased acceptance
-    rate. Returns (accepted (R, n_out, k, M+1), drawn, seen, first_hit), the
-    last three per row, with n_out the fewest samples any row got and
-    first_hit the 0-based draw index of a row's first acceptance, or -1.
+    f_vals and g_vals have shape (R, M+1), one barrier pair per row, and draw
+    returns candidates of shape (len(rows), nc, k, M+1); see _rejection_loop.
     """
     n_rows, cols = np.shape(f_vals)
-    out = np.empty((n_rows, n_samples, k, cols))
+
+    def accept(rows, cands):
+        return _avoids(cands, f_vals[rows, None], g_vals[rows, None])
+
+    return _rejection_loop(draw, accept, n_rows, (k, cols), n_samples, max_attempts, chunk)
+
+
+def _rejection_loop(draw, accept, n_rows: int, shape: tuple, n_samples: int, max_attempts: int,
+                    chunk: int):
+    """The chunked rejection loop over n_rows rows, each keeping the candidates accept passes.
+
+    draw(rows, nc) returns nc candidates for each of the given rows, shape
+    (len(rows), nc, *shape), and accept(rows, cands) returns one bool per
+    candidate, shape (len(rows), nc); it runs right after each round's draw.
+    Each round, every row still short of n_samples draws max(1, chunk //
+    pending) candidates (capped at max_attempts per row) and keeps its first
+    accepted ones in draw order, so every row samples its own conditional law;
+    with one row the draws are whole chunks. Candidates are drawn in whole
+    rounds so that seen / drawn is an unbiased acceptance rate. Returns
+    (accepted (n_rows, n_out, *shape), drawn, seen, first_hit), the last three
+    per row, with n_out the fewest samples any row got and first_hit the
+    0-based draw index of a row's first acceptance, or -1.
+    """
+    out = np.empty((n_rows, n_samples, *shape))
     got = np.zeros(n_rows, dtype=np.int64)
     drawn = np.zeros(n_rows, dtype=np.int64)
     seen = np.zeros(n_rows, dtype=np.int64)
@@ -248,7 +263,7 @@ def _rejection_sample(draw, f_vals, g_vals, k: int, n_samples: int, max_attempts
     while pending.size and drawn[pending[0]] < max_attempts:
         nc = int(min(max(1, chunk // pending.size), max_attempts - drawn[pending[0]]))
         cands = draw(pending, nc)
-        ok = _avoids(cands, f_vals[pending, None], g_vals[pending, None])
+        ok = accept(pending, cands)
         # per-row bookkeeping costs a few Python steps per row and round, less
         # than fancy-indexed scatters cost the one-row callers per candidate
         for i, r in enumerate(pending):

@@ -15,7 +15,9 @@ import numpy as np
 from scipy import stats
 
 from . import avoid, bridge, glauber, verify, walk
-from .core import Barrier, Interval, LatticeParams, LineEnsemble, RejectionExhausted, RngSeed, WeylVector
+from .core import (
+    Barrier, DomainError, Interval, LatticeParams, LineEnsemble, RejectionExhausted, RngSeed, WeylVector,
+)
 from .verify import SUITE_P_FLOOR, TestReport
 
 
@@ -444,23 +446,41 @@ def single_bridge_pw(windows, x1: float, n_samples: int, rng: np.random.Generato
                      cap: int | None = None) -> dict[int, verify.PwEstimate]:
     """p_w profile of one free bridge from 0 to 0 on [0, 1]: threshold x1 at t1 = 1/2, per window width."""
     iv = Interval(0.0, 1.0)
-    t1 = iv.midpoint
-    times = np.array(sorted({t1} | {t1 - 1.0 / w for w in windows} | {t1 + 1.0 / w for w in windows}))
+    times = _window_times(iv, windows)
     samples = bridge.sample_bridge_at(iv, 0.0, 0.0, times, n_samples, rng)
     return _top_curve_profile(iv, times, samples, x1, windows, cap)
 
 
-def pair_spec(gap: float, grid_points: int, interval: Interval = Interval(0.0, 1.0)) -> avoid.AvoidSpec:
-    """Two barrier-free avoiding bridges from (gap/2, -gap/2) back to the same points."""
-    vec = WeylVector((gap / 2.0, -gap / 2.0))
-    return avoid.AvoidSpec(interval, vec, vec, Barrier.plus_inf(), Barrier.minus_inf(), grid_points)
+def hidden_pair_pw(windows, gap: float, quantile: float, n_pilot: int, n_samples: int,
+                   pilot_rng: np.random.Generator, main_rng: np.random.Generator,
+                   cap: int | None = None) -> tuple[float, np.ndarray, dict[int, verify.PwEstimate]]:
+    """p_w profile of the top curve of two avoiding bridges from (gap/2, -gap/2) back on [0, 1].
+
+    Both batches are drawn exactly at the window times with
+    avoid.sample_avoiding_at. The threshold x1 is the given quantile of the
+    hidden (bottom) curve at t1 = 1/2 in a pilot batch of n_pilot; the profile
+    is read from a main batch of n_samples. Returns (x1, the main batch's
+    hidden curve at t1, the profile).
+    """
+    iv = Interval(0.0, 1.0)
+    times = _window_times(iv, windows)
+    jt = int(np.searchsorted(times, iv.midpoint))
+    ends = np.array([gap / 2.0, -gap / 2.0])
+    pilot, _, _ = avoid.sample_avoiding_at(iv, ends, ends, times, n_pilot, pilot_rng)
+    x1 = float(np.quantile(pilot[:, 1, jt], quantile))
+    vals, _, _ = avoid.sample_avoiding_at(iv, ends, ends, times, n_samples, main_rng)
+    return x1, vals[:, 1, jt], _top_curve_profile(iv, times, vals[:, 0], x1, windows, cap)
 
 
-def top_curve_pw(spec: avoid.AvoidSpec, vals: np.ndarray, x1: float, windows,
-                 cap: int | None = None) -> dict[int, verify.PwEstimate]:
-    """p_w profile of the top curve of samples vals (n, k, M+1) of spec, at the interval midpoint."""
-    grid = spec.interval.grid(spec.grid_points)
-    return _top_curve_profile(spec.interval, grid, vals[:, 0], x1, windows, cap)
+def _window_times(iv: Interval, windows) -> np.ndarray:
+    """The sorted times t1 and t1 +/- 1/w over the window widths, t1 the midpoint of iv.
+
+    Every window must lie strictly inside iv; otherwise DomainError.
+    """
+    t1 = iv.midpoint
+    for w in windows:
+        verify.ObservableSpec(t1, 0.0, w).check_inside(iv)  # the threshold does not move the window
+    return np.array(sorted({t1} | {t1 - 1.0 / w for w in windows} | {t1 + 1.0 / w for w in windows}))
 
 
 def _top_curve_profile(iv: Interval, times: np.ndarray, top: np.ndarray, x1: float, windows,
@@ -485,7 +505,7 @@ def _window_cols(iv: Interval, times: np.ndarray, w: int) -> tuple[int, int, int
     want = np.array([window.a_w, window.t1, window.b_w])
     cols = np.abs(times[:, None] - want).argmin(axis=0)
     if np.any(np.abs(times[cols] - want) > 1e-9 * np.maximum(1.0, np.abs(want))):
-        raise verify.DomainError("window edges must land on grid points")
+        raise DomainError("window edges must land on grid points")
     return tuple(cols.tolist())
 
 
@@ -503,7 +523,9 @@ def pw_suite(cfg: PwConfig) -> SuiteResult:
             details=f"se={est.se:.4g} capped={ {c: round(v, 5) for c, v in est.capped.items()} } degenerate={est.degenerate}",
         ))
     # (b) calibrated two-curve ensemble at the largest window
-    spec = pair_spec(cfg.pair_gap, cfg.pair_grid, Interval(*cfg.pair_interval))
+    vec = WeylVector((cfg.pair_gap / 2.0, -cfg.pair_gap / 2.0))
+    spec = avoid.AvoidSpec(Interval(*cfg.pair_interval), vec, vec, Barrier.plus_inf(), Barrier.minus_inf(),
+                           cfg.pair_grid)
 
     def pair(n, label):
         return avoid.sample_avoiding_batch(spec, n, root.derive(label).generator())[0]
@@ -512,7 +534,7 @@ def pw_suite(cfg: PwConfig) -> SuiteResult:
     ja, jt, jb = _window_cols(spec.interval, grid, cfg.pair_w)
     x1 = float(np.quantile(pair(cfg.n_pilot, "pw/pair/pilot")[:, 0, jt], cfg.pair_top_quantile))
     vals = pair(cfg.n_pair, "pw/pair/main")
-    est = top_curve_pw(spec, vals, x1, (cfg.pair_w,))[cfg.pair_w]
+    est = _top_curve_profile(spec.interval, grid, vals[:, 0], x1, (cfg.pair_w,), None)[cfg.pair_w]
     hidden = vals[:, 1, jt]
     hits = int(np.count_nonzero(hidden <= x1))
     direct = hits / cfg.n_pair
@@ -582,7 +604,6 @@ class DetectConfig:
     single_x1: float = 1.5
     pair_gap: float = 0.3
     hidden_quantile: float = 0.8
-    grid_points: int = 128
     n_pilot: int = 2000
     cap: int = 1000  # detector consumes the truncated (finite-variance) estimator
     planted: str = "both"  # "hidden" | "none" | "both"
@@ -595,18 +616,20 @@ def _detect_single_case(cfg: DetectConfig, root: RngSeed, s: int) -> str:
 
 
 def _detect_hidden_case(cfg: DetectConfig, root: RngSeed, s: int) -> str:
-    spec = pair_spec(cfg.pair_gap, cfg.grid_points)
-    pilot, _, _ = avoid.sample_avoiding_batch(
-        spec, cfg.n_pilot, root.derive(f"detect/hidden/{s}/pilot").generator()
+    _, _, ests = hidden_pair_pw(
+        cfg.windows, cfg.pair_gap, cfg.hidden_quantile, cfg.n_pilot, cfg.n_samples,
+        root.derive(f"detect/hidden/{s}/pilot").generator(), root.derive(f"detect/hidden/{s}/main").generator(),
+        cfg.cap,
     )
-    x1 = float(np.quantile(pilot[:, 1, cfg.grid_points // 2], cfg.hidden_quantile))
-    vals, _, _ = avoid.sample_avoiding_batch(
-        spec, cfg.n_samples, root.derive(f"detect/hidden/{s}/main").generator()
-    )
-    return verify.curve_count_detector(top_curve_pw(spec, vals, x1, cfg.windows, cfg.cap), cfg.tau)
+    return verify.curve_count_detector(ests, cfg.tau)
 
 
 def detect_suite(cfg: DetectConfig) -> SuiteResult:
+    if cfg.planted not in ("hidden", "none", "both"):
+        raise DomainError(f"planted must be hidden, none or both, got {cfg.planted!r}")
+    if cfg.n_seeds < 1:
+        raise DomainError(f"n_seeds must be at least 1, got {cfg.n_seeds}")
+    _window_times(Interval(0.0, 1.0), cfg.windows)  # a bad window fails before any draw
     root = RngSeed(cfg.seed)
     reports = []
     correct = 0

@@ -55,6 +55,97 @@ def test_sample_avoiding_values_pinned_at_fixed_seeds():
     assert nxt == 0.33930018248772564
 
 
+# detect's window times: t1 = 1/2 and t1 +/- 1/w for w = 4, 8, 16, 32
+DETECT_TIMES = np.array(sorted({0.5} | {0.5 + d / w for w in (4, 8, 16, 32) for d in (-1, 1)}))
+
+
+def _km_ratio(T, x, y):
+    """det[p(T; x_i, y_j)] / prod_i p(T; x_i, y_i), entry by entry from the heat kernel."""
+    k = len(x)
+    mat = np.array([[bridge.transition_density(T, x[i], y[j]) for j in range(k)] for i in range(k)])
+    return float(np.linalg.det(mat) / np.prod(np.diag(mat)))
+
+
+@pytest.mark.parametrize("iv, x, y, times", [
+    (Interval(0.0, 1.0), (0.15, -0.15), (0.15, -0.15), DETECT_TIMES),  # detect's pair: 0.08607
+    (Interval(0.0, 2.0), (1.0, 0.2), (0.5, -0.5), [0.3, 1.0, 1.9]),
+    (Interval(0.0, 1.0), (0.6, 0.0, -0.6), (0.4, 0.0, -0.8), [0.5]),
+])
+def test_sample_avoiding_at_acceptance_matches_karlin_mcgregor(iv, x, y, times):
+    # accepting a candidate at any set of times happens with the probability that
+    # the continuous curves never meet; for k = 2 that is 1 - exp(-(x0-x1)(y0-y1)/T)
+    rng = RngSeed(31).generator()
+    vals, drawn, seen = avoid.sample_avoiding_at(iv, np.array(x), np.array(y), times, 3000, rng)
+    assert vals.shape == (3000, len(x), len(times))
+    assert np.all(vals[:, :-1] > vals[:, 1:])
+    target = _km_ratio(iv.length, x, y)
+    if len(x) == 2:
+        assert target == pytest.approx(-math.expm1(-(x[0] - x[1]) * (y[0] - y[1]) / iv.length), abs=1e-12)
+    lo, hi = avoid.wilson_ci(seen, drawn)
+    assert lo <= target <= hi, (seen / drawn, target)
+
+
+def test_km_weight_closed_form_and_ordering():
+    rng = np.random.default_rng(8)
+    times = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 6)), [1.0]])
+    dt = np.diff(times)
+    vals = np.sort(rng.normal(size=(500, 2, times.size)), axis=1)[:, ::-1]
+    gaps = vals[:, 0] - vals[:, 1]
+    want = np.prod(-np.expm1(-gaps[:, :-1] * gaps[:, 1:] / dt), axis=1)
+    np.testing.assert_allclose(avoid._km_weight(vals, times), want, rtol=0, atol=1e-12)
+    # k = 3 against LU on inputs mild enough for it: one segment, one determinant
+    three = np.sort(rng.normal(size=(200, 3, 2)), axis=1)[:, ::-1]
+    lu = [_km_ratio(1.0, v[:, 0], v[:, 1]) for v in three]
+    np.testing.assert_allclose(avoid._km_weight(three, np.array([0.0, 1.0])), lu, rtol=0, atol=1e-12)
+    # one unordered (or touching) observed time makes the weight 0
+    for j in range(times.size):
+        bad = vals.copy()
+        bad[:, 1, j] = bad[:, 0, j] + rng.uniform(0.0, 0.1, 500) * (j % 2)
+        assert not avoid._km_weight(bad, times).any()
+
+
+def _bottom_midpoint_cdf(T, x, y, h=0.004, lim=3.0):
+    """CDF of the bottom of two avoiding bridges at T/2, from 2-D quadrature of the KM density.
+
+    The pair's density at time t is det[p(t; x_i, u_j)] det[p(T - t; u_i, y_j)]
+    on u_0 > u_1, up to normalisation; midpoint-rule cells of side h.
+    """
+    t = T / 2.0
+    u = np.arange(-lim, lim + h / 2, h)
+    u0, u1 = np.meshgrid(u, u, indexing="ij")
+
+    def p(dt, a, b):
+        return np.exp(-((a - b) ** 2) / (2.0 * dt))
+
+    left = p(t, x[0], u0) * p(t, x[1], u1) - p(t, x[0], u1) * p(t, x[1], u0)
+    right = p(T - t, u0, y[0]) * p(T - t, u1, y[1]) - p(T - t, u1, y[0]) * p(T - t, u0, y[1])
+    cdf = np.cumsum(np.where(u0 > u1, left * right, 0.0).sum(axis=0))
+    return lambda r: np.interp(r, u + h / 2, cdf / cdf[-1])
+
+
+@pytest.mark.parametrize("times", [[0.5], DETECT_TIMES])
+def test_sample_avoiding_at_bottom_midpoint_matches_km_quadrature(times):
+    # the grid-checked sampler at M = 128 fails this test (KS p ~ 1e-20 at this size)
+    x = np.array([0.15, -0.15])
+    cdf = _bottom_midpoint_cdf(1.0, x, x)
+    vals, _, _ = avoid.sample_avoiding_at(Interval(0.0, 1.0), x, x, times, 20000, RngSeed(32).generator())
+    mid = vals[:, 1, int(np.searchsorted(times, 0.5))]
+    assert stats.kstest(mid, cdf).pvalue > 1e-4
+
+
+def test_sample_avoiding_at_errors():
+    iv = Interval(0.0, 1.0)
+    x = np.array([0.01, -0.01])
+    with pytest.raises(walk.RejectionExhausted) as exc:
+        avoid.sample_avoiding_at(iv, x, x, [0.5], 100, RngSeed(33).generator(), max_attempts=50)
+    assert exc.value.attempts == 50
+    for times in ([0.0, 0.5], [0.5, 1.0], [0.5, 0.25, 0.5]):
+        with pytest.raises(DomainError):
+            avoid.sample_avoiding_at(iv, x, x, times, 1, RngSeed(33).generator())
+    with pytest.raises(DomainError):
+        avoid.sample_avoiding_at(iv, x[::-1], x, [0.5], 1, RngSeed(33).generator())
+
+
 def test_spec_validates_barrier_clearance():
     _spec((1.0,), (1.0,), g=0.0)
     with pytest.raises(DomainError):

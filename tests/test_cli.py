@@ -113,6 +113,9 @@ def test_verify_unknown_suite_and_bad_key(tmp_path, capsys):
         ["--suite", "tails", "--set", "rs=0.5"],
         ["--suite", "tails", "--set", "n_samples=0"],
         ["--suite", "pw", "--set", "pair_w=1"],  # window reaches outside the interval
+        ["--suite", "detect", "--planted", "hidden", "--set", "n_seeds=1", "--set", "windows=(1, 4)"],
+        ["--suite", "detect", "--set", "planted=hiden"],
+        ["--suite", "detect", "--set", "n_seeds=0"],
     ):
         assert run(["verify", *argv, "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err

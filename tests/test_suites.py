@@ -6,7 +6,10 @@ report shows up. The sizes are small for speed, so verdicts here carry no
 meaning: at 200 samples the gibbs negative control lacks the power to fire.
 """
 
+import pytest
+
 from bridgelines import suites
+from bridgelines.core import DomainError
 
 CASES = {
     "pw": dict(n_single=2000, n_pair=300, n_pilot=300, n_domination=20, inner_samples=2000),
@@ -111,3 +114,19 @@ def test_small_suite_reports_are_pinned():
         result = suites.run_suite(name, seed=1, **overrides)
         got = list(zip(result.lines(), [r.details for r in result.reports] + [None]))
         assert got == EXPECTED[name], name
+
+
+def test_detect_rejects_a_bad_config_before_any_draw(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("sampled before the config was checked")
+
+    monkeypatch.setattr(suites.avoid, "sample_avoiding_at", no_draw)
+    monkeypatch.setattr(suites.bridge, "sample_bridge_at", no_draw)
+    for overrides in (
+        dict(planted="hidden", windows=(1, 4)),  # t1 - 1 lies outside [0, 1]
+        dict(planted="both", windows=(4, 2)),  # t1 - 1/2 is the interval's end
+        dict(planted="hiden"),
+        dict(n_seeds=0),
+    ):
+        with pytest.raises(DomainError):
+            suites.run_suite("detect", seed=1, **overrides)
