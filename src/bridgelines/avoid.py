@@ -15,13 +15,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bridge import _bridge_forward, certify_c0, midpoint_cdf_single
+from .bridge import SQRT2PI, _bridge_paths, certify_c0, midpoint_cdf_single
 from .core import (
-    Barrier, Curve, DomainError, Interval, LatticeParams, LineEnsemble, RejectionExhausted,
-    StructuralError, WeylVector, _avoids, _rejection_loop, _rejection_sample, eval_curve,
+    Barrier, DomainError, Interval, LineEnsemble, RejectionExhausted, StructuralError, WeylVector,
+    _avoids, _rejection_loop, _rejection_sample,
 )
 
-SQRT2PI = float(np.sqrt(2.0 * np.pi))
 # half-width, in standard errors, of the Wilson and p_w confidence intervals
 CI_Z = 3.0
 # candidates per round of sample_avoiding_at (each holds only k x (len(times) + 2) values)
@@ -92,13 +91,8 @@ def sample_avoiding_values(
     n_rows, k = x_rows.shape
 
     def draw(rows, nc):
-        paths = np.empty((rows.size, nc, k, m + 1))
-        paths[..., 0] = x_rows[rows, None]
-        paths[..., -1] = y_rows[rows, None]
         z = rng.standard_normal((rows.size, nc, k, m - 1))
-        _bridge_forward(paths[..., 0].copy(), y_rows[rows, None], grid[0], grid[1:m], interval.b, z,
-                        paths[..., 1:m])
-        return paths
+        return _bridge_paths(x_rows[rows, None], y_rows[rows, None], interval.a, grid[1:m], interval.b, z)
 
     vals, drawn, seen, first_hit = _rejection_sample(
         draw, np.broadcast_to(f_vals, (n_rows, m + 1)), np.broadcast_to(g_vals, (n_rows, m + 1)),
@@ -165,12 +159,8 @@ def sample_avoiding_at(
     knots = np.concatenate([[interval.a], times, [interval.b]])
 
     def draw(rows, nc):
-        paths = np.empty((1, nc, x.size, knots.size))
-        paths[..., 0] = x
-        paths[..., -1] = y
         z = rng.standard_normal((1, nc, x.size, times.size))
-        _bridge_forward(x, y, interval.a, times, interval.b, z, paths[..., 1:-1])
-        return paths
+        return _bridge_paths(x, y, interval.a, times, interval.b, z)
 
     def accept(rows, paths):
         return rng.random(paths.shape[:2]) < _km_weight(paths, knots)
@@ -207,23 +197,6 @@ def sample_avoiding_batch(
     return vals, drawn, seen
 
 
-def sample_avoiding(
-    spec: AvoidSpec,
-    rng: np.random.Generator,
-    max_attempts: int = 10**6,
-) -> tuple[LineEnsemble, int]:
-    """First accepted ensemble and the 1-based index of the accepting candidate."""
-    grid = spec.interval.grid(spec.grid_points)
-    vals, drawn, _, first_hit = sample_avoiding_values(
-        spec.interval, spec.x.as_array(), spec.y.as_array(),
-        spec.f.at(grid), spec.g.at(grid), spec.grid_points,
-        1, rng, max_attempts, chunk=256,
-    )
-    if not vals.shape[0]:
-        raise RejectionExhausted(drawn)
-    return LineEnsemble(spec.interval, vals[0]), first_hit + 1
-
-
 def wilson_ci(successes: int, n: int) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion, CI_Z standard errors wide."""
     if n <= 0:
@@ -241,12 +214,12 @@ def midpoint_cdf_avoiding(
     spec: AvoidSpec,
     num_samples: int,
     rng: np.random.Generator,
-    max_attempts: int = 10**7,
 ) -> tuple[float, tuple[float, float]]:
     """P(bottom curve at the interval midpoint <= r) for a barrier-free ensemble.
 
-    Monte Carlo with a Wilson interval; the k = 1 case is the closed-form
-    Gaussian midpoint law and returns a zero-width interval.
+    Monte Carlo with a Wilson interval over exact draws at the midpoint
+    (sample_avoiding_at, so the spec's grid plays no part); the k = 1 case is
+    the closed-form Gaussian midpoint law and returns a zero-width interval.
     """
     if spec.f.is_finite or spec.g.is_finite:
         raise DomainError("the midpoint CDF observable is defined without barriers")
@@ -255,71 +228,10 @@ def midpoint_cdf_avoiding(
             r, spec.interval.a, spec.interval.b, spec.x[0], spec.y[0]
         )
         return p, (p, p)
-    if spec.grid_points % 2:
-        raise DomainError("need an even grid so the midpoint is a grid point")
-    vals, _, _ = sample_avoiding_batch(spec, num_samples, rng, max_attempts)
-    mid = vals[:, -1, spec.grid_points // 2]
-    hits = int(np.count_nonzero(mid <= r))
+    vals, _, _ = sample_avoiding_at(spec.interval, spec.x.as_array(), spec.y.as_array(),
+                                    [spec.interval.midpoint], num_samples, rng)
+    hits = int(np.count_nonzero(vals[:, -1, 0] <= r))
     return hits / num_samples, wilson_ci(hits, num_samples)
-
-
-def sample_avoiding_with_fallback(
-    spec: AvoidSpec,
-    n_samples: int,
-    rng: np.random.Generator,
-    lattice_scale: int = 8,
-    pilot_attempts: int = 10**4,
-    min_rate: float = 1e-4,
-    max_attempts: int = 10**7,
-    burn_streams: int = 8,
-) -> tuple[np.ndarray, str]:
-    """Rejection sampling with a chain-based fallback for collapsing acceptance.
-
-    A pilot of pilot_attempts candidates estimates the acceptance rate; below
-    min_rate the sampler switches to the lattice pipeline: endpoints snapped to
-    the dx-grid of a scaled lattice, single-site chain run from the maximal
-    state past a coalescence burn-in, then thinned snapshots, linearly
-    interpolated onto the spec's grid. Chain samples are the lattice
-    approximation of the target law (exact only as the scale grows; coarser
-    scales mix faster). Returns (values (n, k, grid_points + 1), method) with
-    method one of "rejection" | "chain".
-    """
-    from . import glauber  # local import: glauber depends on core only
-
-    grid = spec.interval.grid(spec.grid_points)
-    f_vals, g_vals = spec.f.at(grid), spec.g.at(grid)
-    pilot, drawn, seen, _ = sample_avoiding_values(
-        spec.interval, spec.x.as_array(), spec.y.as_array(), f_vals, g_vals,
-        spec.grid_points, n_samples, rng, pilot_attempts,
-    )
-    if seen / drawn >= min_rate:
-        if pilot.shape[0] >= n_samples:
-            return pilot[:n_samples], "rejection"
-        more, drawn2, _, _ = sample_avoiding_values(
-            spec.interval, spec.x.as_array(), spec.y.as_array(), f_vals, g_vals,
-            spec.grid_points, n_samples - pilot.shape[0], rng, max_attempts,
-        )
-        out = np.concatenate([pilot, more], axis=0)
-        if out.shape[0] < n_samples:
-            raise RejectionExhausted(drawn + drawn2)
-        return out, "rejection"
-    if spec.f.is_finite:
-        raise DomainError("the chain fallback supports lower barriers only")
-    lat = LatticeParams.scaled(spec.interval, lattice_scale)
-    x_units = [round(v / lat.dx) for v in spec.x.values]
-    y_units = [round(v / lat.dx) for v in spec.y.values]
-    if any(a <= b for a, b in zip(x_units[:-1], x_units[1:])) or any(
-        a <= b for a, b in zip(y_units[:-1], y_units[1:])
-    ):
-        raise DomainError("endpoints collide after lattice snapping; increase lattice_scale")
-    seeds = [np.random.default_rng(rng.integers(2**63)) for _ in range(burn_streams)]
-    burn = glauber.coalescence_burn_in(lat, x_units, y_units, spec.g, seeds)
-    thin = max(1, burn // 8)
-    state, _ = glauber.simulate_chain(glauber.maximal_state(lat, x_units, y_units, spec.g), burn, rng)
-    _, units = glauber.simulate_chain(state, n_samples * thin, rng, record_every=thin)
-    # lattice states read on the spec's grid, so both paths return grid_points + 1 columns
-    out = [[eval_curve(Curve(lat.interval, row), grid) for row in u] for u in units * lat.dx]
-    return np.asarray(out), "chain"
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +255,10 @@ def flip_transform(ens: LineEnsemble) -> LineEnsemble:
 # closed-form tail bounds for the bottom curve (barrier-free ensembles)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=8)
-def default_c0(x_max: float = 20.0, step: float = 1e-3) -> float:
-    return certify_c0(x_max, step)
+@lru_cache(maxsize=1)
+def default_c0() -> float:
+    """certify_c0 at its default scan, computed once."""
+    return certify_c0()
 
 
 def bound_bottom_max(k: int, r: float, c0: float | None = None) -> float:

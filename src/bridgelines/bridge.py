@@ -20,6 +20,8 @@ SQRT2PI = float(np.sqrt(2.0 * np.pi))
 # Continuity-correction constant for the maximum of a discretely monitored
 # diffusion (-zeta(1/2)/sqrt(2*pi)); used for the grid-max bias allowance.
 GRID_MAX_BETA = 0.5825971579390107
+# bridges per pass of grid_max_exceedance
+_GRID_MAX_CHUNK = 20000
 
 
 def normal_cdf(z):
@@ -61,24 +63,29 @@ def _bridge_step(v, y, s: float, t: float, b: float, z):
     return v + w * (y - v) + np.sqrt(var) * z
 
 
-def _bridge_forward(v, y, s: float, times, b: float, z, out) -> None:
-    """Bridge values at the increasing times (s < t < b) into out[..., j], one z[..., j] each."""
+def _bridge_paths(x, y, a: float, times, b: float, z) -> np.ndarray:
+    """Bridges from x at a to y at b, read at a, the increasing interior times and b.
+
+    Returns shape (*z.shape[:-1], len(times) + 2); each z[..., j] drives the
+    _bridge_step to times[j], and x and y broadcast against z.shape[:-1].
+    """
+    out = np.empty((*z.shape[:-1], len(times) + 2))
+    out[..., 0] = x
+    out[..., -1] = y
+    v, s = out[..., 0], a
     for j, t in enumerate(times):
         v = _bridge_step(v, y, s, t, b, z[..., j])
-        out[..., j] = v
+        out[..., j + 1] = v
         s = t
+    return out
 
 
 def sample_bridge_paths(spec: BridgeSpec, n_samples: int, rng: np.random.Generator) -> np.ndarray:
     """n_samples bridge paths on the grid, shape (n_samples, M+1); endpoints exact."""
     m = spec.grid_points
-    grid = spec.interval.grid(m)
-    out = np.empty((n_samples, m + 1))
-    out[:, 0] = spec.x
-    out[:, -1] = spec.y
+    iv = spec.interval
     z = rng.standard_normal((n_samples, m - 1))
-    _bridge_forward(out[:, 0].copy(), spec.y, grid[0], grid[1:m], spec.interval.b, z, out[:, 1:m])
-    return out
+    return _bridge_paths(spec.x, spec.y, iv.a, iv.grid(m)[1:m], iv.b, z)
 
 
 def sample_bridge_at(
@@ -97,10 +104,8 @@ def sample_bridge_at(
     times = np.sort(np.asarray(times, dtype=float))
     if times[0] <= interval.a or times[-1] >= interval.b:
         raise DomainError("times must lie strictly inside the interval")
-    out = np.empty((n_samples, times.size))
     z = rng.standard_normal((n_samples, times.size))
-    _bridge_forward(np.full(n_samples, float(x)), y, interval.a, times, interval.b, z, out)
-    return out
+    return _bridge_paths(x, y, interval.a, times, interval.b, z)[:, 1:-1]
 
 
 def bridge_max_prob(T: float, a: float, beta: float) -> float:
@@ -131,7 +136,6 @@ def grid_max_exceedance(
     m: int,
     n_samples: int,
     rng: np.random.Generator,
-    chunk: int = 20000,
 ) -> tuple[float, float]:
     """Grid-max exceedance frequency and an unbiased estimate of the grid bias.
 
@@ -148,7 +152,7 @@ def grid_max_exceedance(
     missed_sum = 0.0
     done = 0
     while done < n_samples:
-        nc = min(chunk, n_samples - done)
+        nc = min(_GRID_MAX_CHUNK, n_samples - done)
         v = np.zeros(nc)
         under = v < beta
         log_survive = np.zeros(nc)

@@ -1,10 +1,10 @@
 """Experiment runner: seeded, declarative configs, machine-readable outputs.
 
 Subcommands: sample (write ensembles + manifest), verify (run a named suite,
-exit 0 iff it passes), enumerate (exhaustive lattice oracle dumps), bench
-(sampler/chain throughput). All randomness flows from --seed through named
-stream derivation, so identical configs produce byte-identical outputs; no
-timestamps or machine state enter any file.
+exit 0 iff it passes) and enumerate (exhaustive lattice oracle dumps). All
+randomness flows from --seed through named stream derivation, so identical
+configs produce byte-identical outputs; no timestamps or machine state enter
+any file.
 """
 
 from __future__ import annotations
@@ -58,8 +58,6 @@ def _collect_overrides(args) -> dict:
             raise ValueError(f"--set needs key=value, got {item!r}")
         key, val = item.split("=", 1)
         overrides[key.strip()] = _coerce(val.strip())
-    if getattr(args, "planted", None) is not None:
-        overrides["planted"] = args.planted
     if args.seed is not None:
         overrides["seed"] = args.seed
     return overrides
@@ -120,6 +118,8 @@ def _barrier(const, interval) -> Barrier:
 def cmd_sample(args) -> int:
     if args.n_samples < 1:
         raise ValueError(f"--n-samples must be at least 1, got {args.n_samples}")
+    if args.kind in ("avoid", "walk") and args.max_attempts < 1:
+        raise ValueError(f"--max-attempts must be at least 1, got {args.max_attempts}")
     if args.kind == "glauber" and args.events_per_sample < 1:
         raise ValueError(f"--events-per-sample must be at least 1, got {args.events_per_sample}")
     interval = Interval(args.a, args.b)
@@ -214,28 +214,6 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    import time
-
-    rng = RngSeed(args.seed).derive("bench").generator()
-    iv = Interval(0.0, 1.0)
-    t0 = time.perf_counter()
-    bridge.sample_bridge_paths(bridge.BridgeSpec(iv, 0.0, 0.0, 512), 2000, rng)
-    t1 = time.perf_counter()
-    print(f"bridge paths (M=512): {2000 / (t1 - t0):,.0f} paths/s")
-    t0 = time.perf_counter()
-    walk.sample_walk_steps(1024, 0, 2000, rng)
-    t1 = time.perf_counter()
-    print(f"walk bridges (N=1024): {2000 / (t1 - t0):,.0f} walks/s")
-    lat = LatticeParams.scaled(iv, 4)
-    init = glauber.maximal_state(lat, [2, 0], [2, 0], Barrier.minus_inf())
-    t0 = time.perf_counter()
-    glauber.simulate_chain(init, 200000, rng)
-    t1 = time.perf_counter()
-    print(f"chain events (k=2, n=4): {200000 / (t1 - t0):,.0f} events/s")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bridgelines",
@@ -271,8 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--config", default=None, help="key=value file of suite config overrides")
     p_verify.add_argument("--set", action="append", default=None, metavar="KEY=VALUE",
                           help="override one suite config field (Python literal values)")
-    p_verify.add_argument("--planted", choices=["hidden", "none", "both"], default=None,
-                          help="planted case selector for the detect suite")
     p_verify.add_argument("--out", default="out-verify")
     p_verify.set_defaults(fn=cmd_verify)
 
@@ -285,10 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--g-const-units", type=float, default=None)
     p_enum.add_argument("--out", default="out-enumerate")
     p_enum.set_defaults(fn=cmd_enumerate)
-
-    p_bench = sub.add_parser("bench", help="report sampler and chain throughput")
-    p_bench.add_argument("--seed", type=int, default=1)
-    p_bench.set_defaults(fn=cmd_bench)
     return parser
 
 

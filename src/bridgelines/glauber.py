@@ -152,6 +152,7 @@ def _draw_events(k: int, n_cols: int, num_events: int, rng: np.random.Generator)
 
 
 _CHUNK = 4096  # events drawn and decoded per piece; bounds the memory of long runs
+_MAX_COALESCENCE_EVENTS = 10**7  # mixing_diagnostic gives up after this many events
 
 
 def _run(
@@ -287,21 +288,20 @@ def mixing_diagnostic(
     init_hi: GlauberConfig,
     init_lo: GlauberConfig,
     rng: np.random.Generator,
-    max_events: int = 10**7,
 ) -> int:
     """Events until the coupled chains started at (lo, hi) coincide; same barrier both sides.
 
     init_lo <= init_hi must hold at every site (InfeasibleState otherwise).
     Returns the coalescence event count; raises RuntimeError when the chains
-    have not met after max_events.
+    have not met after _MAX_COALESCENCE_EVENTS.
     """
     CoupledState(init_lo, init_hi)  # validates lo <= hi
     g_units = _barrier_units_floor(init_lo.lattice, init_lo.barrier_g)
     rows_lo = [list(r) for r in init_lo.units]
     rows_hi = [list(r) for r in init_hi.units]
-    done, _ = _run(rows_lo, g_units, max_events, rng, upper=(rows_hi, g_units), stop_at_meet=True)
+    done, _ = _run(rows_lo, g_units, _MAX_COALESCENCE_EVENTS, rng, upper=(rows_hi, g_units), stop_at_meet=True)
     if rows_lo != rows_hi:
-        raise RuntimeError(f"no coalescence within {max_events} events")
+        raise RuntimeError(f"no coalescence within {_MAX_COALESCENCE_EVENTS} events")
     return done
 
 

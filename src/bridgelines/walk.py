@@ -69,7 +69,9 @@ def count_paths(n: int, d: int) -> int:
     return _count_row(n)[d + n]
 
 
-LOG3 = float(np.log(3.0))
+# walks per batch of sample_walk_midpoints, and candidates per round of sample_avoiding_walks_batch
+_MIDPOINT_CHUNK = 25000
+_AVOID_CHUNK = 4096
 
 
 @lru_cache(maxsize=64)
@@ -141,9 +143,7 @@ def walk_log_prob(bridge: WalkBridge) -> float:
     return total
 
 
-def sample_walk_midpoints(
-    n_steps: int, z: int, n_samples: int, rng: np.random.Generator, chunk: int = 25000
-) -> np.ndarray:
+def sample_walk_midpoints(n_steps: int, z: int, n_samples: int, rng: np.random.Generator) -> np.ndarray:
     """Positions after N/2 steps for n_samples conditioned walks (N must be even)."""
     if n_steps % 2:
         raise DomainError("need an even number of steps")
@@ -151,7 +151,7 @@ def sample_walk_midpoints(
     out = np.empty(n_samples, dtype=np.int64)
     done = 0
     while done < n_samples:
-        nc = min(chunk, n_samples - done)
+        nc = min(_MIDPOINT_CHUNK, n_samples - done)
         steps = sample_walk_steps(n_steps, z, nc, rng)
         out[done : done + nc] = steps[:, :half].sum(axis=1, dtype=np.int64)
         done += nc
@@ -194,9 +194,19 @@ class WalkEnsembleSpec:
         return len(self.x)
 
 
-def _sample_walks(spec: WalkEnsembleSpec, n_samples: int, rng: np.random.Generator,
-                  max_attempts: int, chunk: int):
-    """The rejection loop over ensembles of k independent walk bridges; see _rejection_sample."""
+def sample_avoiding_walks_batch(
+    spec: WalkEnsembleSpec,
+    n_samples: int,
+    rng: np.random.Generator,
+    max_attempts: int,
+) -> tuple[list[LineEnsemble], int, int]:
+    """Accepted ensembles of k independent walk bridges; raises RejectionExhausted when short.
+
+    The grid-checked rejection loop (core._rejection_sample) over the spec's
+    one row. Returns (samples, n_drawn, n_accepted_seen): candidates are drawn
+    in whole chunks, so n_accepted_seen / n_drawn is an unbiased acceptance-rate
+    estimate even when more than n_samples acceptances landed in the final chunk.
+    """
     lat = spec.lattice
     n = lat.n_steps
     x_units = np.array([lat.snap_units(v) for v in spec.x.values])
@@ -212,40 +222,13 @@ def _sample_walks(spec: WalkEnsembleSpec, n_samples: int, rng: np.random.Generat
         return units[None] * lat.dx
 
     grid = lat.time_grid
-    vals, drawn, seen, first_hit = _rejection_sample(
-        draw, spec.f.at(grid)[None], spec.g.at(grid)[None], spec.k, n_samples, max_attempts, chunk)
-    return vals[0], int(drawn[0]), int(seen[0]), int(first_hit[0])
-
-
-def sample_avoiding_walks_batch(
-    spec: WalkEnsembleSpec,
-    n_samples: int,
-    rng: np.random.Generator,
-    max_attempts: int,
-    chunk: int = 4096,
-) -> tuple[list[LineEnsemble], int, int]:
-    """Accepted ensembles of k independent walk bridges; raises RejectionExhausted when short.
-
-    Returns (samples, n_drawn, n_accepted_seen): candidates are drawn in whole
-    chunks, so n_accepted_seen / n_drawn is an unbiased acceptance-rate estimate
-    even when more than n_samples acceptances landed in the final chunk.
-    """
-    vals, drawn, seen, _ = _sample_walks(spec, n_samples, rng, max_attempts, chunk)
-    if vals.shape[0] < n_samples:
-        raise RejectionExhausted(drawn, f"{vals.shape[0]}/{n_samples} accepted in {drawn} draws")
-    return [LineEnsemble(spec.lattice.interval, v) for v in vals], drawn, seen
-
-
-def sample_avoiding_walks(
-    spec: WalkEnsembleSpec,
-    rng: np.random.Generator,
-    max_attempts: int = 100000,
-) -> tuple[LineEnsemble, int]:
-    """First accepted ensemble plus the candidate count; raises RejectionExhausted."""
-    vals, drawn, _, first_hit = _sample_walks(spec, 1, rng, max_attempts, 512)
-    if not vals.shape[0]:
-        raise RejectionExhausted(drawn)
-    return LineEnsemble(spec.lattice.interval, vals[0]), first_hit + 1
+    vals, drawn, seen, _ = _rejection_sample(
+        draw, spec.f.at(grid)[None], spec.g.at(grid)[None], spec.k, n_samples, max_attempts,
+        _AVOID_CHUNK)
+    drawn, seen = int(drawn[0]), int(seen[0])
+    if vals.shape[1] < n_samples:
+        raise RejectionExhausted(drawn, f"{vals.shape[1]}/{n_samples} accepted in {drawn} draws")
+    return [LineEnsemble(lat.interval, v) for v in vals[0]], drawn, seen
 
 
 def enumerate_avoiding_configs(spec: WalkEnsembleSpec, guard: int = 10**7) -> list[LineEnsemble]:

@@ -155,10 +155,11 @@ def test_spec_validates_barrier_clearance():
 
 
 def test_unconstrained_single_bridge_accepts_first_try():
-    spec = _spec((0.0,), (0.0,))
-    ens, attempts = avoid.sample_avoiding(spec, RngSeed(1).generator())
-    assert attempts == 1
-    assert ens.k == 1
+    iv, x, free = Interval(0, 1), np.array([0.0]), np.full(129, np.inf)
+    vals, drawn, seen, first = avoid.sample_avoiding_values(iv, x, x, free, -free, 128, 1,
+                                                            RngSeed(1).generator(), 10**6)
+    assert first == 0
+    assert vals.shape == (1, 1, 129) and seen == drawn
 
 
 def test_acceptance_rate_matches_reflection_formula():
@@ -291,19 +292,31 @@ def test_midpoint_cdf_avoiding_monotone_in_r():
     assert lo == 0.0 and hi == 1.0
 
 
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_midpoint_cdf_avoiding_matches_km_quadrature(seed):
+    # the continuous law at the midpoint; the grid-monitored law (M = 512) reads
+    # 0.7211-0.7219 at these seeds, each Wilson interval missing the quadrature value
+    x = (0.15, -0.15)
+    target = float(_bottom_midpoint_cdf(1.0, x, x)(-0.3))
+    est, (lo, hi) = avoid.midpoint_cdf_avoiding(-0.3, _spec(x, x, grid=512), 20000, RngSeed(seed).generator())
+    assert lo <= target <= hi, (est, target)
+
+
 def test_midpoint_cdf_avoiding_vs_walk_pipeline():
-    # dual route: bridge rejection sampling vs the lattice walk sampler
+    # dual route: the exact bridge midpoint law vs the lattice walk sampler, both
+    # from endpoints on the dx-lattice; the threshold sits half a cell between
+    # lattice values, so the walk's CDF there carries no lattice atom
     iv = Interval(0, 1)
-    spec = _spec((1.0, -1.0), (1.0, -1.0), grid=64)
-    est, ci = avoid.midpoint_cdf_avoiding(-1.0, spec, 60000, RngSeed(11).generator())
-    from bridgelines.core import LatticeParams
     lat = LatticeParams.scaled(iv, 16)
-    level = round(1.0 / lat.dx) * lat.dx  # endpoints snapped onto the dx-lattice
+    level = round(1.0 / lat.dx) * lat.dx
+    r = -level - 0.5 * lat.dx
     x_lat = WeylVector((level, -level))
+    spec = avoid.AvoidSpec(iv, x_lat, x_lat, Barrier.plus_inf(), Barrier.minus_inf(), 64)
+    est, ci = avoid.midpoint_cdf_avoiding(r, spec, 60000, RngSeed(11).generator())
     wspec = walk.WalkEnsembleSpec(lat, x_lat, x_lat, Barrier.plus_inf(), Barrier.minus_inf())
     samples, _, _ = walk.sample_avoiding_walks_batch(wspec, 50000, RngSeed(12).generator(), 10**7)
     mids = np.array([ens.values[1, lat.n_steps // 2] for ens in samples])
-    walk_est = float(np.mean(mids <= -1.0))
+    walk_est = float(np.mean(mids <= r))
     walk_se = math.sqrt(walk_est * (1 - walk_est) / 50000)
     est_se = math.sqrt(est * (1 - est) / 60000)
     # both routes approximate the continuum law; allow their discretization gaps
@@ -314,49 +327,6 @@ def test_barriered_midpoint_rejected():
     spec = _spec((1.0,), (1.0,), g=0.0)
     with pytest.raises(DomainError):
         avoid.midpoint_cdf_avoiding(0.5, spec, 10, RngSeed(0).generator())
-
-
-def test_fallback_uses_rejection_when_healthy():
-    spec = _spec((1.0, -1.0), (1.0, -1.0), grid=64)
-    vals, method = avoid.sample_avoiding_with_fallback(spec, 30, RngSeed(13).generator())
-    assert method == "rejection"
-    assert vals.shape == (30, 2, 65)
-
-
-def test_fallback_switches_to_chain_on_collapsed_acceptance():
-    # five tightly packed curves: grid acceptance well below the 1e-4 pilot floor
-    xs = tuple(0.6 - 0.3 * i for i in range(5))
-    spec = _spec(xs, xs, grid=256)
-    vals, method = avoid.sample_avoiding_with_fallback(
-        spec, 6, RngSeed(14).generator(), lattice_scale=6, burn_streams=4
-    )
-    assert method == "chain"
-    # both paths return the spec's grid_points + 1 columns
-    assert vals.shape == (6, 5, 257)
-    for v in vals:
-        assert np.all(v[:-1] > v[1:])
-
-
-def test_fallback_chain_values_on_a_lattice_aligned_grid():
-    # grid 32 on a 16-step lattice: every second grid column is a lattice column
-    spec = _spec((1.0, -1.0), (1.0, -1.0), grid=32)
-    vals, method = avoid.sample_avoiding_with_fallback(
-        spec, 3, RngSeed(3).generator(), lattice_scale=4, min_rate=1.0, burn_streams=4
-    )
-    assert method == "chain" and vals.shape == (3, 2, 33)
-    # lattice states in dx units, recorded when the chain path returned lattice columns
-    units = [
-        [[3, 3, 2, 1, 0, 1, 1, 2, 3, 2, 2, 3, 4, 3, 2, 3, 3],
-         [-3, -3, -2, -3, -2, -3, -4, -5, -6, -7, -6, -5, -4, -3, -3, -2, -3]],
-        [[3, 4, 4, 5, 6, 5, 4, 5, 4, 4, 3, 4, 4, 4, 4, 4, 3],
-         [-3, -4, -4, -5, -6, -5, -4, -5, -5, -4, -3, -2, -1, -2, -2, -3, -3]],
-        [[3, 4, 4, 3, 3, 3, 3, 4, 3, 3, 3, 2, 2, 2, 2, 3, 3],
-         [-3, -4, -5, -4, -3, -3, -4, -3, -3, -2, -1, -1, -2, -1, -2, -3, -3]],
-    ]
-    dx = LatticeParams.scaled(Interval(0, 1), 4).dx
-    np.testing.assert_array_equal(vals[:, :, ::2], np.asarray(units) * dx)
-    # the columns in between are the linear interpolation of their neighbours
-    np.testing.assert_allclose(vals[:, :, 1::2], 0.5 * (vals[:, :, :-1:2] + vals[:, :, 2::2]))
 
 
 def test_wilson_ci():

@@ -127,6 +127,24 @@ def test_sample_bridge_at_exact_times():
         bridge.sample_bridge_at(iv, 0, 0, [0.0, 0.5], 1, RngSeed(0).generator())
 
 
+def test_bridge_samplers_pinned_at_fixed_seeds():
+    # values and the generator's next draw, recorded before both samplers shared one
+    # path constructor: the draws and their arithmetic are unchanged
+    iv = Interval(0.0, 2.0)
+    rng = RngSeed(41).generator()
+    paths = bridge.sample_bridge_paths(bridge.BridgeSpec(iv, 0.5, -0.5, 4), 3, rng)
+    assert paths.tolist() == [
+        [0.5, -0.5042376769755272, -0.34860392161139186, -0.4277650225875192, -0.5],
+        [0.5, 0.557126390281347, -0.5612360101407596, 0.023266078258373235, -0.5],
+        [0.5, 0.3074129049391589, -0.6376968615969054, -1.2479686282785045, -0.5],
+    ]
+    assert rng.random() == 0.6218064009446065
+    rng = RngSeed(42).generator()
+    at = bridge.sample_bridge_at(iv, 0.5, -0.5, [1.5, 0.25], 2, rng)  # columns in time order
+    assert at.tolist() == [[0.517518364042419, -0.8307898459323015], [0.7259914075253211, 0.4123781882735833]]
+    assert rng.random() == 0.09417734788764953
+
+
 def test_grid_max_exceedance_matches_formula_with_allowance():
     rng = RngSeed(11).generator()
     freq, missed = bridge.grid_max_exceedance(1.0, 0.0, 1.0, 256, 40000, rng)

@@ -113,7 +113,7 @@ def test_verify_unknown_suite_and_bad_key(tmp_path, capsys):
         ["--suite", "tails", "--set", "rs=0.5"],
         ["--suite", "tails", "--set", "n_samples=0"],
         ["--suite", "pw", "--set", "pair_w=1"],  # window reaches outside the interval
-        ["--suite", "detect", "--planted", "hidden", "--set", "n_seeds=1", "--set", "windows=(1, 4)"],
+        ["--suite", "detect", "--set", "planted=hidden", "--set", "n_seeds=1", "--set", "windows=(1, 4)"],
         ["--suite", "detect", "--set", "planted=hiden"],
         ["--suite", "detect", "--set", "n_seeds=0"],
     ):
@@ -127,6 +127,7 @@ def test_unknown_sample_kind_is_usage_error(tmp_path, capsys):
     assert run(["sample", "--kind", "wrong", "--out", str(tmp_path / "z")]) == 2
     capsys.readouterr()
     bad = [["--kind", kind, "--n-samples", "0"] for kind in ("bridge", "avoid", "walk", "glauber")]
+    bad += [["--kind", kind, "--max-attempts", n] for kind in ("avoid", "walk") for n in ("0", "-3")]
     bad += [["--kind", "glauber", "--events-per-sample", "0"],
             ["--kind", "glauber", "--x-units", "2,0", "--y-units", "2"]]
     for argv in bad:
@@ -134,9 +135,3 @@ def test_unknown_sample_kind_is_usage_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not (tmp_path / "z").exists()
-
-
-def test_bench_runs(capsys):
-    assert run(["bench", "--seed", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "events/s" in out

@@ -136,15 +136,13 @@ def test_avoiding_walk_sampler_uniform_vs_enumeration():
 
 def test_single_walk_accepted_immediately():
     spec, _ = _tiny_spec()
-    ens, attempts = walk.sample_avoiding_walks(spec, RngSeed(5).generator())
-    assert attempts == 1
+    samples, drawn, seen = walk.sample_avoiding_walks_batch(spec, 1, RngSeed(5).generator(), 100)
+    assert len(samples) == 1 and seen == drawn
 
 
 def test_impossible_barrier_exhausts():
     spec, _ = _tiny_spec(g=5)  # barrier above the endpoints: empty event
-    with pytest.raises(walk.RejectionExhausted):
-        walk.sample_avoiding_walks(spec, RngSeed(6).generator(), max_attempts=500)
-    # the batch sampler raises too, rather than returning fewer ensembles
+    # the batch sampler raises rather than returning fewer ensembles
     with pytest.raises(walk.RejectionExhausted) as exc:
         walk.sample_avoiding_walks_batch(spec, 3, RngSeed(6).generator(), max_attempts=500)
     assert exc.value.attempts == 500
