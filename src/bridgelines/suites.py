@@ -158,7 +158,23 @@ class ConvergenceConfig:
     inversion_tol: float = 0.005
 
 
+def _lattice_ks_floor(n_steps: int, dx: float, sd: float) -> float:
+    """Exact KS distance between the dx-scaled lattice midpoint law and N(0, sd^2), no sampling."""
+    d, p = walk._midpoint_pmf(n_steps, 0)
+    cdf = np.cumsum(p)
+    gauss = stats.norm.cdf(d * dx, scale=sd)
+    # the sup is reached at an atom, from its left (cdf - p) or at it (cdf)
+    return float(max(np.abs(cdf - gauss).max(), np.abs(cdf - p - gauss).max()))
+
+
 def convergence_suite(cfg: ConvergenceConfig) -> SuiteResult:
+    if not cfg.scales:
+        raise DomainError("scales must name at least one n")
+    if cfg.n_samples < 1:
+        raise DomainError(f"n_samples must be at least 1, got {cfg.n_samples}")
+    bad = [n for n in cfg.scales if not isinstance(n, int) or n < 2 or n % 2]
+    if bad:  # the walk has n^2 steps and its midpoint needs an even count
+        raise DomainError(f"every scale n must be an even integer >= 2, got {bad}")
     root = RngSeed(cfg.seed)
     interval = Interval(0.0, 1.0)
     sd = np.sqrt(interval.length / 4.0)
@@ -172,7 +188,8 @@ def convergence_suite(cfg: ConvergenceConfig) -> SuiteResult:
         distances.append(d)
         reports.append(_report(
             f"convergence-ks-n{n}", d, "INFO", f"{cfg.seed}", n1=cfg.n_samples,
-            details="KS distance of embedded-walk midpoint vs analytic Gaussian midpoint",
+            details=("KS distance of embedded-walk midpoint vs analytic Gaussian midpoint; "
+                     f"lattice_floor={_lattice_ks_floor(lat.n_steps, lat.dx, sd):.4g}"),
         ))
     inversions = sum(1 for i in range(len(distances) - 1) if distances[i + 1] > distances[i])
     hard = sum(1 for i in range(len(distances) - 1) if distances[i + 1] > distances[i] + cfg.inversion_tol)

@@ -1,10 +1,9 @@
 """Trinomial random-walk bridges on the (dt, dx) lattice and avoiding-walk samplers.
 
-Steps are iid uniform on {-1, 0, +1}; a walk bridge of N steps is conditioned on
-its endpoint sum. Conditioned sampling goes forward through the exact per-step
-probabilities count(N-m-1, d-delta) / (3 * count(N-m, d)). The counts live in a
-log-space table so N in the thousands stays in memory; count_paths below is the
-exact integer oracle for small N.
+An N-step walk bridge has iid steps uniform on {-1, 0, +1}, conditioned to sum to z.
+Paths are drawn forward with the step probabilities count(N-m-1, d-delta) / (3 count(N-m, d)),
+the midpoint alone from its law count(N/2, d) count(N/2, z-d) / count(N, z). The counts
+live in a log-space table so N in the thousands fits; count_paths is the exact integer oracle.
 """
 
 from __future__ import annotations
@@ -69,8 +68,7 @@ def count_paths(n: int, d: int) -> int:
     return _count_row(n)[d + n]
 
 
-# walks per batch of sample_walk_midpoints, and candidates per round of sample_avoiding_walks_batch
-_MIDPOINT_CHUNK = 25000
+# candidates per round of sample_avoiding_walks_batch
 _AVOID_CHUNK = 4096
 
 
@@ -98,8 +96,6 @@ def sample_walk_steps(
     """Batch of conditioned walks: int8 array (n_samples, N) of steps summing to z."""
     if abs(z) > n_steps:
         raise DomainError(f"|z| = {abs(z)} exceeds N = {n_steps}")
-    if n_steps == 0:
-        return np.empty((n_samples, 0), dtype=np.int8)
     table = _log_count_table(n_steps)
     off = n_steps + 1
     steps = np.empty((n_samples, n_steps), dtype=np.int8)
@@ -143,19 +139,22 @@ def walk_log_prob(bridge: WalkBridge) -> float:
     return total
 
 
-def sample_walk_midpoints(n_steps: int, z: int, n_samples: int, rng: np.random.Generator) -> np.ndarray:
-    """Positions after N/2 steps for n_samples conditioned walks (N must be even)."""
-    if n_steps % 2:
-        raise DomainError("need an even number of steps")
+def _midpoint_pmf(n_steps: int, z: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions d after N/2 steps of the walk bridge and P(d) = count(N/2, d) count(N/2, z-d) / count(N, z)."""
+    if n_steps % 2 or abs(z) > n_steps:
+        raise DomainError(f"the midpoint law needs an even N >= |z|, got N = {n_steps}, z = {z}")
     half = n_steps // 2
-    out = np.empty(n_samples, dtype=np.int64)
-    done = 0
-    while done < n_samples:
-        nc = min(_MIDPOINT_CHUNK, n_samples - done)
-        steps = sample_walk_steps(n_steps, z, nc, rng)
-        out[done : done + nc] = steps[:, :half].sum(axis=1, dtype=np.int64)
-        done += nc
-    return out
+    d = np.arange(max(-half, z - half), min(half, z + half) + 1)
+    log_w = _log_count_table(half)[half, [d + half + 1, z - d + half + 1]].sum(axis=0)
+    w = np.exp(log_w - log_w.max())
+    return d, w / w.sum()
+
+
+def sample_walk_midpoints(n_steps: int, z: int, n_samples: int, rng: np.random.Generator) -> np.ndarray:
+    """Positions after N/2 steps for n_samples conditioned walks (N even): one uniform each, by inverse CDF."""
+    d, p = _midpoint_pmf(n_steps, z)
+    cdf = np.cumsum(p)
+    return d[np.searchsorted(cdf, rng.random(n_samples) * cdf[-1], side="right")]
 
 
 def embed_walk_as_curve(w: WalkBridge, lattice: LatticeParams, x0: float) -> Curve:

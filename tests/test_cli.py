@@ -78,6 +78,15 @@ def test_verify_deterministic_and_exit_codes(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_verify_convergence_rerun_is_byte_identical(tmp_path):
+    argv = ["verify", "--suite", "convergence", "--seed", "3"]
+    out1, out2 = tmp_path / "c1", tmp_path / "c2"
+    assert run(argv + ["--out", str(out1)]) == 0
+    assert run(argv + ["--out", str(out2)]) == 0
+    for name in ("convergence.txt", "convergence.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
 def test_verify_reports_exhausted_rejection_as_failure(tmp_path, capsys, monkeypatch):
     def exhausted(spec, n, rng, max_attempts=0):
         raise walk.RejectionExhausted(1234, "0/5 accepted in 1234 draws")
@@ -116,6 +125,9 @@ def test_verify_unknown_suite_and_bad_key(tmp_path, capsys):
         ["--suite", "detect", "--set", "planted=hidden", "--set", "n_seeds=1", "--set", "windows=(1, 4)"],
         ["--suite", "detect", "--set", "planted=hiden"],
         ["--suite", "detect", "--set", "n_seeds=0"],
+        ["--suite", "convergence", "--set", "scales=()"],
+        ["--suite", "convergence", "--set", "n_samples=0"],
+        ["--suite", "convergence", "--set", "scales=(32,33)"],
     ):
         assert run(["verify", *argv, "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err

@@ -130,3 +130,17 @@ def test_detect_rejects_a_bad_config_before_any_draw(monkeypatch):
     ):
         with pytest.raises(DomainError):
             suites.run_suite("detect", seed=1, **overrides)
+
+
+def test_convergence_rejects_a_bad_config_before_any_draw(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("sampled before the config was checked")
+
+    monkeypatch.setattr(suites.walk, "sample_walk_midpoints", no_draw)
+    for overrides in (
+        dict(scales=()),
+        dict(n_samples=0),
+        dict(scales=(32, 33)),  # 33^2 steps: no midpoint
+    ):
+        with pytest.raises(DomainError):
+            suites.run_suite("convergence", seed=1, **overrides)

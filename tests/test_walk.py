@@ -9,6 +9,7 @@ from scipy import stats
 
 from bridgelines import walk
 from bridgelines.core import Barrier, DomainError, Interval, LatticeParams, RngSeed, WeylVector
+from bridgelines.verify import SUITE_P_FLOOR
 
 
 def brute_count(n, d):
@@ -38,6 +39,7 @@ def test_count_paths_big_values_exact():
 def test_sampler_forced_path():
     steps = walk.sample_walk_steps(1, 1, 20, RngSeed(0).generator())
     assert np.all(steps == 1)
+    assert walk.sample_walk_steps(0, 0, 3, RngSeed(0).generator()).shape == (3, 0)
 
 
 def test_sampler_uniform_over_sequences_small():
@@ -158,6 +160,45 @@ def test_walk_midpoint_matches_exact_law():
         expect = walk.count_paths(half, s) * walk.count_paths(half, z - s) / total
         got = np.mean(mids == s)
         assert abs(got - expect) < 4 * math.sqrt(expect * (1 - expect) / 60000) + 1e-9
+
+
+def test_midpoint_pmf_matches_exact_count_ratios():
+    for n_steps, z in ((1024, 0), (64, 5)):
+        d, p = walk._midpoint_pmf(n_steps, z)
+        half = n_steps // 2
+        assert d.tolist() == list(range(max(-half, z - half), min(half, z + half) + 1))
+        total = walk.count_paths(n_steps, z)
+        # int / int is correctly rounded, so these are the exact ratios to double precision
+        exact = [walk.count_paths(half, int(s)) * walk.count_paths(half, z - int(s)) / total for s in d]
+        np.testing.assert_allclose(p, exact, rtol=1e-12, atol=0)
+
+
+def test_walk_midpoint_draws_match_exact_pmf():
+    n = 100000
+    d, p = walk._midpoint_pmf(1024, 0)
+    mids = walk.sample_walk_midpoints(1024, 0, n, RngSeed(8).generator())
+    assert mids.dtype == np.int64 and set(np.unique(mids)) <= set(d.tolist())
+    counts = np.bincount(mids - d[0], minlength=len(d))
+    big = n * p >= 5  # atoms too rare for the chi-square approximation share one bin
+    observed = np.append(counts[big], counts[~big].sum())
+    expected = np.append(n * p[big], n * p[~big].sum())
+    assert stats.chisquare(observed, expected).pvalue > SUITE_P_FLOOR
+
+
+def test_walk_midpoints_reject_odd_or_unreachable():
+    rng = RngSeed(0).generator()
+    for n_steps, z in ((15, 1), (1, 0), (4, 5), (4, -5)):
+        with pytest.raises(DomainError):
+            walk.sample_walk_midpoints(n_steps, z, 10, rng)
+
+
+def test_walk_midpoints_pinned_at_fixed_seed():
+    # draws and the generator's next value, recorded with the inverse-CDF sampler:
+    # one uniform per draw, so the stream after the draws is pinned too
+    rng = RngSeed(51).generator()
+    assert walk.sample_walk_midpoints(1024, 0, 6, rng).tolist() == [21, -7, -9, -10, 10, -10]
+    assert walk.sample_walk_midpoints(16, 3, 6, rng).tolist() == [3, 3, 1, 1, 4, 3]
+    assert rng.random() == 0.15380728780750696
 
 
 def test_walk_bridge_struct_validation():
