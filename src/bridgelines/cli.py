@@ -14,6 +14,7 @@ import ast
 import csv
 import os
 import sys
+from functools import lru_cache
 
 from . import avoid, bridge, glauber, suites, walk
 from .core import (
@@ -241,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--events-per-sample", type=int, default=100)
     p_sample.add_argument("--seed", type=int, default=1)
     p_sample.add_argument("--out", default="out-sample")
-    p_sample.set_defaults(fn=cmd_sample)
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")
     p_verify.add_argument("--suite", required=True)
@@ -250,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--set", action="append", default=None, metavar="KEY=VALUE",
                           help="override one suite config field (Python literal values)")
     p_verify.add_argument("--out", default="out-verify")
-    p_verify.set_defaults(fn=cmd_verify)
 
     p_enum = sub.add_parser("enumerate", help="exhaustively enumerate avoiding lattice configs")
     p_enum.add_argument("--a", type=float, default=0.0)
@@ -260,18 +259,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--y-units", required=True)
     p_enum.add_argument("--g-const-units", type=float, default=None)
     p_enum.add_argument("--out", default="out-enumerate")
-    p_enum.set_defaults(fn=cmd_enumerate)
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        # looked up per call, so the parser holds no reference to the command functions
+        return globals()[f"cmd_{args.command}"](args)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

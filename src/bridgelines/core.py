@@ -359,13 +359,14 @@ class RngSeed:
 
 def write_ensembles(path, ensembles: list[LineEnsemble]) -> None:
     """Write ensembles in the columnar format: header `k M a b`, rows `t v_1 ... v_k`."""
+    times: dict[str, list[str]] = {}  # "M a b" -> each grid row's leading "t "
     with open(path, "w") as fh:
         for ens in ensembles:
-            fh.write(f"{ens.k} {ens.m} {ens.interval.a!r} {ens.interval.b!r}\n")
-            grid = ens.grid
-            for j in range(ens.m + 1):
-                row = " ".join(repr(float(v)) for v in ens.values[:, j])
-                fh.write(f"{float(grid[j])!r} {row}\n")
+            key = f"{ens.m} {ens.interval.a!r} {ens.interval.b!r}"
+            if key not in times:
+                times[key] = [f"{t!r} " for t in ens.grid.tolist()]
+            rows = (t + " ".join(map(repr, row)) for t, row in zip(times[key], ens.values.T.tolist()))
+            fh.write(f"{ens.k} {key}\n" + "\n".join(rows) + "\n")
 
 
 def read_ensembles(path) -> list[LineEnsemble]:

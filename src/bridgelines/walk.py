@@ -4,6 +4,9 @@ An N-step walk bridge has iid steps uniform on {-1, 0, +1}, conditioned to sum t
 Paths are drawn forward with the step probabilities count(N-m-1, d-delta) / (3 count(N-m, d)),
 the midpoint alone from its law count(N/2, d) count(N/2, z-d) / count(N, z). The counts
 live in a log-space table so N in the thousands fits; count_paths is the exact integer oracle.
+The forward sampler walks time-major: one uniform per (walk, step), drawn up front, and at
+each step every walk compares its uniform with two cuts, P(step = -1) and P(step <= 0), read
+for its (steps left, displacement) from tables built once per N from the log counts.
 """
 
 from __future__ import annotations
@@ -90,30 +93,38 @@ def _log_count_table(n_steps: int) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=64)
+def _step_cuts(n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cut rows p_dn, p_le: P(step = -1), P(step <= 0) at [rem - 1, d + n_steps + 1], rem steps left."""
+    table = _log_count_table(n_steps)
+    cur = table[1:, :-1]
+    with np.errstate(invalid="ignore"):
+        # P(step = delta) = count(rem-1, d - delta) / count(rem, d)
+        p_dn = np.exp(table[:-1, 1:] - cur)
+        p_le = p_dn + np.exp(table[:-1, :-1] - cur)
+    p_dn.setflags(write=False)
+    p_le.setflags(write=False)
+    return p_dn, p_le
+
+
 def sample_walk_steps(
     n_steps: int, z: int, n_samples: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Batch of conditioned walks: int8 array (n_samples, N) of steps summing to z."""
     if abs(z) > n_steps:
         raise DomainError(f"|z| = {abs(z)} exceeds N = {n_steps}")
-    table = _log_count_table(n_steps)
-    off = n_steps + 1
-    steps = np.empty((n_samples, n_steps), dtype=np.int8)
-    d = np.full(n_samples, z, dtype=np.int64)  # displacement still needed
-    u = rng.random((n_samples, n_steps))
-    with np.errstate(invalid="ignore"):
-        for m in range(n_steps):
-            rem = n_steps - m
-            cur = table[rem][d + off]
-            nxt = table[rem - 1]
-            # P(step = delta) = count(rem-1, d - delta) / count(rem, d)
-            p_dn = np.exp(nxt[d + 1 + off] - cur)
-            p_zr = np.exp(nxt[d + off] - cur)
-            um = u[:, m]
-            choice = np.where(um < p_dn, -1, np.where(um < p_dn + p_zr, 0, 1)).astype(np.int8)
-            steps[:, m] = choice
-            d -= choice
-    return steps
+    p_dn, p_le = _step_cuts(n_steps)
+    u = np.ascontiguousarray(rng.random((n_samples, n_steps)).T)
+    steps = np.empty((n_steps, n_samples), dtype=np.int8)
+    col = np.full(n_samples, z + n_steps + 1, dtype=np.int64)  # displacement still needed, as a column
+    for m in range(n_steps):
+        rem = n_steps - m
+        step, um = steps[m], u[m]
+        np.greater_equal(um, p_dn[rem - 1].take(col), out=step)  # step = (u >= p_dn) + (u >= p_le) - 1
+        step += um >= p_le[rem - 1].take(col)
+        step -= 1
+        col -= step
+    return np.ascontiguousarray(steps.T)
 
 
 def sample_walk_bridge(n_steps: int, z: int, rng: np.random.Generator) -> WalkBridge:

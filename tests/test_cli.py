@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,48 @@ def test_sample_walk_and_glauber(tmp_path):
     assert rc == 0
     ens = read_ensembles(tmp_path / "g" / "curves.txt")
     assert len(ens) == 3
+
+
+README_RUNS = {  # the README's sample and enumerate lines, with its flags
+    "bridge": ["sample", "--kind", "bridge", "--a", "0", "--b", "1", "--x", "0", "--y", "0",
+               "--grid", "512", "--n-samples", "100", "--seed", "7"],
+    "avoid": ["sample", "--kind", "avoid", "--x-vec", "1,-1", "--y-vec", "1,-1", "--grid", "256",
+              "--n-samples", "50", "--seed", "7"],
+    "walk": ["sample", "--kind", "walk", "--n-scale", "8", "--x-units", "2,0", "--y-units", "2,0",
+             "--n-samples", "20", "--seed", "7"],
+    "glauber": ["sample", "--kind", "glauber", "--n-scale", "4", "--x-units", "2,0",
+                "--y-units", "2,0", "--burn-in", "20000"],
+    "enumerate": ["enumerate", "--steps", "2", "--x-units", "0", "--y-units", "0"],
+}
+# sha256 of each output file, recorded with the per-value writer and the walk-major step loop
+README_DIGESTS = {
+    ("bridge", "curves.txt"): "8cb576b8b4d60d4f3b6f5bf67d53ba6fd601b1303fdaf23b3b8b8c1c396bd325",
+    ("bridge", "manifest.txt"): "454db1db670d9ab6dc8d56eff564e978b3eaf78dd414c7feeb86f52c5bdbe1c7",
+    ("avoid", "curves.txt"): "bb97cb82662eda15e8271dd5758d873fa06b7aec129d7dfe7d1e1bf5508a1208",
+    ("avoid", "manifest.txt"): "5186acdc4e9676bbd490b93bc52b140c77501c138221f2e7bab9686b4bbd0ec9",
+    ("walk", "curves.txt"): "6f036c0b4bcb7464e62f3185573c813598a2a54f3772104e3042960750a65fb4",
+    ("walk", "manifest.txt"): "6910c366140f005d371e7bf907c96bd2dc396617e1389a1a25f88ab2904ec346",
+    ("glauber", "curves.txt"): "9ce73e098cce62da9d2909ebe42ea3fe27536848ad184926de50d7a88e6e0330",
+    ("glauber", "manifest.txt"): "b5fe65f3dce24b951216371d2afad5d1653102245eeb150fcbe8dcaf2224063a",
+    ("enumerate", "configs.txt"): "e9088122661fd801b1da82f3df4d1fa86667ef0421e1c025103c0118a4977906",
+}
+
+
+def test_readme_invocations_are_byte_identical(tmp_path):
+    for kind, argv in README_RUNS.items():
+        assert run(argv + ["--out", str(tmp_path / kind)]) == 0
+    got = {(kind, name): hashlib.sha256((tmp_path / kind / name).read_bytes()).hexdigest()
+           for kind, name in README_DIGESTS}
+    assert got == README_DIGESTS
+
+
+def test_main_dispatches_to_the_current_command_function(tmp_path, monkeypatch):
+    assert run(["enumerate", "--steps", "1", "--x-units", "0", "--y-units", "0",
+                "--out", str(tmp_path / "e")]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_sample", lambda args: seen.append(args.kind) or 0)
+    assert run(["sample", "--kind", "walk", "--out", str(tmp_path / "s")]) == 0
+    assert seen == ["walk"] and not (tmp_path / "s").exists()
 
 
 def test_enumerate_matches_module(tmp_path):

@@ -193,6 +193,35 @@ def test_serialization_roundtrip(tmp_path):
     assert pos == len(lines)
 
 
+def test_write_ensembles_byte_format(tmp_path):
+    # bytes recorded from the per-value writer: every float is Python's shortest
+    # round-trip repr, the header keeps the interval's own repr (ints print as ints)
+    iv = Interval(-1.0, 2.5)
+    ens = [
+        LineEnsemble(iv, np.array([[-0.0, 1e-05, 1e+16], [0.1 + 0.2, 5e-324, -2.5],
+                                   [-1e-300, -7.0, -1e+16]])),
+        LineEnsemble(Interval(0, 1), np.array([[3, -2, 0, 7]])),
+        LineEnsemble(iv, np.array([[1 / 3, 2 / 3, 1.0]])),
+    ]
+    path = tmp_path / "curves.txt"
+    write_ensembles(path, ens)
+    assert path.read_bytes() == (
+        b"3 2 -1.0 2.5\n"
+        b"-1.0 -0.0 0.30000000000000004 -1e-300\n"
+        b"0.75 1e-05 5e-324 -7.0\n"
+        b"2.5 1e+16 -2.5 -1e+16\n"
+        b"1 3 0 1\n"
+        b"0.0 3.0\n"
+        b"0.3333333333333333 -2.0\n"
+        b"0.6666666666666666 0.0\n"
+        b"1.0 7.0\n"
+        b"1 2 -1.0 2.5\n"
+        b"-1.0 0.3333333333333333\n"
+        b"0.75 0.6666666666666666\n"
+        b"2.5 1.0\n"
+    )
+
+
 def test_barrier_requires_curve_consistency():
     with pytest.raises(StructuralError):
         Barrier("curve", None)

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -199,6 +201,49 @@ def test_walk_midpoints_pinned_at_fixed_seed():
     assert walk.sample_walk_midpoints(1024, 0, 6, rng).tolist() == [21, -7, -9, -10, 10, -10]
     assert walk.sample_walk_midpoints(16, 3, 6, rng).tolist() == [3, 3, 1, 1, 4, 3]
     assert rng.random() == 0.15380728780750696
+
+
+def test_step_cuts_match_exact_count_ratios():
+    # P(step = -1) and P(step <= 0) with rem steps left and displacement d still needed
+    for n in range(1, 13):
+        p_dn, p_le = walk._step_cuts(n)
+        for rem in range(1, n + 1):
+            for d in range(-rem, rem + 1):
+                total = walk.count_paths(rem, d)
+                down = Fraction(walk.count_paths(rem - 1, d + 1), total)
+                le = down + Fraction(walk.count_paths(rem - 1, d), total)
+                col = d + n + 1
+                assert abs(Fraction(float(p_dn[rem - 1, col])) - down) <= Fraction(1, 10**12)
+                assert abs(Fraction(float(p_le[rem - 1, col])) - le) <= Fraction(1, 10**12)
+
+
+def test_walk_steps_pinned_at_fixed_seeds():
+    # recorded with the walk-major sampler that recomputed both cuts per step; one
+    # uniform per step is drawn up front, so the generator's next value is pinned too
+    for (n_steps, z, n, seed), digest, nxt in (
+        ((64, 0, 4096, 61), "23891ed87cdf22f9710964bbc27d15a48e9d2f6843da4ecb6fb7f149d647955d",
+         0.8739348230767388),
+        ((1024, 0, 200, 62), "7fb2d5ca12f5d8f0c984216c1a69a8e7e680dff3a9ff8b062ddd0cefa72dbe82",
+         0.8005573564473778),
+    ):
+        rng = RngSeed(seed).generator()
+        steps = walk.sample_walk_steps(n_steps, z, n, rng)
+        assert steps.dtype == np.int8 and steps.shape == (n, n_steps)
+        assert hashlib.sha256(steps.tobytes()).hexdigest() == digest
+        assert rng.random() == nxt
+    rng = RngSeed(63).generator()
+    assert walk.sample_walk_steps(7, -3, 5, rng).tolist() == [
+        [0, 1, -1, -1, -1, -1, 0],
+        [-1, -1, 1, -1, -1, -1, 1],
+        [-1, -1, 0, -1, 1, -1, 0],
+        [1, -1, -1, -1, -1, 1, -1],
+        [-1, 0, 0, -1, 0, 0, -1],
+    ]
+    assert rng.random() == 0.4452504528266874
+    rng = RngSeed(64).generator()
+    steps = walk.sample_walk_steps(0, 0, 4, rng)
+    assert steps.dtype == np.int8 and steps.shape == (4, 0)
+    assert rng.random() == 0.9434934527404035
 
 
 def test_walk_bridge_struct_validation():
