@@ -2,7 +2,10 @@
 
 All bridges have diffusion parameter 1. Sampling is a single forward pass of
 conditional Gaussians: given the value v at time s, the value at t < b is
-Normal(v + (t-s)/(b-s) * (y-v), (t-s)(b-t)/(b-s)).
+Normal(v + (t-s)/(b-s) * (y-v), (t-s)(b-t)/(b-s)). The same step, with y the
+value at any later time b, fills in a grid by midpoint bisection:
+grid_max_exceedance draws only the grid values of segments whose ends lie
+close enough to the barrier to matter.
 """
 
 from __future__ import annotations
@@ -139,40 +142,63 @@ def grid_max_exceedance(
 ) -> tuple[float, float]:
     """Grid-max exceedance frequency and an unbiased estimate of the grid bias.
 
-    Returns (freq, missed): freq counts bridges whose grid maximum reaches beta.
-    missed averages, over bridges staying below beta at every grid point, the
-    conditional probability that the continuous path still crossed between grid
-    points (one factor 1 - exp(-2 (beta - v_j)(beta - v_{j+1}) / dt) per
-    segment), so freq + missed estimates the continuous exceedance probability
-    without grid bias.
+    Bridges run from 0 at time 0 to a at T, read on the m+1 points of the
+    uniform grid. Returns (freq, missed): freq counts bridges whose grid
+    maximum reaches beta. missed averages, over bridges staying below beta at
+    every grid point, the conditional probability that the continuous path
+    still crossed between grid points (one factor
+    1 - exp(-2 (beta - v_j)(beta - v_{j+1}) / dt) per segment), so
+    freq + missed estimates the continuous exceedance probability without
+    grid bias.
+
+    Each bridge is built by midpoint bisection (Levy's construction): a
+    segment between grid points i < k with values u, v gets the grid value at
+    (i + k) // 2 from _bridge_step, then splits in two, until segments are
+    one grid step long. A segment is refined only while its bridge has not
+    reached beta and its gap product (beta - u)(beta - v) is below 20 L, L
+    the segment's length; a unit segment is then one crossing factor. A
+    skipped segment holds a grid value >= beta, or adds to missed, with
+    probability at most exp(-2 (beta - u)(beta - v) / L) <= e^-40, so the
+    result keeps the grid law while drawing only the few dozen values per
+    bridge that can reach beta. Each bisection level of a chunk of
+    _GRID_MAX_CHUNK bridges makes one standard_normal call, one normal per
+    split segment, so the random stream follows the bisection.
     """
+    if T <= 0:
+        raise DomainError(f"T must be positive, got {T}")
+    if m < 1:
+        raise DomainError(f"need at least 1 grid step (m >= 1), got {m}")
+    if n_samples < 1:
+        raise DomainError(f"n_samples must be at least 1, got {n_samples}")
     grid = np.linspace(0.0, T, m + 1)
     dt = T / m
     hits = 0
     missed_sum = 0.0
-    done = 0
-    while done < n_samples:
+    for done in range(0, n_samples, _GRID_MAX_CHUNK):
         nc = min(_GRID_MAX_CHUNK, n_samples - done)
-        v = np.zeros(nc)
-        under = v < beta
+        hit = np.full(nc, 0.0 >= beta or a >= beta)
         log_survive = np.zeros(nc)
-        for j in range(1, m + 1):
-            if j < m:
-                v_new = _bridge_step(v, a, grid[j - 1], grid[j], T, rng.standard_normal(nc))
-            else:
-                v_new = np.full(nc, float(a))
-            # crossing factors are negligible (< e^-40) unless the segment sits
-            # within ~sqrt(20 dt) of the boundary, so only compute those
-            gap_prod = (beta - v) * (beta - v_new)
-            near = under & (v_new < beta) & (gap_prod < 20.0 * dt)
-            if np.any(near):
-                p_cross = np.exp(-2.0 * gap_prod[near] / dt)
-                log_survive[near] += np.log1p(-p_cross)
-            under &= v_new < beta
-            v = v_new
-        hits += int(np.count_nonzero(~under))
-        missed_sum += float(np.sum(-np.expm1(log_survive[under])))
-        done += nc
+        # the segment frontier: its bridge, its end grid indices and their values
+        row = np.arange(nc)
+        lo, hi = np.zeros(nc, dtype=np.int64), np.full(nc, m)
+        u, v = np.zeros(nc), np.full(nc, float(a))
+        while row.size:
+            gap = (beta - u) * (beta - v)
+            live = ~hit[row] & (gap < 20.0 * dt * (hi - lo))
+            unit = live & (hi - lo == 1)
+            log_survive += np.bincount(
+                row[unit], weights=np.log1p(-np.exp(-2.0 * gap[unit] / dt)), minlength=nc
+            )
+            split = live & ~unit
+            row, lo, hi, u, v = row[split], lo[split], hi[split], u[split], v[split]
+            mid = (lo + hi) // 2
+            w = _bridge_step(u, v, grid[lo], grid[mid], grid[hi], rng.standard_normal(row.size))
+            hit[row[w >= beta]] = True
+            row = np.concatenate((row, row))
+            lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+            u, v = np.concatenate((u, w)), np.concatenate((w, v))
+        hits += int(np.count_nonzero(hit))
+        missed_sum += float(np.sum(-np.expm1(log_survive[~hit])))
     return hits / n_samples, missed_sum / n_samples
 
 

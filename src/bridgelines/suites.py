@@ -55,6 +55,20 @@ class ReflectionConfig:
 
 
 def reflection_suite(cfg: ReflectionConfig) -> SuiteResult:
+    if not cfg.cases:
+        raise DomainError("cases must name at least one (T, a, beta)")
+    bad = [c for c in cfg.cases if not (
+        isinstance(c, tuple) and len(c) == 3 and all(isinstance(x, (int, float)) for x in c) and c[0] > 0
+    )]
+    if bad:
+        raise DomainError(f"every case must be a (T, a, beta) with T > 0, got {bad}")
+    if min(cfg.n_samples, cfg.shrink_samples) < 1:
+        raise DomainError(f"n_samples and shrink_samples must be at least 1, got {cfg.n_samples}, {cfg.shrink_samples}")
+    if not 1 <= cfg.shrink_grid_coarse < cfg.grid_points:
+        # the shrink check compares the allowance on a coarse grid with the finer main one
+        raise DomainError(
+            f"need 1 <= shrink_grid_coarse < grid_points, got {cfg.shrink_grid_coarse}, {cfg.grid_points}"
+        )
     root = RngSeed(cfg.seed)
     reports = []
     for T, a, beta in cfg.cases:

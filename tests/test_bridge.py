@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy import stats
 
 from bridgelines import bridge
 from bridgelines.core import DomainError, Interval, RngSeed
@@ -165,3 +166,58 @@ def test_grid_allowance_shrinks_with_grid():
 def test_spec_validation():
     with pytest.raises(DomainError):
         bridge.BridgeSpec(Interval(0, 1), 0, 0, 1)
+
+
+def _grid_max_exact(T, a, beta, m):
+    """1 - P(all m-1 interior grid values < beta): a Gaussian orthant of the bridge's covariance."""
+    t = np.linspace(0.0, T, m + 1)[1:m]
+    cov = np.minimum.outer(t, t) - np.outer(t, t) / T
+    mvn = stats.multivariate_normal(a * t / T, cov)
+    return 1.0 - mvn.cdf(np.full(m - 1, beta), rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("T, a, beta", [(1.0, 0.0, 0.5), (2.0, 0.5, 1.0)])
+@pytest.mark.parametrize("m", [4, 5, 7])
+def test_grid_max_exceedance_matches_exact_grid_law(T, a, beta, m):
+    n = 200000
+    freq, _ = bridge.grid_max_exceedance(T, a, beta, m, n, RngSeed(12).generator())
+    exact = _grid_max_exact(T, a, beta, m)
+    assert freq == pytest.approx(exact, abs=4 * math.sqrt(exact * (1 - exact) / n))
+
+
+def test_grid_max_exceedance_bias_estimate_and_degenerate_cases():
+    n = 200000
+    freq, missed = bridge.grid_max_exceedance(1.0, 0.0, 0.5, 4, n, RngSeed(13).generator())
+    target = bridge.bridge_max_prob(1.0, 0.0, 0.5)
+    assert 0.3 < missed < 0.36
+    # freq + missed averages P(path crosses | grid values), so its spread is below the indicator's
+    assert freq + missed == pytest.approx(target, abs=4 * math.sqrt(target * (1 - target) / n))
+    # one grid step: no interior value, missed is the formula itself
+    assert bridge.grid_max_exceedance(1.0, 0.0, 0.5, 1, 10, RngSeed(0).generator()) == (0.0, pytest.approx(target))
+    # an end at or above beta is a hit for every bridge
+    for T, a, beta in ((1.0, 0.0, 0.0), (1.0, 0.0, -0.3), (2.0, 1.0, 1.0), (1.0, 2.0, 1.0)):
+        assert bridge.grid_max_exceedance(T, a, beta, 64, 1000, RngSeed(0).generator()) == (1.0, 0.0)
+    freq, missed = bridge.grid_max_exceedance(1.0, 0.0, 3.0, 2048, 20000, RngSeed(14).generator())
+    assert freq == 0.0 and 0.0 <= missed < 1e-6
+    for args in ((0.0, 0.0, 1.0, 8, 10), (1.0, 0.0, 1.0, 0, 10), (1.0, 0.0, 1.0, 8, 0)):
+        with pytest.raises(DomainError):
+            bridge.grid_max_exceedance(*args, RngSeed(0).generator())
+
+
+class _CountingNormals:
+    """Generator proxy that counts the normals requested from standard_normal."""
+
+    def __init__(self, rng):
+        self.rng, self.drawn = rng, 0
+
+    def standard_normal(self, size):
+        self.drawn += int(np.prod(size))
+        return self.rng.standard_normal(size)
+
+
+def test_grid_max_exceedance_draws_only_values_near_the_barrier():
+    # bisection skips segments that cannot reach beta: about 45 of the 2,047 interior values
+    n = 20000
+    rng = _CountingNormals(RngSeed(15).generator())
+    bridge.grid_max_exceedance(1.0, 0.0, 1.0, 2048, n, rng)
+    assert 0 < rng.drawn < 100 * n

@@ -131,6 +131,29 @@ def test_verify_convergence_rerun_is_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_verify_reflection_rerun_is_byte_identical(tmp_path):
+    argv = ["verify", "--suite", "reflection", "--seed", "4", "--set", "n_samples=3000",
+            "--set", "shrink_samples=3000", "--set", "grid_points=256", "--set", "shrink_grid_coarse=64"]
+    out1, out2 = tmp_path / "r1", tmp_path / "r2"
+    assert run(argv + ["--out", str(out1)]) == run(argv + ["--out", str(out2)])
+    for name in ("reflection.txt", "reflection.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("setting", [
+    "n_samples=0", "n_samples=-5", "shrink_samples=0", "grid_points=0", "grid_points=1",
+    "shrink_grid_coarse=0", "cases=()", "cases=((0.0,0.0,1.0),)", "cases=((1.0,0.0),)",
+])
+@pytest.mark.filterwarnings("error")  # a numpy warning on the way would fail the run instead
+def test_verify_reflection_bad_config_is_usage_error(tmp_path, capsys, setting):
+    # rejected before any sampling: exit 2, one line on stderr, no warning or traceback
+    assert run(["verify", "--suite", "reflection", "--set", setting, "--out", str(tmp_path / "x")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "x").exists()
+
+
 def test_verify_reports_exhausted_rejection_as_failure(tmp_path, capsys, monkeypatch):
     def exhausted(spec, n, rng, max_attempts=0):
         raise walk.RejectionExhausted(1234, "0/5 accepted in 1234 draws")
