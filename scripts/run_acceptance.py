@@ -1,12 +1,17 @@
 #!/usr/bin/env python3
-"""Run every verification suite at contract scale and write a consolidated report.
+"""Run the verification suites at contract scale, at one seed or over a range of seeds.
 
 Usage:
-    python scripts/run_acceptance.py [--seed N] [--out DIR]
+    python scripts/run_acceptance.py [--suite NAME ...] [--seed N] [--out DIR]
+    python scripts/run_acceptance.py [--suite NAME ...] --seeds FIRST-LAST
 
-Exit code 0 iff every suite passes. Equivalent to `pytest tests/test_acceptance.py`
-but emits the CSV/text reports of each suite into one directory. Each suite's
-wall time goes to stderr, so the reports in --out stay byte-identical across runs.
+--suite may be repeated and defaults to every suite. With --seed, each
+suite's CSV/text reports go into --out; this is `pytest tests/test_acceptance.py`
+with the reports kept. With --seeds, the suites run at every seed of the
+inclusive range and one line per (suite, seed) gives the verdict and the
+names of any failing reports; nothing is written to disk. Either way the exit
+code is 0 iff every run passes, and wall times go to stderr, so the reports in
+--out stay byte-identical across runs.
 """
 
 import argparse
@@ -20,17 +25,45 @@ from bridgelines import suites  # noqa: E402
 from bridgelines.cli import _write_reports  # noqa: E402
 
 
+def _seed_range(text: str) -> range:
+    first, sep, last = text.partition("-")
+    if not sep or not first.isdigit() or not last.isdigit() or int(first) > int(last):
+        raise argparse.ArgumentTypeError(f"expected FIRST-LAST with FIRST <= LAST, got {text!r}")
+    return range(int(first), int(last) + 1)
+
+
+def _timed(name: str, seed: int) -> suites.SuiteResult:
+    t0 = time.perf_counter()
+    result = suites.run_suite(name, seed=seed)
+    print(f"{name} seed={seed}: {time.perf_counter() - t0:.2f} s", file=sys.stderr)
+    return result
+
+
 def main() -> int:
     parser = argparse.ArgumentParser()
+    parser.add_argument("--suite", action="append", choices=list(suites.SUITES), default=None,
+                        help="suite to run (repeatable; default: all)")
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seeds", type=_seed_range, default=None, metavar="FIRST-LAST",
+                        help="sweep this inclusive seed range instead of writing reports")
     parser.add_argument("--out", default="acceptance-reports")
     args = parser.parse_args()
+    names = args.suite or list(suites.SUITES)
+
+    if args.seeds is not None:
+        failed = 0
+        for name in names:
+            for seed in args.seeds:
+                result = _timed(name, seed)
+                bad = " ".join(r.name for r in result.reports if not r.passed)
+                print(f"{name} seed={seed} {'PASS' if result.passed else 'FAIL'} {bad}".rstrip(), flush=True)
+                failed += not result.passed
+        print(f"{failed} of {len(names) * len(args.seeds)} runs failed")
+        return 1 if failed else 0
 
     all_ok = True
-    for name in suites.SUITES:
-        t0 = time.perf_counter()
-        result = suites.run_suite(name, seed=args.seed)
-        print(f"{name}: {time.perf_counter() - t0:.2f} s", file=sys.stderr)
+    for name in names:
+        result = _timed(name, args.seed)
         _write_reports(result, args.out)
         status = "PASS" if result.passed else "FAIL"
         print(f"{status}  {name}")

@@ -23,8 +23,10 @@ from .core import (
 
 # half-width, in standard errors, of the Wilson and p_w confidence intervals
 CI_Z = 3.0
-# candidates per round of sample_avoiding_at (each holds only k x (len(times) + 2) values)
+# candidates per round, and per row before it counts as exhausted, of the Karlin-McGregor
+# rejections (sample_avoiding_at, verify.resample_block); a candidate holds k values per time
 _KM_CHUNK = 8192
+_KM_ATTEMPTS = 10**7
 
 
 @dataclass(frozen=True)
@@ -71,7 +73,7 @@ def sample_avoiding_values(
     rng: np.random.Generator,
     max_attempts: int,
     chunk: int = 2048,
-) -> tuple[np.ndarray, int, int, int | np.ndarray]:
+) -> tuple[np.ndarray, int, int, int]:
     """Rejection sampling with barriers given as value arrays on the grid.
 
     Returns (values, n_drawn, n_accepted_seen, first_hit): values has shape
@@ -79,29 +81,16 @@ def sample_avoiding_values(
     is the 0-based draw index of the first acceptance (or -1). Candidates are
     drawn in whole chunks so the acceptance rate n_accepted_seen / n_drawn is
     unbiased.
-
-    Given (R, k) endpoint rows, each with its own barrier rows (R, M+1) (or
-    barriers shared as (M+1,)), all rows are sampled together: values has
-    shape (R, n_out, k, M+1), n_out being the fewest samples any row got, the
-    draw counts are totals over the rows and first_hit is a per-row array.
     """
     m = grid_points
     grid = interval.grid(m)
-    x_rows, y_rows = np.atleast_2d(np.asarray(x_vec, dtype=float), np.asarray(y_vec, dtype=float))
-    n_rows, k = x_rows.shape
+    x, y = np.asarray(x_vec, dtype=float), np.asarray(y_vec, dtype=float)
 
     def draw(rows, nc):
-        z = rng.standard_normal((rows.size, nc, k, m - 1))
-        return _bridge_paths(x_rows[rows, None], y_rows[rows, None], interval.a, grid[1:m], interval.b, z)
+        z = rng.standard_normal((1, nc, x.size, m - 1))
+        return _bridge_paths(x, y, interval.a, grid[1:m], interval.b, z)
 
-    vals, drawn, seen, first_hit = _rejection_sample(
-        draw, np.broadcast_to(f_vals, (n_rows, m + 1)), np.broadcast_to(g_vals, (n_rows, m + 1)),
-        k, n_samples, max_attempts, chunk,
-    )
-    drawn, seen = int(drawn.sum()), int(seen.sum())
-    if np.ndim(x_vec) == 2:
-        return vals, drawn, seen, first_hit
-    return vals[0], drawn, seen, int(first_hit[0])
+    return _rejection_sample(draw, f_vals, g_vals, x.size, n_samples, max_attempts, chunk)
 
 
 def _km_weight(vals: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -138,7 +127,7 @@ def sample_avoiding_at(
     times,
     n_samples: int,
     rng: np.random.Generator,
-    max_attempts: int = 10**7,
+    max_attempts: int = _KM_ATTEMPTS,
 ) -> tuple[np.ndarray, int, int]:
     """Exact joint samples of k barrier-free avoiding bridges at the given interior times.
 

@@ -224,17 +224,18 @@ class RejectionExhausted(RuntimeError):
 
 
 def _rejection_sample(draw, f_vals, g_vals, k: int, n_samples: int, max_attempts: int, chunk: int):
-    """Grid-check rejection over R rows: each row keeps its candidates that pass _avoids.
+    """Grid-check rejection over one row: keeps the candidates that pass _avoids.
 
-    f_vals and g_vals have shape (R, M+1), one barrier pair per row, and draw
-    returns candidates of shape (len(rows), nc, k, M+1); see _rejection_loop.
+    f_vals and g_vals hold the barrier on the grid, shape (M+1,), and draw
+    returns candidates of shape (1, nc, k, M+1); see _rejection_loop. Returns
+    (accepted (n_out, k, M+1), drawn, seen, first_hit), the last three as ints.
     """
-    n_rows, cols = np.shape(f_vals)
-
     def accept(rows, cands):
-        return _avoids(cands, f_vals[rows, None], g_vals[rows, None])
+        return _avoids(cands, f_vals, g_vals)
 
-    return _rejection_loop(draw, accept, n_rows, (k, cols), n_samples, max_attempts, chunk)
+    vals, drawn, seen, first_hit = _rejection_loop(draw, accept, 1, (k, np.size(f_vals)), n_samples,
+                                                   max_attempts, chunk)
+    return vals[0], int(drawn[0]), int(seen[0]), int(first_hit[0])
 
 
 def _rejection_loop(draw, accept, n_rows: int, shape: tuple, n_samples: int, max_attempts: int,

@@ -414,6 +414,9 @@ class TailsConfig:
 
 
 def tails_suite(cfg: TailsConfig) -> SuiteResult:
+    if not (cfg.ks and cfg.rs and cfg.n_samples >= 1 and min(cfg.ks) >= 1 and min(cfg.rs) >= 0):
+        raise DomainError(f"need n_samples >= 1 and nonempty ks >= 1 and rs >= 0, "
+                          f"got {cfg.n_samples}, {cfg.ks}, {cfg.rs}")
     root = RngSeed(cfg.seed)
     iv = Interval(0.0, 1.0)
     length = iv.length
@@ -704,6 +707,8 @@ class TransformsConfig:
 
 
 def transforms_suite(cfg: TransformsConfig) -> SuiteResult:
+    if cfg.n_samples < 1 or cfg.affine[0] <= 0:
+        raise DomainError(f"need n_samples >= 1 and an affine scale c > 0, got {cfg.n_samples}, {cfg.affine}")
     root = RngSeed(cfg.seed)
     iv = Interval(0.0, 1.0)
     src_spec = avoid.AvoidSpec(iv, WeylVector((2.0, 0.0)), WeylVector((1.0, -1.0)),

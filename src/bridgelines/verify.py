@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
-from . import avoid  # read at call time, so replacing avoid.sample_avoiding_batch reaches gibbs_resample_test
-from .avoid import CI_Z, AvoidSpec, sample_avoiding_values, wilson_ci
-from .bridge import midpoint_cdf_single
-from .core import DomainError, Interval, RejectionExhausted
+from . import avoid  # read at call time, so replacing avoid.sample_avoiding_at reaches gibbs_resample_test
+# sample_avoiding_values is re-exported: perfbench's tracer test wraps it under this name too
+from .avoid import CI_Z, AvoidSpec, sample_avoiding_values, wilson_ci  # noqa: F401
+from .bridge import _bridge_paths, midpoint_cdf_single
+from .core import DomainError, Interval, RejectionExhausted, _rejection_loop
 
 SUITE_P_FLOOR = 1e-5
 NEGATIVE_CONTROL_P = 1e-6
@@ -81,13 +82,17 @@ def marginal_ks(
     prefix: str,
     seed_label: str,
     alternative: str = "two-sided",
+    cols: list[int] | None = None,
 ) -> list[TestReport]:
-    """One ks_two_sample report per (curve, column) cell of two (n, k, M+1) sample arrays.
+    """One ks_two_sample report per (curve, column) cell of two (n, k, columns) sample arrays.
 
-    Reports are named {prefix}-curve{i}-col{j} and come in the order of cells.
+    Reports are named {prefix}-curve{i}-col{j} and come in the order of cells;
+    cols lists the grid columns of the arrays' last axis, if not all of them.
     """
+    pos = range(s1.shape[-1]) if cols is None else cols
     return [
-        ks_two_sample(s1[:, i, j], s2[:, i, j], f"{prefix}-curve{i}-col{j}", seed_label, alternative)
+        ks_two_sample(s1[:, i, pos.index(j)], s2[:, i, pos.index(j)], f"{prefix}-curve{i}-col{j}",
+                      seed_label, alternative)
         for i, j in cells
     ]
 
@@ -162,60 +167,48 @@ def tv_distance_report(
 # Gibbs block-resampling invariance
 # ---------------------------------------------------------------------------
 
-# candidate values drawn per round of the batched block redraw (32 MB of floats)
-_ROUND_VALUES = 2**22
-# candidates each block may draw before the redraw counts as exhausted
-_BLOCK_ATTEMPTS = 200000
-
-
 def resample_block(
     values: np.ndarray,
-    interval: Interval,
+    times,
     block: tuple[int, int],
-    sub_cols: tuple[int, int],
     rng: np.random.Generator,
     ignore_lower: bool = False,
 ) -> np.ndarray:
-    """Redraw curves block[0]..block[1] on columns sub_cols[0]..sub_cols[1] of every sample.
+    """Redraw curves block[0]..block[1] of every sample at the interior times.
 
-    values has shape (n, k, M+1). Each sample's boundary data is read from the
-    sample itself: entrance/exit vectors at the sub-interval ends, the curve
-    above the block as the upper barrier and the curve below as the lower one.
-    All n blocks are redrawn in one batched rejection pass, each from its own
-    conditional law. ignore_lower plants the negative-control defect (the
-    lower bracketing curve is dropped).
+    values has shape (n, k, len(times)), the curves at the increasing times.
+    The block gets a draw at times[1:-1] from its exact conditional law given
+    every curve at times[0] and times[-1] and the other curves at all times:
+    candidates are free bridges between each sample's own block ends, kept when
+    a uniform, drawn after the round's candidates, falls below avoid._km_weight
+    of the candidate stacked with the sample's other curves (the non-intersecting
+    density at a set of times is the free density times that weight). All n
+    blocks are redrawn in one batched rejection pass. ignore_lower plants the
+    negative-control defect: the curves below the block leave the stack.
     """
-    _, k, m_plus = values.shape
+    n, k, n_times = values.shape
     i0, i1 = block
-    j0, j1 = sub_cols
-    if not (0 <= i0 <= i1 < k) or not (0 <= j0 < j1 <= m_plus - 1):
-        raise DomainError("block or sub-interval out of range")
-    grid = interval.grid(m_plus - 1)
-    sub_iv = Interval(float(grid[j0]), float(grid[j1]))
-    width = j1 - j0
-    f_vals = values[:, i0 - 1, j0 : j1 + 1] if i0 > 0 else np.full(width + 1, np.inf)
-    if i1 < k - 1 and not ignore_lower:
-        g_vals = values[:, i1 + 1, j0 : j1 + 1]
-    else:
-        g_vals = np.full(width + 1, -np.inf)
-    block_vals, _, _, _ = sample_avoiding_values(
-        sub_iv,
-        values[:, i0 : i1 + 1, j0],
-        values[:, i0 : i1 + 1, j1],
-        f_vals,
-        g_vals,
-        width,
-        1,
-        rng,
-        _BLOCK_ATTEMPTS,
-        chunk=max(1, _ROUND_VALUES // ((i1 - i0 + 1) * (width + 1))),
-    )
-    if not block_vals.shape[1]:
-        raise RejectionExhausted(
-            _BLOCK_ATTEMPTS, f"nested resampling of block {block} on cols {sub_cols} exhausted"
-        )
+    times = np.asarray(times, dtype=float)
+    if not 0 <= i0 <= i1 < k or n_times < 3 or times.shape != (n_times,) or np.any(np.diff(times) <= 0):
+        raise DomainError("need a block of the curves and 3 or more increasing times, one per column")
+    stack = values[:, : i1 + 1] if ignore_lower else values
+    x, y = values[:, None, i0 : i1 + 1, 0], values[:, None, i0 : i1 + 1, -1]
+
+    def draw(rows, nc):
+        z = rng.standard_normal((rows.size, nc, i1 - i0 + 1, n_times - 2))
+        return _bridge_paths(x[rows], y[rows], times[0], times[1:-1], times[-1], z)
+
+    def accept(rows, cands):
+        full = np.repeat(stack[rows, None], cands.shape[1], axis=1)
+        full[:, :, i0 : i1 + 1] = cands
+        return rng.random(cands.shape[:2]) < avoid._km_weight(full, times)
+
+    vals, drawn, _, _ = _rejection_loop(draw, accept, n, (i1 - i0 + 1, n_times), 1, avoid._KM_ATTEMPTS,
+                                        avoid._KM_CHUNK)
+    if not vals.shape[1]:
+        raise RejectionExhausted(int(drawn.max()), f"redraw of block {block} exhausted")
     out = values.copy()
-    out[:, i0 : i1 + 1, j0 : j1 + 1] = block_vals[:, 0]
+    out[:, i0 : i1 + 1] = vals[:, 0]
     return out
 
 
@@ -231,17 +224,30 @@ def gibbs_resample_test(
 ) -> list[TestReport]:
     """Compare original vs block-resampled marginals of spec's law with two-sample KS tests.
 
-    Two independent outer batches of num_samples ensembles are drawn from spec
-    with sample_avoiding_batch, so the two compared sample sets are
-    independent; the second has its block redrawn by resample_block. Marginals
-    are (curve index, grid column) pairs; the aggregate multiplicity rule is
-    the per-test suite floor.
+    Marginals are (curve, grid column) pairs, columns strictly inside sub_cols;
+    only those columns' grid times are drawn. Two independent outer batches of
+    the barrier-free spec come from avoid.sample_avoiding_at, and the second has
+    its block redrawn between the sub_cols times by resample_block. Arguments are
+    checked before any draw; the aggregate multiplicity rule is the per-test
+    suite floor.
     """
-    originals, _, _ = avoid.sample_avoiding_batch(spec, num_samples, rng)
-    others, _, _ = avoid.sample_avoiding_batch(spec, num_samples, rng)
-    resampled = resample_block(others, spec.interval, block, sub_cols, rng, ignore_lower=ignore_lower)
+    (i0, i1), (j0, j1) = block, sub_cols
+    if spec.f.is_finite or spec.g.is_finite or num_samples < 1:
+        raise DomainError(f"need a barrier-free spec and num_samples >= 1, got {num_samples}")
+    if not 0 <= i0 <= i1 < spec.k:
+        raise DomainError(f"block {block} must name curves 0..{spec.k - 1} in order")
+    if not (0 < j0 < j1 < spec.grid_points and marginals
+            and all(0 <= i < spec.k and j0 < j < j1 for i, j in marginals)):
+        raise DomainError(f"need 0 < j0 < j1 < {spec.grid_points} for sub_cols {sub_cols} and marginal "
+                          f"cells of curves with columns strictly between them, got {marginals}")
+    cols = sorted({j0, j1, *(j for _, j in marginals)})
+    times = spec.interval.grid(spec.grid_points)[cols]
+    x, y = spec.x.as_array(), spec.y.as_array()
+    originals, _, _ = avoid.sample_avoiding_at(spec.interval, x, y, times, num_samples, rng)
+    others, _, _ = avoid.sample_avoiding_at(spec.interval, x, y, times, num_samples, rng)
+    resampled = resample_block(others, times, block, rng, ignore_lower=ignore_lower)
     prefix = "defect-marginal" if ignore_lower else "gibbs-marginal"
-    return marginal_ks(originals, resampled, marginals, prefix, seed_label)
+    return marginal_ks(originals, resampled, marginals, prefix, seed_label, cols=cols)
 
 
 # ---------------------------------------------------------------------------

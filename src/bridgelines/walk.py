@@ -232,13 +232,11 @@ def sample_avoiding_walks_batch(
         return units[None] * lat.dx
 
     grid = lat.time_grid
-    vals, drawn, seen, _ = _rejection_sample(
-        draw, spec.f.at(grid)[None], spec.g.at(grid)[None], spec.k, n_samples, max_attempts,
-        _AVOID_CHUNK)
-    drawn, seen = int(drawn[0]), int(seen[0])
-    if vals.shape[1] < n_samples:
-        raise RejectionExhausted(drawn, f"{vals.shape[1]}/{n_samples} accepted in {drawn} draws")
-    return [LineEnsemble(lat.interval, v) for v in vals[0]], drawn, seen
+    vals, drawn, seen, _ = _rejection_sample(draw, spec.f.at(grid), spec.g.at(grid), spec.k, n_samples,
+                                             max_attempts, _AVOID_CHUNK)
+    if vals.shape[0] < n_samples:
+        raise RejectionExhausted(drawn, f"{vals.shape[0]}/{n_samples} accepted in {drawn} draws")
+    return [LineEnsemble(lat.interval, v) for v in vals], drawn, seen
 
 
 def enumerate_avoiding_configs(spec: WalkEnsembleSpec, guard: int = 10**7) -> list[LineEnsemble]:

@@ -155,10 +155,10 @@ def test_verify_reflection_bad_config_is_usage_error(tmp_path, capsys, setting):
 
 
 def test_verify_reports_exhausted_rejection_as_failure(tmp_path, capsys, monkeypatch):
-    def exhausted(spec, n, rng, max_attempts=0):
+    def exhausted(interval, x_vec, y_vec, times, n, rng, max_attempts=0):
         raise walk.RejectionExhausted(1234, "0/5 accepted in 1234 draws")
 
-    monkeypatch.setattr(cli.suites.avoid, "sample_avoiding_batch", exhausted)
+    monkeypatch.setattr(cli.suites.avoid, "sample_avoiding_at", exhausted)
     out = tmp_path / "v"
     assert run(["verify", "--suite", "gibbs", "--seed", "2", "--out", str(out)]) == 1
     captured = capsys.readouterr()
@@ -188,6 +188,11 @@ def test_verify_unknown_suite_and_bad_key(tmp_path, capsys):
         ["--suite", "tails", "--set", "n_samples=abc"],
         ["--suite", "tails", "--set", "rs=0.5"],
         ["--suite", "tails", "--set", "n_samples=0"],
+        ["--suite", "tails", "--set", "ks=()"],
+        ["--suite", "tails", "--set", "rs=()"],
+        ["--suite", "transforms", "--set", "n_samples=0"],
+        ["--suite", "gibbs", "--set", "marginal_cols=(10,)"],
+        ["--suite", "gibbs", "--set", "sub_cols=(0, 192)"],
         ["--suite", "pw", "--set", "pair_w=1"],  # window reaches outside the interval
         ["--suite", "detect", "--set", "planted=hidden", "--set", "n_seeds=1", "--set", "windows=(1, 4)"],
         ["--suite", "detect", "--set", "planted=hiden"],

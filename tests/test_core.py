@@ -14,7 +14,7 @@ from bridgelines.core import (
     StructuralError,
     WeylVector,
     _avoids,
-    _rejection_sample,
+    _rejection_loop,
     check_avoiding,
     eval_curve,
     read_ensembles,
@@ -151,10 +151,12 @@ def test_rejection_rows_keep_their_first_acceptances():
         drawn_so_far[rows] += nc
         return (start[:, None] + np.arange(nc))[:, :, None, None].astype(float)
 
+    def accept(rows, cands):
+        return _avoids(cands, np.inf, thresholds[rows, None])
+
     thresholds = np.array([[0.5], [2.5], [5.5]])
-    inf = np.full((3, 1), np.inf)
     drawn_so_far = np.zeros(3, dtype=int)
-    vals, drawn, seen, first_hit = _rejection_sample(draw, inf, thresholds, 1, 2, 100, 4)
+    vals, drawn, seen, first_hit = _rejection_loop(draw, accept, 3, (1, 1), 2, 100, 4)
     # chunk 4: one draw per row while 3 rows wait, then 2 for 2 rows, then 4 for the last
     assert vals[:, :, 0, 0].tolist() == [[1.0, 2.0], [3.0, 4.0], [6.0, 7.0]]
     assert drawn.tolist() == [3, 5, 9]
@@ -162,7 +164,7 @@ def test_rejection_rows_keep_their_first_acceptances():
     assert first_hit.tolist() == [1, 3, 6]
     # max_attempts caps each row: the last row draws index 5 only and gets nothing
     drawn_so_far[:] = 0
-    vals, drawn, seen, first_hit = _rejection_sample(draw, inf, thresholds, 1, 2, 6, 4)
+    vals, drawn, seen, first_hit = _rejection_loop(draw, accept, 3, (1, 1), 2, 6, 4)
     assert vals.shape == (3, 0, 1, 1)
     assert drawn.tolist() == [3, 5, 6]
     assert first_hit.tolist() == [1, 3, -1]

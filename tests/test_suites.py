@@ -63,19 +63,19 @@ EXPECTED = {
         ('SUITE PASS coupling', None),
     ],
     'gibbs': [
-        ('PASS         gibbs-marginal-curve0-col72                  stat=0.12 p=0.103 ci=- n=(200,200) seed=1',
+        ('PASS         gibbs-marginal-curve0-col72                  stat=0.065 p=0.767 ci=- n=(200,200) seed=1',
          'alternative=two-sided floor=1e-05'),
-        ('PASS         gibbs-marginal-curve0-col96                  stat=0.075 p=0.6 ci=- n=(200,200) seed=1',
+        ('PASS         gibbs-marginal-curve0-col96                  stat=0.085 p=0.441 ci=- n=(200,200) seed=1',
          'alternative=two-sided floor=1e-05'),
-        ('PASS         gibbs-marginal-curve0-col120                 stat=0.085 p=0.441 ci=- n=(200,200) seed=1',
+        ('PASS         gibbs-marginal-curve0-col120                 stat=0.05 p=0.953 ci=- n=(200,200) seed=1',
          'alternative=two-sided floor=1e-05'),
-        ('PASS         gibbs-marginal-curve0-col136                 stat=0.08 p=0.518 ci=- n=(200,200) seed=1',
+        ('PASS         gibbs-marginal-curve0-col136                 stat=0.065 p=0.767 ci=- n=(200,200) seed=1',
          'alternative=two-sided floor=1e-05'),
-        ('PASS         gibbs-marginal-curve0-col160                 stat=0.12 p=0.103 ci=- n=(200,200) seed=1',
+        ('PASS         gibbs-marginal-curve0-col160                 stat=0.085 p=0.441 ci=- n=(200,200) seed=1',
          'alternative=two-sided floor=1e-05'),
-        ('PASS         gibbs-marginal-curve0-col184                 stat=0.085 p=0.441 ci=- n=(200,200) seed=1',
+        ('PASS         gibbs-marginal-curve0-col184                 stat=0.05 p=0.953 ci=- n=(200,200) seed=1',
          'alternative=two-sided floor=1e-05'),
-        ('FAIL         gibbs-negative-control                       stat=0.026797 p=0.0268 ci=- n=(200,0) seed=1',
+        ('FAIL         gibbs-negative-control                       stat=0.307758 p=0.308 ci=- n=(200,0) seed=1',
          'planted defect must be detected: min p < 1e-06'),
         ('SUITE FAIL gibbs', None),
     ],
@@ -144,3 +144,23 @@ def test_convergence_rejects_a_bad_config_before_any_draw(monkeypatch):
     ):
         with pytest.raises(DomainError):
             suites.run_suite("convergence", seed=1, **overrides)
+
+
+def test_gibbs_rejects_a_bad_config_before_any_draw(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("sampled before the config was checked")
+
+    monkeypatch.setattr(suites.avoid, "sample_avoiding_at", no_draw)
+    for overrides in (
+        dict(n_samples=0),
+        dict(block=(0, 2)),  # the ensemble has curves 0 and 1
+        dict(block=(1, 0)),
+        dict(sub_cols=(0, 192)),  # a block must start and end at interior times
+        dict(sub_cols=(64, 256)),
+        dict(sub_cols=(192, 64)),
+        dict(marginal_cols=(10,)),  # outside the redrawn block
+        dict(marginal_cols=(64, 96)),  # on the block's fixed end
+        dict(marginal_cols=()),
+    ):
+        with pytest.raises(DomainError):
+            suites.run_suite("gibbs", seed=1, **overrides)

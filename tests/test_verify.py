@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.integrate import quad
 
 from bridgelines import avoid, bridge, verify
 from bridgelines.core import Barrier, DomainError, Interval, RngSeed, WeylVector
@@ -126,64 +127,92 @@ def test_curve_count_detector_logic():
         verify.curve_count_detector({})
 
 
+# the grid times of columns 16, 24, 32, 40 and 48 of 64
+TIMES = np.array([0.25, 0.375, 0.5, 0.625, 0.75])
+
+
+def _pair_at_times(n, seed):
+    vec = np.array([0.5, -0.5])
+    vals, _, _ = avoid.sample_avoiding_at(Interval(0, 1), vec, vec, TIMES, n, RngSeed(seed).generator())
+    return vals
+
+
 def test_resample_block_preserves_constraints_and_boundaries():
-    iv = Interval(0, 1)
-    vec = WeylVector((0.5, -0.5))
-    spec = avoid.AvoidSpec(iv, vec, vec, Barrier.plus_inf(), Barrier.minus_inf(), 64)
-    vals, _, _ = avoid.sample_avoiding_batch(spec, 20, RngSeed(6).generator())
-    out = verify.resample_block(vals, iv, (0, 0), (16, 48), RngSeed(7).generator())
+    vals = _pair_at_times(20, 6)
+    out = verify.resample_block(vals, TIMES, (0, 0), RngSeed(7).generator())
     assert out.shape == vals.shape
-    for s in range(20):
-        # outside the block nothing changes
-        assert np.array_equal(out[s, 1], vals[s][1])
-        assert np.array_equal(out[s, 0, :16], vals[s][0, :16])
-        assert np.array_equal(out[s, 0, 49:], vals[s][0, 49:])
-        # inside, the new block still clears the lower curve
-        assert np.all(out[s, 0, 16:49] > out[s, 1, 16:49])
+    # the other curve and the block's ends are kept; every interior value is redrawn
+    assert np.array_equal(out[:, 1], vals[:, 1])
+    assert np.array_equal(out[:, 0, [0, -1]], vals[:, 0, [0, -1]])
+    assert np.all(out[:, 0, 1:-1] != vals[:, 0, 1:-1])
+    # the new block still clears the lower curve
+    assert np.all(out[:, 0] > out[:, 1])
 
 
 def test_resample_bottom_block_respects_upper_curve():
-    # resampling the bottom curve puts the top curve in play as the upper barrier
-    iv = Interval(0, 1)
-    vec = WeylVector((0.5, -0.5))
-    spec = avoid.AvoidSpec(iv, vec, vec, Barrier.plus_inf(), Barrier.minus_inf(), 64)
-    vals, _, _ = avoid.sample_avoiding_batch(spec, 15, RngSeed(11).generator())
-    out = verify.resample_block(vals, iv, (1, 1), (16, 48), RngSeed(12).generator())
-    for s in range(15):
-        assert np.array_equal(out[s, 0], vals[s][0])
-        assert np.all(out[s, 1, 16:49] < out[s, 0, 16:49])
-        assert out[s, 1, 16] == vals[s][1, 16] and out[s, 1, 48] == vals[s][1, 48]
+    # redrawing the bottom curve puts the top curve in the stack above it
+    vals = _pair_at_times(15, 11)
+    out = verify.resample_block(vals, TIMES, (1, 1), RngSeed(12).generator())
+    assert np.array_equal(out[:, 0], vals[:, 0])
+    assert np.all(out[:, 1] < out[:, 0])
+    assert np.array_equal(out[:, 1, [0, -1]], vals[:, 1, [0, -1]])
 
 
 def test_resampled_free_block_midpoint_matches_bridge_law():
-    # with no barriers each row's block is a plain bridge between its own
-    # endpoints, so the PIT of the sub-interval midpoint is Uniform(0, 1)
-    iv = Interval(0, 1)
-    vec = WeylVector((0.5, -0.5))
-    spec = avoid.AvoidSpec(iv, vec, vec, Barrier.plus_inf(), Barrier.minus_inf(), 64)
-    vals, _, _ = avoid.sample_avoiding_batch(spec, 4000, RngSeed(31).generator())
-    out = verify.resample_block(vals, iv, (0, 0), (16, 48), RngSeed(32).generator(),
-                                ignore_lower=True)
-    grid = iv.grid(64)
-    u = bridge.midpoint_cdf_single(out[:, 0, 32], grid[16], grid[48], vals[:, 0, 16], vals[:, 0, 48])
+    # with the lower curve dropped each row's block is a plain bridge between
+    # its own ends, so the PIT of the value at the middle time is Uniform(0, 1)
+    vals = _pair_at_times(4000, 31)
+    out = verify.resample_block(vals, TIMES, (0, 0), RngSeed(32).generator(), ignore_lower=True)
+    u = bridge.midpoint_cdf_single(out[:, 0, 2], TIMES[0], TIMES[-1], vals[:, 0, 0], vals[:, 0, -1])
     assert stats.kstest(u, "uniform").pvalue > 1e-4
 
 
 def test_resample_block_reads_each_rows_own_boundary_data():
-    # alternate rows: endpoints 1.0 over a lower curve at 0.9, and endpoints
-    # -4.0 over a lower curve at -5.0; borrowing another row's data shows up
-    iv = Interval(0, 1)
+    # alternate rows: curve 0 at 1.0 over curve 1 at 0.9, and curve 0 at -4.0
+    # over curve 1 at -5.0; borrowing another row's data shows up
+    times = Interval(0, 1).grid(16)[2:15]
     n, high = 400, np.arange(400) % 2 == 0
-    vals = np.empty((n, 2, 17))
+    vals = np.empty((n, 2, times.size))
     vals[:, 0] = np.where(high, 1.0, -4.0)[:, None]
     vals[:, 1] = np.where(high, 0.9, -5.0)[:, None]
-    out = verify.resample_block(vals, iv, (0, 0), (2, 14), RngSeed(41).generator())
-    assert np.array_equal(out[:, :, [0, 1, 2, 14, 15, 16]], vals[:, :, [0, 1, 2, 14, 15, 16]])
+    out = verify.resample_block(vals, times, (0, 0), RngSeed(41).generator())
+    assert np.array_equal(out[:, :, [0, -1]], vals[:, :, [0, -1]])
     assert np.array_equal(out[:, 1], vals[:, 1])
-    assert np.all(out[:, 0, 2:15] > vals[:, 1, 2:15])
-    # the low rows' barrier sits 1.0 below their endpoints, so most of them fall 0.1 below
-    dips = (out[~high, 0, 2:15] < -4.1).any(axis=1)
+    assert np.all(out[:, 0] > vals[:, 1])
+    # the low rows' lower curve sits 1.0 below their ends, so most of them fall 0.1 below
+    dips = (out[~high, 0] < -4.1).any(axis=1)
     assert dips.mean() > 0.5
+
+
+def test_resample_block_matches_the_exact_conditional_law():
+    # k = 2, block (0, 0) and one interior time t1: given the pair at a_w and
+    # b_w and curve 1 (h) at t1, curve 0 at t1 has the density
+    # N((a+b)/2, dt/2) (1 - exp(-alpha g)) (1 - exp(-beta g)) in g = v - h(t1) > 0,
+    # alpha = (a - h(a_w))/dt, beta = (b - h(b_w))/dt (Karlin-McGregor on each segment)
+    times, dt = np.array([0.25, 0.5, 0.75]), 0.25
+    rows = [  # (a, b, h(a_w), h(t1), h(b_w))
+        (0.3, 0.1, -0.2, -0.3, -0.4),
+        (0.5, 0.8, 0.0, 0.2, 0.3),
+        (1.0, -0.5, -1.0, -0.4, -1.0),
+        (0.0, 0.0, -0.4, 0.0, -0.4),  # the free law's mean sits on h(t1)
+    ]
+    reps = 5000
+    vals = np.repeat(np.array([[[a, 0.0, b], [ha, h1, hb]] for a, b, ha, h1, hb in rows]), reps, axis=0)
+    out = verify.resample_block(vals, times, (0, 0), RngSeed(51).generator())
+    u = []
+    for r, (a, b, ha, h1, hb) in enumerate(rows):
+        alpha, beta = (a - ha) / dt, (b - hb) / dt
+
+        def dens(v):  # unnormalised
+            g = v - h1
+            return math.exp(-((v - (a + b) / 2) ** 2) / dt) * math.expm1(-alpha * g) * math.expm1(-beta * g)
+
+        drawn = np.sort(out[r * reps : (r + 1) * reps, 0, 1])
+        assert drawn[0] > h1
+        edges = np.concatenate([[h1], drawn])
+        cdf = np.cumsum([quad(dens, lo, hi)[0] for lo, hi in zip(edges[:-1], edges[1:])])
+        u.append(cdf / (cdf[-1] + quad(dens, drawn[-1], np.inf)[0]))
+    assert stats.kstest(np.concatenate(u), "uniform").pvalue > verify.SUITE_P_FLOOR
 
 
 def test_gibbs_bottom_block_invariance():
