@@ -14,7 +14,6 @@ coupling invariant are checked in exact integer arithmetic.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,11 +59,20 @@ def _config(like: GlauberConfig, rows: list[list[int]]) -> GlauberConfig:
     return GlauberConfig(like.lattice, tuple(tuple(r) for r in rows), like.barrier_g)
 
 
-def _check_lengths(x_units: list[int], y_units: list[int]) -> None:
+def _check_ends(x_units: list[int], y_units: list[int], n: int) -> None:
     if len(x_units) != len(y_units):
         raise StructuralError(
             f"entrance and exit units must have equal length, got {len(x_units)} and {len(y_units)}"
         )
+    if any(abs(yi - xi) > n for xi, yi in zip(x_units, y_units)):
+        raise DomainError("endpoints not reachable")
+
+
+def _extremal(name: str, lattice: LatticeParams, rows: list[np.ndarray], g: Barrier) -> GlauberConfig:
+    try:
+        return GlauberConfig(lattice, tuple(tuple(int(v) for v in r) for r in rows), g)
+    except InfeasibleState as exc:
+        raise InfeasibleState(f"{name} state infeasible at this lattice resolution; increase n") from exc
 
 
 def maximal_state(
@@ -76,20 +84,11 @@ def maximal_state(
     the lexicographically maximal symbol list (all up-steps, one 0 on odd
     parity, then down-steps).
     """
-    _check_lengths(x_units, y_units)
     n = lattice.n_steps
+    _check_ends(x_units, y_units, n)
     cols = np.arange(n + 1)
-    rows = []
-    for xi, yi in zip(x_units, y_units):
-        if abs(yi - xi) > n:
-            raise DomainError("endpoints not reachable")
-        rows.append(tuple(int(v) for v in np.minimum(xi + cols, yi + (n - cols))))
-    try:
-        return GlauberConfig(lattice, tuple(rows), g)
-    except InfeasibleState as exc:
-        raise InfeasibleState(
-            "maximal state infeasible at this lattice resolution; increase n"
-        ) from exc
+    rows = [np.minimum(x + cols, y + (n - cols)) for x, y in zip(x_units, y_units)]
+    return _extremal("maximal", lattice, rows, g)
 
 
 def minimal_state(
@@ -102,53 +101,21 @@ def minimal_state(
     increments stay in {-1, 0, +1}. With no barrier this is the mirror of the
     maximal construction (all down-steps first).
     """
-    _check_lengths(x_units, y_units)
     n = lattice.n_steps
+    _check_ends(x_units, y_units, n)
     cols = np.arange(n + 1)
     rows: list[np.ndarray] = []
     # the bottom curve sits at floor + 1 or higher: strictly above the barrier
     below = np.floor(_barrier_units_floor(lattice, g))
     for xi, yi in zip(x_units[::-1], y_units[::-1]):
-        if abs(yi - xi) > n:
-            raise DomainError("endpoints not reachable")
         below = np.maximum(np.maximum(xi - cols, yi - (n - cols)), below + 1)
         rows.insert(0, below)
-    try:
-        return GlauberConfig(lattice, tuple(tuple(int(v) for v in r) for r in rows), g)
-    except InfeasibleState as exc:
-        raise InfeasibleState(
-            "minimal state infeasible at this lattice resolution; increase n"
-        ) from exc
+    return _extremal("minimal", lattice, rows, g)
 
 
 def _barrier_units_floor(lattice: LatticeParams, g: Barrier) -> list[float]:
     """Per-column strict lower limits for the bottom curve, in dx units (-inf for none)."""
     return (g.at(lattice.time_grid) / lattice.dx).tolist()
-
-
-def _move_ok(rows: list[list[int]], g_units: list[float], i: int, r: int, v_new: int) -> bool:
-    # local feasibility: the 6 constraints touching site (i, r)
-    if abs(v_new - rows[i][r - 1]) > 1 or abs(v_new - rows[i][r + 1]) > 1:
-        return False
-    if i > 0 and v_new >= rows[i - 1][r]:
-        return False
-    if i + 1 < len(rows):
-        if v_new <= rows[i + 1][r]:
-            return False
-    if i == len(rows) - 1 and not v_new > g_units[r]:
-        return False
-    return True
-
-
-def _draw_events(k: int, n_cols: int, num_events: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform (site, curve, delta) triples; one row per event."""
-    n_interior = n_cols - 2
-    raw = rng.integers(0, 3 * k * n_interior, size=num_events)
-    out = np.empty((num_events, 3), dtype=np.int64)
-    out[:, 0] = raw % n_interior + 1          # interior column
-    out[:, 1] = (raw // n_interior) % k       # curve
-    out[:, 2] = raw // (n_interior * k) - 1   # delta
-    return out
 
 
 _CHUNK = 4096  # events drawn and decoded per piece; bounds the memory of long runs
@@ -166,44 +133,78 @@ def _run(
 ) -> tuple[int, np.ndarray]:
     """The chain event loop: apply up to num_events clock rings to rows in place.
 
-    Each event moves one site of rows when _move_ok accepts it against the
-    bottom-curve limits g_units. With upper = (rows_b, g_b) a second chain sees
-    the same events (shared clocks); after each event the touched site must
-    keep rows <= rows_b, else AssertionError. With stop_at_meet the loop ends
-    at the event where the pair coincides. Every `every` events the state of
-    rows is recorded. Events are drawn in pieces of _CHUNK, which give the same
-    stream as one draw. Returns (events run, snapshots as an int64 array of
-    shape (n, k, cols)).
+    The curves sit in one flat list of row width w between a +inf row and the
+    bottom-curve limits g_units, so site p has its neighbours at p-1, p+1 and
+    p-w, p+w. Event code c moves site[c] by -1 in the first third of
+    [0, 3 k (w-2)) and by +1 in the last. Every caller starts from a validated
+    GlauberConfig, and in a feasible state only one side of each constraint
+    can break: a -1 move is kept iff the site is at least both its curve
+    neighbours and stays above the one below, a +1 move iff it is at most both
+    and stays below the one above. With upper = (rows_b, g_b) a second chain
+    sees the same events; the touched site must keep rows <= rows_b, else
+    AssertionError. stop_at_meet ends the loop where the pair coincides. rows
+    is recorded every `every` events. Events are drawn in pieces of _CHUNK,
+    the same stream as one draw. Returns (events run, (n, k, w) int64 snapshots).
     """
     if num_events < 0 or every < 0:
         raise DomainError("event counts must be non-negative")
-    k, n_cols = len(rows), len(rows[0])
-    rows_b, g_b = upper or (None, None)
+    k, w = len(rows), len(rows[0])
+    site = [w * i + j for i in range(1, k + 1) for j in range(1, w - 1)] * 3
+    kn, kn2 = len(site) // 3, 2 * len(site) // 3
+    x = [float("inf")] * w + sum(rows, []) + g_units
+    y = upper and [float("inf")] * w + sum(upper[0], []) + upper[1]
+    curves = slice(w, w + k * w)
     flat: list[int] = []
-    met = stop_at_meet and rows == rows_b
+    met = stop_at_meet and x[curves] == y[curves]
+    if not site and num_events and not met:
+        raise DomainError(f"a lattice of {w - 1} step has no interior site for the chain to move")
     done = 0
     while done < num_events and not met:
-        events = _draw_events(k, n_cols, min(_CHUNK, num_events - done), rng).tolist()
-        for e, (r, i, delta) in enumerate(events, done + 1):
-            if delta:
-                v = rows[i][r] + delta
-                if _move_ok(rows, g_units, i, r, v):
-                    rows[i][r] = v
-                if rows_b is not None:
-                    v = rows_b[i][r] + delta
-                    if _move_ok(rows_b, g_b, i, r, v):
-                        rows_b[i][r] = v
+        codes = rng.integers(0, len(site), size=min(_CHUNK, num_events - done)).tolist()
+        # split the piece after each event that is recorded
+        ends = list(range(every - done % every, len(codes), every)) if every else []
+        a = 0
+        for b in ends + [len(codes)]:
+            if y is None:
+                for c in codes[a:b]:
+                    if c < kn:
+                        p = site[c]
+                        s = x[p]
+                        if s >= x[p - 1] and s >= x[p + 1] and s - 1 > x[p + w]:
+                            x[p] = s - 1
+                    elif c >= kn2:
+                        p = site[c]
+                        s = x[p]
+                        if s <= x[p - 1] and s <= x[p + 1] and s + 1 < x[p - w]:
+                            x[p] = s + 1
+            else:
+                for e, c in enumerate(codes[a:b], a + 1):
+                    if kn <= c < kn2:
+                        continue
+                    p = site[c]
+                    for z in (x, y):
+                        s = z[p]
+                        if c < kn:
+                            if s >= z[p - 1] and s >= z[p + 1] and s - 1 > z[p + w]:
+                                z[p] = s - 1
+                        elif s <= z[p - 1] and s <= z[p + 1] and s + 1 < z[p - w]:
+                            z[p] = s + 1
                     # explicit raise: this check must survive interpreter -O mode
-                    if rows[i][r] > rows_b[i][r]:
+                    if x[p] > y[p]:
                         raise AssertionError("coupling invariant broken at touched site")
-                    if stop_at_meet and rows[i][r] == rows_b[i][r] and rows == rows_b:
-                        met = True
+                    if stop_at_meet and x[p] == y[p] and x[curves] == y[curves]:
+                        met, b = True, e
                         break
-            if every and e % every == 0:
-                for row in rows:
-                    flat.extend(row)
-        done = e  # the last event of the piece, or the one where the pair met
-    return done, np.array(flat, dtype=np.int64).reshape(-1, k, n_cols)
+            if met:
+                break
+            if every and (done + b) % every == 0:
+                flat.extend(x[curves])
+            a = b
+        done += b  # the last event of the piece, or the one where the pair met
+    for dest, z in ((rows, x), (upper[0] if upper else [], y)):
+        for i, row in enumerate(dest):
+            row[:] = z[w * (i + 1):w * (i + 2)]
+    return done, np.array(flat, dtype=np.int64).reshape(-1, k, w)
 
 
 def simulate_chain(
@@ -212,14 +213,11 @@ def simulate_chain(
     rng: np.random.Generator,
     record_every: int = 0,
 ) -> tuple[GlauberConfig, np.ndarray]:
-    """Run the chain for num_events clock rings; optionally record snapshots.
+    """Run the chain for num_events clock rings; return (final state, snapshots).
 
-    Returns (final state, snapshots). With record_every > 0 the state after
-    every record_every-th event is recorded, and the snapshots are one int64
-    array of shape (num_events // record_every, k, n_steps + 1) in dx units;
-    with record_every = 0 the array has no rows. The whole array is checked in
-    one batched call of the predicate behind GlauberConfig.is_feasible
-    (increments plus core._avoids).
+    With record_every > 0 the state after every record_every-th event is
+    recorded: one int64 array of shape (num_events // record_every, k,
+    n_steps + 1) in dx units, checked in one call of _feasible.
     """
     rows = [list(r) for r in init.units]
     g_units = _barrier_units_floor(init.lattice, init.barrier_g)
@@ -241,7 +239,9 @@ def sample_stationary_keys(
     g_units = _barrier_units_floor(init.lattice, init.barrier_g)
     _run(rows, g_units, burn_in, rng)
     _, snaps = _run(rows, g_units, n_samples * thin, rng, every=thin)
-    return dict(Counter(tuple(map(tuple, snap)) for snap in snaps.tolist()))
+    as_bytes = snaps.reshape(-1).view(f"V{snaps.strides[0]}")  # one flat sort key per snapshot
+    _, first, counts = np.unique(as_bytes, return_index=True, return_counts=True)
+    return {tuple(map(tuple, key)): n for key, n in zip(snaps[first].tolist(), counts.tolist())}
 
 
 @dataclass(frozen=True)

@@ -244,6 +244,9 @@ class StationarityConfig:
 
 
 def glauber_stationarity_suite(cfg: StationarityConfig) -> SuiteResult:
+    if min(cfg.retained, cfg.burn_seeds) < 1 or not 0 <= cfg.tv_tol < 1:
+        raise DomainError(f"need retained >= 1, burn_seeds >= 1 and 0 <= tv_tol < 1, "
+                          f"got {cfg.retained}, {cfg.burn_seeds}, {cfg.tv_tol}")
     root = RngSeed(cfg.seed)
     reports = []
     instances = [
@@ -292,6 +295,10 @@ class CouplingConfig:
 
 
 def coupling_suite(cfg: CouplingConfig) -> SuiteResult:
+    if min(cfg.n_chain_seeds, cfg.chain_events, cfg.n_marginal_samples) < 1 or cfg.chain_scale < 2:
+        # a 1-step lattice (chain_scale 1) has no interior site for the chain to move
+        raise DomainError(f"need n_chain_seeds, chain_events, n_marginal_samples >= 1 and chain_scale >= 2, got "
+                          f"{cfg.n_chain_seeds}, {cfg.chain_events}, {cfg.n_marginal_samples}, {cfg.chain_scale}")
     root = RngSeed(cfg.seed)
     reports = []
     # pathwise: coupled chains on shared clocks, random ordered boundary data
@@ -762,6 +769,13 @@ SUITES = {
 }
 
 
+def _same_type(value, default) -> bool:
+    """value has default's type; a float takes an int, a tuple's elements are checked like its first."""
+    if isinstance(default, tuple):
+        return isinstance(value, tuple) and all(_same_type(v, default[0]) for v in value)
+    return isinstance(value, (int, float) if type(default) is float else type(default))
+
+
 def run_suite(name: str, **overrides) -> SuiteResult:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
@@ -771,9 +785,9 @@ def run_suite(name: str, **overrides) -> SuiteResult:
     if bad:
         raise KeyError(f"unknown config keys for suite {name}: {sorted(bad)}")
     for key, value in overrides.items():
-        want = type(defaults[key])
-        if not isinstance(value, (int, float) if want is float else want):
-            raise ValueError(f"config key {key} of suite {name} must be {want.__name__}, got {value!r}")
+        if not _same_type(value, defaults[key]):
+            raise ValueError(f"config key {key} of suite {name} must have the type of {defaults[key]!r}, "
+                             f"got {value!r}")
     cfg = cfg_cls(**overrides)
     try:
         return fn(cfg)

@@ -151,8 +151,7 @@ def tv_distance_report(
 ) -> TestReport:
     """Total-variation distance of empirical visit counts from uniform over support."""
     n = sum(counts.values())
-    unseen = [k for k in counts if k not in set(support)]
-    if unseen:
+    if not set(counts) <= set(support):
         raise DomainError("chain visited a state outside the enumerated support")
     p_unif = 1.0 / len(support)
     tv = 0.5 * sum(abs(counts.get(s, 0) / n - p_unif) for s in support)

@@ -190,6 +190,13 @@ def test_verify_unknown_suite_and_bad_key(tmp_path, capsys):
         ["--suite", "tails", "--set", "n_samples=0"],
         ["--suite", "tails", "--set", "ks=()"],
         ["--suite", "tails", "--set", "rs=()"],
+        ["--suite", "tails", "--set", "rs=(0.5,'a')"],  # wrong element type
+        ["--suite", "gibbs", "--set", "marginal_cols=('a',)"],
+        ["--suite", "glauber-stationarity", "--set", "retained=0"],
+        ["--suite", "glauber-stationarity", "--set", "burn_seeds=0"],
+        ["--suite", "glauber-stationarity", "--set", "tv_tol=-1"],
+        ["--suite", "coupling", "--set", "n_chain_seeds=0"],
+        ["--suite", "coupling", "--set", "n_marginal_samples=0"],
         ["--suite", "transforms", "--set", "n_samples=0"],
         ["--suite", "gibbs", "--set", "marginal_cols=(10,)"],
         ["--suite", "gibbs", "--set", "sub_cols=(0, 192)"],
@@ -213,7 +220,8 @@ def test_unknown_sample_kind_is_usage_error(tmp_path, capsys):
     bad = [["--kind", kind, "--n-samples", "0"] for kind in ("bridge", "avoid", "walk", "glauber")]
     bad += [["--kind", kind, "--max-attempts", n] for kind in ("avoid", "walk") for n in ("0", "-3")]
     bad += [["--kind", "glauber", "--events-per-sample", "0"],
-            ["--kind", "glauber", "--x-units", "2,0", "--y-units", "2"]]
+            ["--kind", "glauber", "--x-units", "2,0", "--y-units", "2"],
+            ["--kind", "glauber", "--n-scale", "1", "--x-units", "0", "--y-units", "0"]]
     for argv in bad:
         assert run(["sample", *argv, "--out", str(tmp_path / "z")]) == 2
         err = capsys.readouterr().err

@@ -36,15 +36,28 @@ def test_maximal_state_infeasible_barrier_raises():
         glauber.maximal_state(lat, [0], [0], Barrier.constant(0.5 * lat.dx, lat.interval))
 
 
+class _ScriptedCodes:
+    """Stands in for the generator: hands the kernel fixed event codes."""
+
+    def __init__(self, codes):
+        self.codes = list(codes)
+
+    def integers(self, low, high, size):
+        assert low == 0 and all(0 <= c < high for c in self.codes[:size])
+        out, self.codes = self.codes[:size], self.codes[size:]
+        return np.array(out, dtype=np.int64)
+
+
 def test_zero_move_is_always_kept_and_peak_moves_rejected():
+    # one curve, one interior site: code 0 moves it by -1, code 1 by 0, code 2 by +1
     lat = _lat(2)
     cfg = glauber.maximal_state(lat, [0], [0], Barrier.minus_inf())  # (0, 1, 0)
-    rows = [list(r) for r in cfg.units]
     g_units = glauber._barrier_units_floor(cfg.lattice, cfg.barrier_g)
-    # +1 at the peak would need increments of 2
-    assert not glauber._move_ok(rows, g_units, 0, 1, 2)
-    # -1 from the peak is fine
-    assert glauber._move_ok(rows, g_units, 0, 1, 0)
+    rows = [list(r) for r in cfg.units]
+    done, snaps = glauber._run(rows, g_units, 6, _ScriptedCodes([2, 1, 0, 0, 0, 2]), every=1)
+    # +1 at the peak and -1 at the trough would need increments of 2
+    assert done == 6 and snaps[:, 0, 1].tolist() == [1, 1, 0, -1, -1, 0]
+    assert rows == [[0, 0, 0]]
 
 
 def test_local_feasibility_matches_full_validation():
@@ -57,24 +70,31 @@ def test_local_feasibility_matches_full_validation():
             return False
         return bool(np.all(arr[-1] * lat.dx > g_level))
 
-    rng = np.random.default_rng(0)
+    # replay every event of the kernel from an identically seeded generator
     lat = _lat(6)
     g_level = -2.5 * lat.dx
-    g = Barrier.constant(g_level, lat.interval)
-    cfg = glauber.maximal_state(lat, [2, 0], [2, 0], g)
-    rows = [list(r) for r in cfg.units]
-    g_units = glauber._barrier_units_floor(cfg.lattice, cfg.barrier_g)
-    for _ in range(500):
-        r = int(rng.integers(1, lat.n_steps))
-        i = int(rng.integers(0, 2))
-        delta = int(rng.integers(-1, 2))
-        v_new = rows[i][r] + delta
-        local = glauber._move_ok(rows, g_units, i, r, v_new)
-        trial = [list(row) for row in rows]
-        trial[i][r] = v_new
-        assert local == full_ok(trial, lat, g_level)
-        if local:
-            rows = trial
+    cfg = glauber.maximal_state(lat, [2, 0], [2, 0], Barrier.constant(g_level, lat.interval))
+    n_events, k, n_int = 5000, 2, lat.n_steps - 1
+    _, snaps = glauber.simulate_chain(cfg, n_events, RngSeed(0).generator(), record_every=1)
+    replay = RngSeed(0).generator()
+    codes = np.concatenate([
+        replay.integers(0, 3 * k * n_int, size=min(glauber._CHUNK, n_events - done))
+        for done in range(0, n_events, glauber._CHUNK)
+    ])
+    state = [list(r) for r in cfg.units]
+    kept = rejected = 0
+    for c, snap in zip(codes.tolist(), snaps.tolist()):
+        i, r, delta = (c // n_int) % k, c % n_int + 1, c // (n_int * k) - 1
+        trial = [list(row) for row in state]
+        trial[i][r] += delta
+        if delta and full_ok(trial, lat, g_level):
+            assert snap == trial
+            kept += 1
+        else:
+            assert snap == state
+            rejected += bool(delta)
+        state = snap
+    assert kept > 500 and rejected > 500
 
 
 def test_boundary_columns_never_change():
@@ -202,19 +222,14 @@ def test_chain_outputs_pinned_at_fixed_seeds():
     assert keys == {((0, -1, 0),): 96, ((0, 0, 0),): 107, ((0, 1, 0),): 97}
 
 
-def test_coupling_check_fires_on_non_monotone_rule(monkeypatch):
-    # a rule that accepts every move of the lower chain breaks the order;
-    # the touched-site check must catch it
-    strict = glauber._move_ok
-    first = []
-
-    def loose(rows, g_units, i, r, v_new):
-        if not first:
-            first.append(rows)  # the kernel asks about the lower chain first
-        return rows is first[0] or strict(rows, g_units, i, r, v_new)
-
-    monkeypatch.setattr(glauber, "_move_ok", loose)
+def test_coupling_check_fires_on_non_monotone_rule():
+    # the lower chain's barrier lies above the upper chain's (simulate_coupled
+    # refuses this pair): a -1 move at the bottom curve is then kept by the
+    # upper chain only, which breaks the order; the touched-site check must catch it
     lat = _lat(4)
     init = glauber.maximal_state(lat, [2, 0], [2, 0], Barrier.minus_inf())
+    low_g = [-0.5] * (lat.n_steps + 1)  # the bottom curve may not go below 0
+    free_g = glauber._barrier_units_floor(lat, Barrier.minus_inf())
+    rows_a, rows_b = [list(r) for r in init.units], [list(r) for r in init.units]
     with pytest.raises(AssertionError, match="coupling invariant"):
-        glauber.simulate_coupled(init, init, 5000, RngSeed(5).generator())
+        glauber._run(rows_a, low_g, 5000, RngSeed(5).generator(), upper=(rows_b, free_g))

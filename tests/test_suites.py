@@ -14,6 +14,7 @@ from bridgelines.core import DomainError
 CASES = {
     "pw": dict(n_single=2000, n_pair=300, n_pilot=300, n_domination=20, inner_samples=2000),
     "detect": dict(planted="both", n_seeds=1, n_samples=2000, n_pilot=300),
+    "glauber-stationarity": dict(retained=5000, burn_seeds=8),
     "coupling": dict(n_chain_seeds=4, chain_events=500, n_marginal_samples=300),
     "gibbs": dict(n_samples=200),
     "transforms": dict(n_samples=300),
@@ -40,6 +41,13 @@ EXPECTED = {
         ('PASS         detector-verdicts                            stat=2 p=- ci=- n=(2,0) seed=1',
          '2/2 correct verdicts (planted=both)'),
         ('SUITE PASS detect', None),
+    ],
+    'glauber-stationarity': [
+        ('PASS         stationarity-3state-k1                       stat=0.00333333 p=- ci=- n=(5000,3) seed=1',
+         'tol=0.02 states=3 burn=12 thin=1'),
+        ('FAIL         stationarity-104state-k2                     stat=0.0682769 p=- ci=- n=(5000,104) seed=1',
+         'tol=0.02 states=104 burn=372 thin=23'),
+        ('SUITE FAIL glauber-stationarity', None),
     ],
     'coupling': [
         ('PASS         coupling-pathwise-4seeds                     stat=0 p=- ci=- n=(2000,0) seed=1',
@@ -164,3 +172,23 @@ def test_gibbs_rejects_a_bad_config_before_any_draw(monkeypatch):
     ):
         with pytest.raises(DomainError):
             suites.run_suite("gibbs", seed=1, **overrides)
+
+
+def test_chain_suites_reject_a_bad_config_before_any_event(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("sampled before the config was checked")
+
+    monkeypatch.setattr(suites.glauber, "_run", no_draw)
+    monkeypatch.setattr(suites.avoid, "sample_avoiding_batch", no_draw)
+    for name, overrides in (
+        ("glauber-stationarity", dict(retained=0)),
+        ("glauber-stationarity", dict(burn_seeds=0)),
+        ("glauber-stationarity", dict(tv_tol=-1.0)),
+        ("glauber-stationarity", dict(tv_tol=1)),  # a TV distance never exceeds 1
+        ("coupling", dict(n_chain_seeds=0)),
+        ("coupling", dict(chain_events=0)),
+        ("coupling", dict(n_marginal_samples=0)),
+        ("coupling", dict(chain_scale=1)),  # one step: no interior site
+    ):
+        with pytest.raises(DomainError):
+            suites.run_suite(name, seed=1, **overrides)
