@@ -8,13 +8,17 @@ Usage:
 --suite may be repeated and defaults to every suite. With --seed, each
 suite's CSV/text reports go into --out; this is `pytest tests/test_acceptance.py`
 with the reports kept. With --seeds, the suites run at every seed of the
-inclusive range and one line per (suite, seed) gives the verdict and the
-names of any failing reports; nothing is written to disk. Either way the exit
+inclusive range and one line per (suite, seed) gives the verdict, the
+names of any failing reports and a digest of every report (the first 16 hex
+digits of the sha256 of their full text, floats at full precision), so that
+`diff` of two checkouts' sweeps shows whether their reports are
+byte-identical; nothing is written to disk. Either way the exit
 code is 0 iff every run passes, and wall times go to stderr, so the reports in
 --out stay byte-identical across runs.
 """
 
 import argparse
+import hashlib
 import sys
 import time
 from pathlib import Path
@@ -30,6 +34,12 @@ def _seed_range(text: str) -> range:
     if not sep or not first.isdigit() or not last.isdigit() or int(first) > int(last):
         raise argparse.ArgumentTypeError(f"expected FIRST-LAST with FIRST <= LAST, got {text!r}")
     return range(int(first), int(last) + 1)
+
+
+def _digest(result: suites.SuiteResult) -> str:
+    """First 16 hex digits of the sha256 of the suite's reports, every field at full precision."""
+    text = "\n".join(repr(r) for r in result.reports)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def _timed(name: str, seed: int) -> suites.SuiteResult:
@@ -55,8 +65,9 @@ def main() -> int:
         for name in names:
             for seed in args.seeds:
                 result = _timed(name, seed)
-                bad = " ".join(r.name for r in result.reports if not r.passed)
-                print(f"{name} seed={seed} {'PASS' if result.passed else 'FAIL'} {bad}".rstrip(), flush=True)
+                bad = "".join(f" {r.name}" for r in result.reports if not r.passed)
+                print(f"{name} seed={seed} {'PASS' if result.passed else 'FAIL'}{bad} {_digest(result)}",
+                      flush=True)
                 failed += not result.passed
         print(f"{failed} of {len(names) * len(args.seeds)} runs failed")
         return 1 if failed else 0

@@ -201,6 +201,15 @@ def test_verify_unknown_suite_and_bad_key(tmp_path, capsys):
         ["--suite", "gibbs", "--set", "marginal_cols=(10,)"],
         ["--suite", "gibbs", "--set", "sub_cols=(0, 192)"],
         ["--suite", "pw", "--set", "pair_w=1"],  # window reaches outside the interval
+        ["--suite", "pw", "--set", "n_pair=0"],
+        ["--suite", "pw", "--set", "n_pilot=0"],
+        ["--suite", "pw", "--set", "n_single=0"],
+        ["--suite", "pw", "--set", "n_domination=0"],
+        ["--suite", "pw", "--set", "inner_samples=0"],
+        ["--suite", "pw", "--set", "inner_samples=1"],
+        ["--suite", "pw", "--set", "domination_budget=-1"],
+        ["--suite", "pw", "--set", "windows=()"],
+        ["--suite", "pw", "--set", "pair_interval=(0.0,)"],
         ["--suite", "detect", "--set", "planted=hidden", "--set", "n_seeds=1", "--set", "windows=(1, 4)"],
         ["--suite", "detect", "--set", "planted=hiden"],
         ["--suite", "detect", "--set", "n_seeds=0"],

@@ -6,6 +6,7 @@ report shows up. The sizes are small for speed, so verdicts here carry no
 meaning: at 200 samples the gibbs negative control lacks the power to fire.
 """
 
+import numpy as np
 import pytest
 
 from bridgelines import suites
@@ -138,6 +139,49 @@ def test_detect_rejects_a_bad_config_before_any_draw(monkeypatch):
     ):
         with pytest.raises(DomainError):
             suites.run_suite("detect", seed=1, **overrides)
+
+
+def test_pw_rejects_a_bad_config_before_any_draw(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("sampled before the config was checked")
+
+    monkeypatch.setattr(suites.bridge, "sample_bridge_at", no_draw)
+    monkeypatch.setattr(suites.avoid, "sample_avoiding_batch", no_draw)
+    monkeypatch.setattr(suites.avoid, "sample_avoiding_values", no_draw)
+    for overrides in (
+        dict(n_single=0),
+        dict(n_pair=0),
+        dict(n_pilot=0),
+        dict(n_domination=0),
+        dict(inner_samples=0),
+        dict(inner_samples=suites._ORACLE_MIN_ACCEPTED - 1),  # every row would be skipped
+        dict(domination_budget=-1.0),
+        dict(domination_budget=0.0),
+        dict(domination_budget=1.5),
+        dict(windows=()),
+        dict(windows=(1, 4)),  # t1 - 1 lies outside [0, 1]
+        dict(pair_w=1),
+        dict(pair_interval=(0.0,)),
+        dict(pair_top_quantile=1.5),
+    ):
+        with pytest.raises(DomainError):
+            suites.run_suite("pw", seed=1, **overrides)
+
+
+def test_pw_oracle_with_every_row_skipped_is_vacuous(monkeypatch):
+    # the oracle's rows redraw across the window; the batches cover the whole interval
+    def nothing_in_the_window(interval, x, y, f_vals, g_vals, grid_points, n_samples, rng, max_attempts,
+                              chunk=2048):
+        if interval == suites.Interval(0.0, 1.0):
+            return sample(interval, x, y, f_vals, g_vals, grid_points, n_samples, rng, max_attempts, chunk)
+        return np.empty((0, 1, grid_points + 1)), max_attempts, 0, -1
+
+    sample = suites.avoid.sample_avoiding_values
+    monkeypatch.setattr(suites.avoid, "sample_avoiding_values", nothing_in_the_window)
+    result = suites.run_suite("pw", seed=1, **CASES["pw"])
+    oracle = result.reports[-1]
+    assert oracle.name == "pw-domination-oracle" and oracle.verdict == "VACUOUS"
+    assert oracle.details == "violations=0 checked=0 skipped=20 budget=0.001"
 
 
 def test_convergence_rejects_a_bad_config_before_any_draw(monkeypatch):
