@@ -3,8 +3,10 @@
 The primary sampler is rejection: draw k independent bridges, accept iff the
 strict ordering and barrier constraints hold at every grid point. Without
 barriers, sample_avoiding_at samples the continuous law exactly at a few times
-instead, accepting with Karlin-McGregor weights. Closed-form tail bounds for
-the bottom curve and the affine/flip distributional identities live here too.
+instead, accepting with Karlin-McGregor weights; the same weights give the
+top curve's closed-form law in a window above a given second curve. Closed-form
+tail bounds for the bottom curve and the affine/flip distributional identities
+live here too.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy import special
 
 from .bridge import SQRT2PI, _bridge_paths, certify_c0, midpoint_cdf_single
 from .core import (
@@ -118,6 +121,38 @@ def _km_weight(vals: np.ndarray, times: np.ndarray) -> np.ndarray:
     out = np.zeros(ok.shape)
     out[ok] = np.maximum(det, 0.0).prod(axis=-1)
     return out
+
+
+def window_top_cdf(x1, a, b, h, dt: float) -> np.ndarray:
+    """P(top curve at t1 <= x1) of two avoiding bridges, given the rest at t1 - dt, t1, t1 + dt.
+
+    a and b are the top curve at t1 - dt and t1 + dt, h (..., 3) the bottom
+    curve at the three times; x1, a, b and h[..., 1] broadcast. Given these,
+    the top curve at t1 has the free density N((a+b)/2, dt/2) times
+    _km_weight's two k = 2 segment factors (1 - e^{-alpha g})(1 - e^{-beta g})
+    in g = v - h(t1) > 0, alpha = (a - h(t1 - dt))/dt, beta = (b - h(t1 + dt))/dt.
+    Expanding the product gives four shifted Gaussians: in standard units
+    (sd = sqrt(dt/2), d the standardised h(t1)), the mass of the term with
+    rate c beyond z >= d is exp(c sd (d + c sd/2)) Phi(-(z + c sd)), kept as a
+    log (scipy's log_ndtr) so that no term overflows at large w. The result
+    is 0 for x1 <= h(t1) and NaN unless the pair is ordered at both edges.
+    """
+    a, b, h = np.asarray(a, dtype=float), np.asarray(b, dtype=float), np.asarray(h, dtype=float)
+    sd = np.sqrt(dt / 2.0)
+    mean = 0.5 * (a + b)
+    d = (h[..., 1] - mean) / sd
+    z = np.maximum((x1 - mean) / sd, d)
+    alpha, beta = (a - h[..., 0]) / dt, (b - h[..., 2]) / dt
+    cs = sd * np.stack([np.zeros_like(alpha), alpha, beta, alpha + beta], axis=-1)
+    d, z = d[..., None], z[..., None]  # a trailing axis for the four terms
+
+    def beyond(lo):  # each term's mass beyond lo, over the free law's beyond d, signed and summed
+        log_mass = cs * (d + cs / 2) + special.log_ndtr(-(lo + cs)) - special.log_ndtr(-d)
+        return np.exp(log_mass) @ np.array([1.0, -1.0, -1.0, 1.0])
+
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out = 1.0 - beyond(z) / beyond(d)
+    return np.where((alpha > 0) & (beta > 0), out, np.nan)
 
 
 def sample_avoiding_at(

@@ -1,14 +1,12 @@
 """Shared domain types: intervals, curves, ensembles, barriers, lattice grids, RNG streams.
 
 Curves live on uniform time grids and are linearly interpolated in between.
-All types but the normal source PrefetchedNormals are immutable values after
-construction.
+All types are immutable values after construction.
 """
 
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -357,57 +355,6 @@ class RngSeed:
 
     def generator(self) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence([self.seed, self.stream]))
-
-
-# doubles per prefetched block (2 MB): a fill then costs far more than the hand-off
-# to the worker, while blocks of 2**20 raised the pw suite's peak memory by a fifth
-_BLOCK = 2**18
-
-
-class PrefetchedNormals:
-    """Standard normals from a Generator, the next block filled on a worker thread.
-
-    Use it as a context manager in place of a Generator that serves nothing
-    but standard normals. standard_normal(shape) returns what
-    rng.standard_normal(shape) would have returned, since successive calls of a
-    Generator continue one stream. Only numpy's fill runs on the worker (it
-    releases the GIL), into two blocks allocated on the caller's thread. The
-    worker draws up to two blocks ahead, so rng must not be used after the
-    with block; on exit the worker is shut down, whether the body returned or
-    raised.
-    """
-
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self._spare = np.empty(_BLOCK)  # filled ahead, then read
-        self._block = np.empty(_BLOCK)  # being read
-        self._pos = _BLOCK
-        self._pool = None
-        self._filling = None
-
-    def __enter__(self) -> "PrefetchedNormals":
-        self._pool = ThreadPoolExecutor(max_workers=1)
-        self._filling = self._pool.submit(self._rng.standard_normal, out=self._spare)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._pool.shutdown()
-
-    def standard_normal(self, shape) -> np.ndarray:
-        out = np.empty(shape)
-        flat = out.reshape(-1)
-        done = 0
-        while done < flat.size:
-            if self._pos == _BLOCK:
-                self._filling.result()
-                self._block, self._spare = self._spare, self._block
-                self._filling = self._pool.submit(self._rng.standard_normal, out=self._spare)
-                self._pos = 0
-            take = min(flat.size - done, _BLOCK - self._pos)
-            flat[done : done + take] = self._block[self._pos : self._pos + take]
-            done += take
-            self._pos += take
-        return out
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ import numpy as np
 
 from .core import (
     Barrier,
-    Curve,
     DomainError,
     LatticeParams,
     LineEnsemble,
@@ -166,15 +165,6 @@ def sample_walk_midpoints(n_steps: int, z: int, n_samples: int, rng: np.random.G
     d, p = _midpoint_pmf(n_steps, z)
     cdf = np.cumsum(p)
     return d[np.searchsorted(cdf, rng.random(n_samples) * cdf[-1], side="right")]
-
-
-def embed_walk_as_curve(w: WalkBridge, lattice: LatticeParams, x0: float) -> Curve:
-    """Lattice curve x0 + dx * (partial sums) on the lattice time grid."""
-    if w.n_steps != lattice.n_steps:
-        raise StructuralError(
-            f"walk has {w.n_steps} steps but lattice expects {lattice.n_steps}"
-        )
-    return Curve(lattice.interval, x0 + lattice.dx * w.positions())
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,9 @@ def test_criterion_07_tail_bounds():
 def test_criterion_08_pw_mechanism():
     # (a) free-bridge ratio estimates contain 1 for every window
     # (b) calibrated two-curve ensemble matches the direct hidden-curve CDF
-    # (c) per-sample domination violations below the nested-MC noise budget
+    # (c) per-sample domination: given the hidden curve at the window's three times,
+    # the top curve's exact conditional CDF at x1 exceeds the free bridge's times
+    # 1{hidden <= x1} by more than rounding on fewer than the budget's share of rows
     _run("pw", 8)
 
 

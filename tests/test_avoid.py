@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.integrate import quad
 
 from bridgelines import avoid, bridge, walk
 from bridgelines.core import Barrier, DomainError, Interval, LatticeParams, LineEnsemble, RngSeed, WeylVector
@@ -102,6 +103,38 @@ def test_km_weight_closed_form_and_ordering():
         bad = vals.copy()
         bad[:, 1, j] = bad[:, 0, j] + rng.uniform(0.0, 0.1, 500) * (j % 2)
         assert not avoid._km_weight(bad, times).any()
+
+
+@pytest.mark.parametrize("w", [4, 32, 512])
+def test_window_top_cdf_matches_quadrature(w):
+    # rows in units of sd = sqrt(dt/2): h(t1) at d sd from the free mean (a+b)/2,
+    # h at the window edges ga sd and gb sd below the top curve; in g = u sd the
+    # density is exp(-(u + d)^2 / 2) (1 - exp(-ga u / 2)) (1 - exp(-gb u / 2))
+    dt = 1.0 / w
+    sd = math.sqrt(dt / 2.0)
+    a, b = 0.3 + 0.5 * sd, 0.3 - 0.5 * sd
+    for d in (-30.0, -3.0, 0.0, 3.0, 12.0):  # far below, near and far above the mean
+        for ga, gb in ((1.0, 1.0), (0.2, 3.0)):
+            h = np.array([a - ga * sd, 0.3 + d * sd, b - gb * sd])
+            x1 = np.array([h[1] - sd, h[1] + 0.05 * sd, h[1] + 0.5 * sd, h[1] + 2 * sd,
+                           0.3 - sd, 0.3, 0.3 + sd])
+            got = avoid.window_top_cdf(x1, a, b, h, dt)
+            assert np.isfinite(got).all()
+
+            def dens(u):  # scaled so that its peak over u >= 0 is near 1
+                free = math.exp(-((u + d) ** 2 - max(d, 0.0) ** 2) / 2)
+                return free * math.expm1(-ga * u / 2) * math.expm1(-gb * u / 2)
+
+            peak, top = max(0.0, -d), max(0.0, -d) + 40.0
+
+            def mass(hi):
+                return quad(dens, 0.0, hi, points=[peak] if 0 < peak < hi else None, epsabs=0, epsrel=1e-13,
+                            limit=200)[0] if hi > 0 else 0.0
+
+            want = [mass(min(max((x - h[1]) / sd, 0.0), top)) / mass(top) for x in x1]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10, err_msg=f"d={d} ga={ga} gb={gb}")
+    # the conditional law is undefined unless the pair is ordered at both window edges
+    assert np.isnan(avoid.window_top_cdf(0.0, 0.1, 0.1, [0.1, -1.0, -0.1], dt))
 
 
 def _bottom_midpoint_cdf(T, x, y, h=0.004, lim=3.0):

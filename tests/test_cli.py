@@ -205,8 +205,6 @@ def test_verify_unknown_suite_and_bad_key(tmp_path, capsys):
         ["--suite", "pw", "--set", "n_pilot=0"],
         ["--suite", "pw", "--set", "n_single=0"],
         ["--suite", "pw", "--set", "n_domination=0"],
-        ["--suite", "pw", "--set", "inner_samples=0"],
-        ["--suite", "pw", "--set", "inner_samples=1"],
         ["--suite", "pw", "--set", "domination_budget=-1"],
         ["--suite", "pw", "--set", "windows=()"],
         ["--suite", "pw", "--set", "pair_interval=(0.0,)"],

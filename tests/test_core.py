@@ -1,5 +1,3 @@
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,11 +10,9 @@ from bridgelines.core import (
     Interval,
     LatticeParams,
     LineEnsemble,
-    PrefetchedNormals,
     RngSeed,
     StructuralError,
     WeylVector,
-    _BLOCK,
     _avoids,
     _rejection_loop,
     check_avoiding,
@@ -179,23 +175,6 @@ def test_rejection_rows_keep_their_first_acceptances():
     assert vals[:, :, 0, 0].tolist() == [[0.0, 1.0]] * 3
     assert drawn.tolist() == seen.tolist() == [3, 3, 3]
     assert first_hit.tolist() == [0, 0, 0]
-
-
-def test_prefetched_normals_continue_the_generators_stream():
-    twin = RngSeed(5).generator()
-    before = set(threading.enumerate())
-    # the fifth draw straddles a block boundary, the sixth is longer than two blocks
-    shapes = [0, 1, 7, (1, 10000, 1, 7), _BLOCK, 2 * _BLOCK + 5, (3, 2)]
-    with PrefetchedNormals(RngSeed(5).generator()) as normals:
-        for shape in shapes:
-            got, want = normals.standard_normal(shape), twin.standard_normal(shape)
-            assert got.shape == want.shape and np.array_equal(got, want), shape
-    assert set(threading.enumerate()) == before
-    with pytest.raises(KeyError):
-        with PrefetchedNormals(RngSeed(5).generator()) as normals:
-            normals.standard_normal(3)
-            raise KeyError("body raised")
-    assert set(threading.enumerate()) == before
 
 
 def test_serialization_roundtrip(tmp_path):

@@ -13,7 +13,7 @@ from bridgelines import suites
 from bridgelines.core import DomainError
 
 CASES = {
-    "pw": dict(n_single=2000, n_pair=300, n_pilot=300, n_domination=20, inner_samples=2000),
+    "pw": dict(n_single=2000, n_pair=300, n_pilot=300, n_domination=20),
     "detect": dict(planted="both", n_seeds=1, n_samples=2000, n_pilot=300),
     "glauber-stationarity": dict(retained=5000, burn_seeds=8),
     "coupling": dict(n_chain_seeds=4, chain_events=500, n_marginal_samples=300),
@@ -35,7 +35,7 @@ EXPECTED = {
         ('PASS         pw-sandwich-w32                              stat=0.998896 p=- ci=[0.943936,1.05386] n=(300,0) seed=1',
          'direct=1 x1=1.4125 |diff|=0.0011035 tol=0.05496 capped={10: 0.9989, 100: 0.9989, 1000: 0.9989} degenerate=0'),
         ('PASS         pw-domination-oracle                         stat=0 p=- ci=- n=(20,0) seed=1',
-         'violations=0 checked=20 skipped=0 budget=0.001'),
+         'violations=0 checked=20 budget=0.001'),
         ('SUITE PASS pw', None),
     ],
     'detect': [
@@ -153,8 +153,6 @@ def test_pw_rejects_a_bad_config_before_any_draw(monkeypatch):
         dict(n_pair=0),
         dict(n_pilot=0),
         dict(n_domination=0),
-        dict(inner_samples=0),
-        dict(inner_samples=suites._ORACLE_MIN_ACCEPTED - 1),  # every row would be skipped
         dict(domination_budget=-1.0),
         dict(domination_budget=0.0),
         dict(domination_budget=1.5),
@@ -168,20 +166,17 @@ def test_pw_rejects_a_bad_config_before_any_draw(monkeypatch):
             suites.run_suite("pw", seed=1, **overrides)
 
 
-def test_pw_oracle_with_every_row_skipped_is_vacuous(monkeypatch):
-    # the oracle's rows redraw across the window; the batches cover the whole interval
-    def nothing_in_the_window(interval, x, y, f_vals, g_vals, grid_points, n_samples, rng, max_attempts,
-                              chunk=2048):
-        if interval == suites.Interval(0.0, 1.0):
-            return sample(interval, x, y, f_vals, g_vals, grid_points, n_samples, rng, max_attempts, chunk)
-        return np.empty((0, 1, grid_points + 1)), max_attempts, 0, -1
+def test_pw_oracle_counts_a_nan_row_as_a_violation(monkeypatch):
+    def nan_first_row(*args):
+        num = window_top_cdf(*args)
+        num[0] = np.nan
+        return num
 
-    sample = suites.avoid.sample_avoiding_values
-    monkeypatch.setattr(suites.avoid, "sample_avoiding_values", nothing_in_the_window)
-    result = suites.run_suite("pw", seed=1, **CASES["pw"])
-    oracle = result.reports[-1]
-    assert oracle.name == "pw-domination-oracle" and oracle.verdict == "VACUOUS"
-    assert oracle.details == "violations=0 checked=0 skipped=20 budget=0.001"
+    window_top_cdf = suites.avoid.window_top_cdf
+    monkeypatch.setattr(suites.avoid, "window_top_cdf", nan_first_row)
+    oracle = suites.run_suite("pw", seed=1, **CASES["pw"]).reports[-1]
+    assert oracle.name == "pw-domination-oracle" and oracle.verdict == "FAIL"
+    assert oracle.details == "violations=1 checked=20 budget=0.001"
 
 
 def test_convergence_rejects_a_bad_config_before_any_draw(monkeypatch):

@@ -1,9 +1,6 @@
-import math
-
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.integrate import quad
 
 from bridgelines import avoid, bridge, verify
 from bridgelines.core import Barrier, DomainError, Interval, RngSeed, WeylVector
@@ -186,9 +183,8 @@ def test_resample_block_reads_each_rows_own_boundary_data():
 
 def test_resample_block_matches_the_exact_conditional_law():
     # k = 2, block (0, 0) and one interior time t1: given the pair at a_w and
-    # b_w and curve 1 (h) at t1, curve 0 at t1 has the density
-    # N((a+b)/2, dt/2) (1 - exp(-alpha g)) (1 - exp(-beta g)) in g = v - h(t1) > 0,
-    # alpha = (a - h(a_w))/dt, beta = (b - h(b_w))/dt (Karlin-McGregor on each segment)
+    # b_w and curve 1 (h) at t1, curve 0 at t1 follows the closed-form law of
+    # avoid.window_top_cdf, so that CDF at the drawn values must be uniform
     times, dt = np.array([0.25, 0.5, 0.75]), 0.25
     rows = [  # (a, b, h(a_w), h(t1), h(b_w))
         (0.3, 0.1, -0.2, -0.3, -0.4),
@@ -196,23 +192,11 @@ def test_resample_block_matches_the_exact_conditional_law():
         (1.0, -0.5, -1.0, -0.4, -1.0),
         (0.0, 0.0, -0.4, 0.0, -0.4),  # the free law's mean sits on h(t1)
     ]
-    reps = 5000
-    vals = np.repeat(np.array([[[a, 0.0, b], [ha, h1, hb]] for a, b, ha, h1, hb in rows]), reps, axis=0)
+    vals = np.repeat(np.array([[[a, 0.0, b], [ha, h1, hb]] for a, b, ha, h1, hb in rows]), 5000, axis=0)
     out = verify.resample_block(vals, times, (0, 0), RngSeed(51).generator())
-    u = []
-    for r, (a, b, ha, h1, hb) in enumerate(rows):
-        alpha, beta = (a - ha) / dt, (b - hb) / dt
-
-        def dens(v):  # unnormalised
-            g = v - h1
-            return math.exp(-((v - (a + b) / 2) ** 2) / dt) * math.expm1(-alpha * g) * math.expm1(-beta * g)
-
-        drawn = np.sort(out[r * reps : (r + 1) * reps, 0, 1])
-        assert drawn[0] > h1
-        edges = np.concatenate([[h1], drawn])
-        cdf = np.cumsum([quad(dens, lo, hi)[0] for lo, hi in zip(edges[:-1], edges[1:])])
-        u.append(cdf / (cdf[-1] + quad(dens, drawn[-1], np.inf)[0]))
-    assert stats.kstest(np.concatenate(u), "uniform").pvalue > verify.SUITE_P_FLOOR
+    assert np.all(out[:, 0, 1] > out[:, 1, 1])
+    u = avoid.window_top_cdf(out[:, 0, 1], out[:, 0, 0], out[:, 0, 2], out[:, 1], dt)
+    assert stats.kstest(u, "uniform").pvalue > verify.SUITE_P_FLOOR
 
 
 def test_gibbs_bottom_block_invariance():

@@ -77,20 +77,6 @@ def test_telescoping_identity():
             assert abs(walk.walk_log_prob(wb) + log_count) < 1e-9
 
 
-def test_embed_walk_as_curve():
-    lat = LatticeParams(Interval(0, 1), 2)
-    wb = walk.WalkBridge(2, 0, (1, -1))
-    c = walk.embed_walk_as_curve(wb, lat, 0.0)
-    assert np.allclose(c.values, [0.0, lat.dx, 0.0])
-    const = walk.embed_walk_as_curve(walk.WalkBridge(2, 0, (0, 0)), lat, 0.7)
-    assert np.all(const.values == 0.7)
-    wb2 = walk.WalkBridge(2, 2, (1, 1))
-    c2 = walk.embed_walk_as_curve(wb2, lat, 0.3)
-    assert c2.values[-1] == pytest.approx(0.3 + 2 * lat.dx)
-    with pytest.raises(Exception):
-        walk.embed_walk_as_curve(walk.WalkBridge(3, 0, (1, -1, 0)), lat, 0.0)
-
-
 def _tiny_spec(k=1, steps=2, x_units=(0,), y_units=(0,), g=None):
     lat = LatticeParams(Interval(0, 1), steps)
     x = WeylVector(tuple(u * lat.dx for u in x_units))
