@@ -12,13 +12,15 @@ inclusive range and one line per (suite, seed) gives the verdict, the
 names of any failing reports and a digest of every report (the first 16 hex
 digits of the sha256 of their full text, floats at full precision), so that
 `diff` of two checkouts' sweeps shows whether their reports are
-byte-identical; nothing is written to disk. Either way the exit
+byte-identical; nothing is written to disk, and stderr ends with each
+suite's median wall time over the sweep. Either way the exit
 code is 0 iff every run passes, and wall times go to stderr, so the reports in
 --out stay byte-identical across runs.
 """
 
 import argparse
 import hashlib
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -42,11 +44,12 @@ def _digest(result: suites.SuiteResult) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _timed(name: str, seed: int) -> suites.SuiteResult:
+def _timed(name: str, seed: int) -> tuple[suites.SuiteResult, float]:
     t0 = time.perf_counter()
     result = suites.run_suite(name, seed=seed)
-    print(f"{name} seed={seed}: {time.perf_counter() - t0:.2f} s", file=sys.stderr)
-    return result
+    seconds = time.perf_counter() - t0
+    print(f"{name} seed={seed}: {seconds:.2f} s", file=sys.stderr)
+    return result, seconds
 
 
 def main() -> int:
@@ -62,19 +65,24 @@ def main() -> int:
 
     if args.seeds is not None:
         failed = 0
+        medians = []
         for name in names:
+            seconds = []
             for seed in args.seeds:
-                result = _timed(name, seed)
+                result, s = _timed(name, seed)
+                seconds.append(s)
                 bad = "".join(f" {r.name}" for r in result.reports if not r.passed)
                 print(f"{name} seed={seed} {'PASS' if result.passed else 'FAIL'}{bad} {_digest(result)}",
                       flush=True)
                 failed += not result.passed
+            medians.append(f"{name}: median {statistics.median(seconds):.2f} s over {len(seconds)} seeds")
         print(f"{failed} of {len(names) * len(args.seeds)} runs failed")
+        print("\n".join(medians), file=sys.stderr)
         return 1 if failed else 0
 
     all_ok = True
     for name in names:
-        result = _timed(name, args.seed)
+        result, _ = _timed(name, args.seed)
         _write_reports(result, args.out)
         status = "PASS" if result.passed else "FAIL"
         print(f"{status}  {name}")

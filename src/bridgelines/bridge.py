@@ -5,11 +5,14 @@ conditional Gaussians: given the value v at time s, the value at t < b is
 Normal(v + (t-s)/(b-s) * (y-v), (t-s)(b-t)/(b-s)). The same step, with y the
 value at any later time b, fills in a grid by midpoint bisection:
 grid_max_exceedance draws only the grid values of segments whose ends lie
-close enough to the barrier to matter.
+close enough to the barrier to matter. Its segments are walked by node rank
+in per-depth tables of the bisection (span, step weight and sd, child rank),
+and each level is compacted through one index of the segments it splits.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,15 +58,19 @@ def transition_density(t: float, x: float, y: float) -> float:
     return float(np.exp(-((x - y) ** 2) / (2.0 * t)) / np.sqrt(2.0 * np.pi * t))
 
 
+def _step_coefficients(s, t, b):
+    """Weight (t-s)/(b-s) and standard deviation sqrt((t-s)(b-t)/(b-s)) of the step to t."""
+    return (t - s) / (b - s), np.sqrt((t - s) * (b - t) / (b - s))
+
+
 def _bridge_step(v, y, s: float, t: float, b: float, z):
     """The one forward step: the bridge value at t given v at s, for a bridge ending at y at b.
 
     Draws Normal(v + (t-s)/(b-s) * (y-v), (t-s)(b-t)/(b-s)) from the standard
     normals z; v, y and z broadcast together.
     """
-    w = (t - s) / (b - s)
-    var = (t - s) * (b - t) / (b - s)
-    return v + w * (y - v) + np.sqrt(var) * z
+    w, sd = _step_coefficients(s, t, b)
+    return v + w * (y - v) + sd * z
 
 
 def _bridge_paths(x, y, a: float, times, b: float, z) -> np.ndarray:
@@ -111,8 +118,16 @@ def sample_bridge_at(
     return _bridge_paths(x, y, interval.a, times, interval.b, z)[:, 1:-1]
 
 
+def _check_finite(**values) -> None:
+    """Raise DomainError unless every value is a finite float: not NaN, not inf, no int beyond float range."""
+    bad = {k: v for k, v in values.items() if not abs(v) <= sys.float_info.max}
+    if bad:
+        raise DomainError(f"need finite values, got {bad}")
+
+
 def bridge_max_prob(T: float, a: float, beta: float) -> float:
     """P(max of a bridge from 0 to a on [0,T] >= beta) = exp(-2 beta (beta - a) / T), clamped to 1."""
+    _check_finite(T=T, a=a, beta=beta)
     if T <= 0:
         raise DomainError(f"T must be positive, got {T}")
     if beta <= 0:
@@ -130,6 +145,29 @@ def grid_max_allowance(T: float, a: float, beta: float, m: int) -> float:
     dt = T / m
     shift = GRID_MAX_BETA * np.sqrt(dt)
     return bridge_max_prob(T, a, beta) - bridge_max_prob(T, a, beta + shift)
+
+
+def _bisection_levels(grid: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """Midpoint bisection of the grid [0, m], one table per depth, each depth's nodes in grid order.
+
+    Each node is a segment between grid points i < k, split at (i + k) // 2.
+    Per depth: the nodes' spans k - i (int32), the _step_coefficients of
+    their midpoints, and the rank of each node's left child at the next depth
+    (int32; the right child is the next rank). Spans at one depth can differ
+    by one, so child ranks are stored, not derived. Unit nodes have no
+    children; every depth together holds fewer than 2m nodes.
+    """
+    lo, hi = np.zeros(1, dtype=np.int64), np.full(1, grid.size - 1)
+    levels = []
+    while lo.size:
+        mid = (lo + hi) // 2
+        w, sd = _step_coefficients(grid[lo], grid[mid], grid[hi])
+        split = hi - lo > 1
+        child = 2 * (np.cumsum(split, dtype=np.int32) - split)
+        levels.append(((hi - lo).astype(np.int32), w, sd, child))
+        lo, mid, hi = lo[split], mid[split], hi[split]
+        lo, hi = np.stack((lo, mid), axis=1).ravel(), np.stack((mid, hi), axis=1).ravel()
+    return levels
 
 
 def grid_max_exceedance(
@@ -153,7 +191,7 @@ def grid_max_exceedance(
 
     Each bridge is built by midpoint bisection (Levy's construction): a
     segment between grid points i < k with values u, v gets the grid value at
-    (i + k) // 2 from _bridge_step, then splits in two, until segments are
+    (i + k) // 2 by the bridge step, then splits in two, until segments are
     one grid step long. A segment is refined only while its bridge has not
     reached beta and its gap product (beta - u)(beta - v) is below 20 L, L
     the segment's length; a unit segment is then one crossing factor. A
@@ -163,14 +201,21 @@ def grid_max_exceedance(
     bridge that can reach beta. Each bisection level of a chunk of
     _GRID_MAX_CHUNK bridges makes one standard_normal call, one normal per
     split segment, so the random stream follows the bisection.
+
+    The frontier holds each segment's bridge, its node rank in the
+    _bisection_levels table of its depth, and its end values; the step
+    weight and sd are gathered from the table by rank. Each level computes
+    the index of the segments to split once and takes from it into the next
+    frontier: left children in its first half, right children in its second.
     """
+    _check_finite(T=T, a=a, beta=beta)
     if T <= 0:
         raise DomainError(f"T must be positive, got {T}")
     if m < 1:
         raise DomainError(f"need at least 1 grid step (m >= 1), got {m}")
     if n_samples < 1:
         raise DomainError(f"n_samples must be at least 1, got {n_samples}")
-    grid = np.linspace(0.0, T, m + 1)
+    levels = _bisection_levels(np.linspace(0.0, T, m + 1))
     dt = T / m
     hits = 0
     missed_sum = 0.0
@@ -178,25 +223,45 @@ def grid_max_exceedance(
         nc = min(_GRID_MAX_CHUNK, n_samples - done)
         hit = np.full(nc, 0.0 >= beta or a >= beta)
         log_survive = np.zeros(nc)
-        # the segment frontier: its bridge, its end grid indices and their values
-        row = np.arange(nc)
-        lo, hi = np.zeros(nc, dtype=np.int64), np.full(nc, m)
+        # the segment frontier: its bridge, its node rank at this depth, its end values
+        row, node = np.arange(nc, dtype=np.int32), np.zeros(nc, dtype=np.int32)
         u, v = np.zeros(nc), np.full(nc, float(a))
-        while row.size:
-            gap = (beta - u) * (beta - v)
-            live = ~hit[row] & (gap < 20.0 * dt * (hi - lo))
-            unit = live & (hi - lo == 1)
-            log_survive += np.bincount(
-                row[unit], weights=np.log1p(-np.exp(-2.0 * gap[unit] / dt)), minlength=nc
-            )
-            split = live & ~unit
-            row, lo, hi, u, v = row[split], lo[split], hi[split], u[split], v[split]
-            mid = (lo + hi) // 2
-            w = _bridge_step(u, v, grid[lo], grid[mid], grid[hi], rng.standard_normal(row.size))
-            hit[row[w >= beta]] = True
-            row = np.concatenate((row, row))
-            lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
-            u, v = np.concatenate((u, w)), np.concatenate((w, v))
+        for span, weight, sd, child in levels:
+            if not row.size:
+                break
+            span = span.take(node, mode="clip")
+            gap = beta - u
+            gap *= beta - v
+            live = gap < 20.0 * dt * span
+            live &= ~hit.take(row, mode="clip")
+            unit = live & (span == 1)
+            if unit.any():
+                log_survive += np.bincount(
+                    row[unit], weights=np.log1p(-np.exp(-2.0 * gap[unit] / dt)), minlength=nc
+                )
+                live &= ~unit
+            i = np.flatnonzero(live)
+            k = i.size
+            nrow, nnode = np.empty(2 * k, dtype=np.int32), np.empty(2 * k, dtype=np.int32)
+            nu, nv = np.empty(2 * k), np.empty(2 * k)
+            row.take(i, out=nrow[:k], mode="clip")
+            nrow[k:] = nrow[:k]
+            parent = node.take(i, mode="clip")
+            child.take(parent, out=nnode[:k], mode="clip")
+            np.add(nnode[:k], 1, out=nnode[k:])
+            left, right, w = nu[:k], nv[k:], nv[:k]
+            u.take(i, out=left, mode="clip")
+            v.take(i, out=right, mode="clip")
+            # u + weight (v - u) + sd z, the bridge step's operations in its order
+            np.subtract(right, left, out=w)
+            w *= weight.take(parent, mode="clip")
+            w += left
+            z = rng.standard_normal(k)
+            z *= sd.take(parent, mode="clip")
+            w += z
+            nu[k:] = w
+            hit[nrow[:k][w >= beta]] = True
+            row, node, u, v = nrow, nnode, nu, nv
         hits += int(np.count_nonzero(hit))
         missed_sum += float(np.sum(-np.expm1(log_survive[~hit])))
     return hits / n_samples, missed_sum / n_samples

@@ -9,6 +9,7 @@ functions; the acceptance tests call them directly.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -58,10 +59,12 @@ def reflection_suite(cfg: ReflectionConfig) -> SuiteResult:
     if not cfg.cases:
         raise DomainError("cases must name at least one (T, a, beta)")
     bad = [c for c in cfg.cases if not (
-        isinstance(c, tuple) and len(c) == 3 and all(isinstance(x, (int, float)) for x in c) and c[0] > 0
+        isinstance(c, tuple) and len(c) == 3
+        and all(isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max for x in c)
+        and c[0] > 0
     )]
     if bad:
-        raise DomainError(f"every case must be a (T, a, beta) with T > 0, got {bad}")
+        raise DomainError(f"every case must be a (T, a, beta) of finite numbers with T > 0, got {bad}")
     if min(cfg.n_samples, cfg.shrink_samples) < 1:
         raise DomainError(f"n_samples and shrink_samples must be at least 1, got {cfg.n_samples}, {cfg.shrink_samples}")
     if not 1 <= cfg.shrink_grid_coarse < cfg.grid_points:

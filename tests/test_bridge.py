@@ -21,8 +21,10 @@ def test_bridge_max_prob_values():
     assert bridge.bridge_max_prob(1, 0, 1) == pytest.approx(math.exp(-2))
     assert bridge.bridge_max_prob(1, 1, 1) == 1.0  # endpoint attains the level
     assert bridge.bridge_max_prob(2, 0, 1) == pytest.approx(math.exp(-1))
-    with pytest.raises(DomainError):
-        bridge.bridge_max_prob(0, 0, 1)
+    for args in ((0, 0, 1), (math.nan, 0, 1), (math.inf, 0, 1), (1, math.nan, 1), (1, -math.inf, 1),
+                 (1, 0, math.nan), (1, 0, math.inf)):
+        with pytest.raises(DomainError):
+            bridge.bridge_max_prob(*args)
 
 
 def test_midpoint_cdf_single_values():
@@ -199,7 +201,9 @@ def test_grid_max_exceedance_bias_estimate_and_degenerate_cases():
         assert bridge.grid_max_exceedance(T, a, beta, 64, 1000, RngSeed(0).generator()) == (1.0, 0.0)
     freq, missed = bridge.grid_max_exceedance(1.0, 0.0, 3.0, 2048, 20000, RngSeed(14).generator())
     assert freq == 0.0 and 0.0 <= missed < 1e-6
-    for args in ((0.0, 0.0, 1.0, 8, 10), (1.0, 0.0, 1.0, 0, 10), (1.0, 0.0, 1.0, 8, 0)):
+    for args in ((0.0, 0.0, 1.0, 8, 10), (1.0, 0.0, 1.0, 0, 10), (1.0, 0.0, 1.0, 8, 0),
+                 (math.nan, 0.0, 1.0, 8, 10), (math.inf, 0.0, 1.0, 8, 10), (1.0, math.nan, 1.0, 8, 10),
+                 (1.0, 0.0, math.nan, 8, 10), (1.0, 0.0, -math.inf, 8, 10)):
         with pytest.raises(DomainError):
             bridge.grid_max_exceedance(*args, RngSeed(0).generator())
 
@@ -220,4 +224,28 @@ def test_grid_max_exceedance_draws_only_values_near_the_barrier():
     n = 20000
     rng = _CountingNormals(RngSeed(15).generator())
     bridge.grid_max_exceedance(1.0, 0.0, 1.0, 2048, n, rng)
-    assert 0 < rng.drawn < 100 * n
+    assert rng.drawn == 899577
+
+
+@pytest.mark.parametrize("T, a, beta, m, n, seed, expected, drawn, next_random", [
+    (1.0, 0.0, 0.5, 1, 1000, 21, (0.0, 0.6065306597126334), 0, 0.781117588817471),
+    (1.0, 0.0, 0.5, 5, 5000, 22, (0.3134, 0.29559258484947043), 17120, 0.11724018911606571),
+    (2.0, 0.5, 1.0, 7, 5000, 23, (0.3344, 0.2652779951543666), 25052, 0.5334826062889135),
+    (1.0, 0.0, 1.0, 37, 4000, 30, (0.07975, 0.048142562786976185), 102920, 0.9448108676876021),
+    (2.0, 0.0, 1.0, 64, 4000, 31, (0.3, 0.0714009493519958), 137690, 0.5766636582899025),
+    (1.0, 0.5, 1.0, 513, 3000, 25, (0.3506666666666667, 0.02662017671775483), 163855, 0.9244257160257232),
+    (0.7, 0.0, 0.5, 1000, 3000, 24, (0.47933333333333333, 0.019866838535397252), 181438, 0.027240883266680505),
+    # two full chunks of _GRID_MAX_CHUNK bridges and a partial one
+    (1.0, 0.0, 1.0, 2048, 45000, 26, (0.12813333333333332, 0.006906241384714749), 2019310, 0.253476220126052),
+    (1.0, 0.0, 3.0, 2048, 20000, 29, (0.0, 0.0), 51463, 0.47953108893328567),
+    (1.0, 1.0, 0.5, 64, 100, 27, (1.0, 0.0), 0, 0.6977362164767853),  # a >= beta
+    (1.0, 0.0, -0.3, 64, 100, 28, (1.0, 0.0), 0, 0.8518339359821577),  # beta <= 0
+])
+def test_grid_max_exceedance_pinned_at_fixed_seeds(T, a, beta, m, n, seed, expected, drawn, next_random):
+    # exact outputs, normal counts and the generator's next draw: the frontier's
+    # order and coefficients fix which normal lands on which segment
+    rng = RngSeed(seed).generator()
+    counting = _CountingNormals(rng)
+    assert bridge.grid_max_exceedance(T, a, beta, m, n, counting) == expected
+    assert counting.drawn == drawn
+    assert rng.random() == next_random

@@ -143,6 +143,8 @@ def test_verify_reflection_rerun_is_byte_identical(tmp_path):
 @pytest.mark.parametrize("setting", [
     "n_samples=0", "n_samples=-5", "shrink_samples=0", "grid_points=0", "grid_points=1",
     "shrink_grid_coarse=0", "cases=()", "cases=((0.0,0.0,1.0),)", "cases=((1.0,0.0),)",
+    "cases=((1.0,0.0,1e999),)", "cases=((1e999,0.0,1.0),)", "cases=((True,0.0,1.0),)",
+    f"cases=((1.0,{10 ** 400},1.0),)",
 ])
 @pytest.mark.filterwarnings("error")  # a numpy warning on the way would fail the run instead
 def test_verify_reflection_bad_config_is_usage_error(tmp_path, capsys, setting):

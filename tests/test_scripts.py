@@ -19,3 +19,4 @@ def test_run_acceptance_sweeps_pw_over_two_seeds():
     for seed, line in zip((1, 2), lines):
         assert re.fullmatch(rf"pw seed={seed} PASS [0-9a-f]{{16}}", line), line
     assert lines[2] == "0 of 2 runs failed"
+    assert re.fullmatch(r"pw: median \d+\.\d\d s over 2 seeds", proc.stderr.splitlines()[-1]), proc.stderr
