@@ -1,8 +1,6 @@
 """Non-intersecting Brownian bridge line ensembles: samplers, lattice walks, verification."""
 
 from .core import (
-    Barrier,
-    Curve,
     DomainError,
     Interval,
     LatticeParams,
@@ -11,14 +9,11 @@ from .core import (
     StructuralError,
     WeylVector,
     check_avoiding,
-    eval_curve,
     read_ensembles,
     write_ensembles,
 )
 
 __all__ = [
-    "Barrier",
-    "Curve",
     "DomainError",
     "Interval",
     "LatticeParams",
@@ -27,7 +22,6 @@ __all__ = [
     "StructuralError",
     "WeylVector",
     "check_avoiding",
-    "eval_curve",
     "read_ensembles",
     "write_ensembles",
 ]

@@ -18,9 +18,10 @@ from functools import lru_cache
 import numpy as np
 from scipy import special
 
-from .bridge import SQRT2PI, _bridge_paths, certify_c0, midpoint_cdf_single
+# midpoint_cdf_single is re-exported: perfbench's tracer test wraps it under this name too
+from .bridge import SQRT2PI, _bridge_paths, certify_c0, midpoint_cdf_single  # noqa: F401
 from .core import (
-    Barrier, DomainError, Interval, LineEnsemble, RejectionExhausted, StructuralError, WeylVector,
+    DomainError, Interval, LineEnsemble, RejectionExhausted, StructuralError, WeylVector,
     _avoids, _rejection_loop, _rejection_sample,
 )
 
@@ -34,13 +35,13 @@ _KM_ATTEMPTS = 10**7
 
 @dataclass(frozen=True)
 class AvoidSpec:
-    """Avoiding ensemble: k bridges from x to y on interval, squeezed between f and g."""
+    """Avoiding ensemble: k bridges from x to y on interval, squeezed between constants f and g."""
 
     interval: Interval
     x: WeylVector
     y: WeylVector
-    f: Barrier
-    g: Barrier
+    f: float = np.inf
+    g: float = -np.inf
     grid_points: int = 512
 
     def __post_init__(self):
@@ -48,17 +49,13 @@ class AvoidSpec:
             raise StructuralError("entrance and exit vectors must have equal length")
         if self.grid_points < 2:
             raise DomainError("need at least 2 grid points")
-        a, b = self.interval.a, self.interval.b
-        if self.f.is_finite:
-            if not (self.f.at(a)[0] > self.x[0] and self.f.at(b)[0] > self.y[0]):
-                raise DomainError("upper barrier must clear the top endpoints")
-        if self.g.is_finite:
-            if not (self.g.at(a)[0] < self.x[-1] and self.g.at(b)[0] < self.y[-1]):
-                raise DomainError("lower barrier must clear the bottom endpoints")
-        if self.f.is_finite and self.g.is_finite:
-            grid = self.interval.grid(self.grid_points)
-            if not np.all(self.f.at(grid) > self.g.at(grid)):
-                raise DomainError("barriers must satisfy f > g everywhere")
+        # plain comparisons, so a NaN barrier fails them too
+        if not (self.f > self.x[0] and self.f > self.y[0]):
+            raise DomainError("upper barrier must clear the top endpoints")
+        if not (self.g < self.x[-1] and self.g < self.y[-1]):
+            raise DomainError("lower barrier must clear the bottom endpoints")
+        if not self.f > self.g:
+            raise DomainError("barriers must satisfy f > g")
 
     @property
     def k(self) -> int:
@@ -77,7 +74,7 @@ def sample_avoiding_values(
     max_attempts: int,
     chunk: int = 2048,
 ) -> tuple[np.ndarray, int, int, int]:
-    """Rejection sampling with barriers given as value arrays on the grid.
+    """Rejection sampling between barriers given as floats or as value arrays on the grid.
 
     Returns (values, n_drawn, n_accepted_seen, first_hit): values has shape
     (n_out, k, M+1) with n_out = min(n_samples, n_accepted_seen), and first_hit
@@ -93,7 +90,7 @@ def sample_avoiding_values(
         z = rng.standard_normal((1, nc, x.size, m - 1))
         return _bridge_paths(x, y, interval.a, grid[1:m], interval.b, z)
 
-    return _rejection_sample(draw, f_vals, g_vals, x.size, n_samples, max_attempts, chunk)
+    return _rejection_sample(draw, f_vals, g_vals, (x.size, m + 1), n_samples, max_attempts, chunk)
 
 
 def _km_weight(vals: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -204,13 +201,12 @@ def sample_avoiding_batch(
     max_attempts: int = 10**7,
 ) -> tuple[np.ndarray, int, int]:
     """Batch of accepted ensembles as an array (n, k, M+1) plus draw statistics."""
-    grid = spec.interval.grid(spec.grid_points)
     vals, drawn, seen, _ = sample_avoiding_values(
         spec.interval,
         spec.x.as_array(),
         spec.y.as_array(),
-        spec.f.at(grid),
-        spec.g.at(grid),
+        spec.f,
+        spec.g,
         spec.grid_points,
         n_samples,
         rng,
@@ -231,31 +227,6 @@ def wilson_ci(successes: int, n: int) -> tuple[float, float]:
     center = (p + z * z / (2 * n)) / denom
     half = z * np.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
     return (max(0.0, center - half), min(1.0, center + half))
-
-
-def midpoint_cdf_avoiding(
-    r: float,
-    spec: AvoidSpec,
-    num_samples: int,
-    rng: np.random.Generator,
-) -> tuple[float, tuple[float, float]]:
-    """P(bottom curve at the interval midpoint <= r) for a barrier-free ensemble.
-
-    Monte Carlo with a Wilson interval over exact draws at the midpoint
-    (sample_avoiding_at, so the spec's grid plays no part); the k = 1 case is
-    the closed-form Gaussian midpoint law and returns a zero-width interval.
-    """
-    if spec.f.is_finite or spec.g.is_finite:
-        raise DomainError("the midpoint CDF observable is defined without barriers")
-    if spec.k == 1:
-        p = midpoint_cdf_single(
-            r, spec.interval.a, spec.interval.b, spec.x[0], spec.y[0]
-        )
-        return p, (p, p)
-    vals, _, _ = sample_avoiding_at(spec.interval, spec.x.as_array(), spec.y.as_array(),
-                                    [spec.interval.midpoint], num_samples, rng)
-    hits = int(np.count_nonzero(vals[:, -1, 0] <= r))
-    return hits / num_samples, wilson_ci(hits, num_samples)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from functools import lru_cache
 
 from . import avoid, bridge, glauber, suites, walk
 from .core import (
-    Barrier,
     Interval,
     LatticeParams,
     LineEnsemble,
@@ -105,12 +104,6 @@ def _units(text: str) -> list[int]:
     return [int(v) for v in text.split(",")]
 
 
-def _barrier(const, interval) -> Barrier:
-    if const is None:
-        return Barrier.minus_inf()
-    return Barrier.constant(float(const), interval)
-
-
 def cmd_sample(args) -> int:
     if args.n_samples < 1:
         raise ValueError(f"--n-samples must be at least 1, got {args.n_samples}")
@@ -134,8 +127,7 @@ def cmd_sample(args) -> int:
             manifest += [("x", args.x), ("y", args.y)]
         elif args.kind == "avoid":
             xv, yv = _vector(args.x_vec), _vector(args.y_vec)
-            f = Barrier.plus_inf() if args.f_const is None else Barrier.constant(args.f_const, interval)
-            spec = avoid.AvoidSpec(interval, xv, yv, f, _barrier(args.g_const, interval), args.grid)
+            spec = avoid.AvoidSpec(interval, xv, yv, args.f_const, args.g_const, args.grid)
             vals, drawn, seen = avoid.sample_avoiding_batch(
                 spec, args.n_samples, seed.derive("sample/avoid").generator(), args.max_attempts
             )
@@ -150,7 +142,7 @@ def cmd_sample(args) -> int:
             xu, yu = _units(args.x_units), _units(args.y_units)
             xv = WeylVector(tuple(u * lat.dx for u in xu))
             yv = WeylVector(tuple(u * lat.dx for u in yu))
-            spec = walk.WalkEnsembleSpec(lat, xv, yv, Barrier.plus_inf(), _barrier(args.g_const, interval))
+            spec = walk.WalkEnsembleSpec(lat, xv, yv, g=args.g_const)
             ensembles, drawn, seen = walk.sample_avoiding_walks_batch(
                 spec, args.n_samples, seed.derive("sample/walk").generator(), args.max_attempts
             )
@@ -163,9 +155,9 @@ def cmd_sample(args) -> int:
         else:  # glauber, the last of argparse's choices
             lat = LatticeParams.scaled(interval, args.n_scale)
             xu, yu = _units(args.x_units), _units(args.y_units)
-            g = _barrier(args.g_const, interval)
             rng = seed.derive("sample/glauber").generator()
-            state, _ = glauber.simulate_chain(glauber.maximal_state(lat, xu, yu, g), args.burn_in, rng)
+            init = glauber.maximal_state(lat, xu, yu, args.g_const)
+            state, _ = glauber.simulate_chain(init, args.burn_in, rng)
             _, units = glauber.simulate_chain(
                 state, args.n_samples * args.events_per_sample, rng, record_every=args.events_per_sample
             )
@@ -195,10 +187,7 @@ def cmd_enumerate(args) -> int:
     xu, yu = _units(args.x_units), _units(args.y_units)
     xv = WeylVector(tuple(u * lat.dx for u in xu))
     yv = WeylVector(tuple(u * lat.dx for u in yu))
-    g = Barrier.minus_inf() if args.g_const_units is None else Barrier.constant(
-        args.g_const_units * lat.dx, interval
-    )
-    spec = walk.WalkEnsembleSpec(lat, xv, yv, Barrier.plus_inf(), g)
+    spec = walk.WalkEnsembleSpec(lat, xv, yv, g=args.g_const_units * lat.dx)
     configs = walk.enumerate_avoiding_configs(spec)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "configs.txt")
@@ -224,8 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--y-vec", default="1,-1", help="exit vector (comma separated)")
     p_sample.add_argument("--x-units", default="2,0", help="lattice entrance in dx units")
     p_sample.add_argument("--y-units", default="2,0", help="lattice exit in dx units")
-    p_sample.add_argument("--f-const", type=float, default=None, help="constant upper barrier")
-    p_sample.add_argument("--g-const", type=float, default=None, help="constant lower barrier")
+    p_sample.add_argument("--f-const", type=float, default=float("inf"), help="constant upper barrier")
+    p_sample.add_argument("--g-const", type=float, default=float("-inf"), help="constant lower barrier")
     p_sample.add_argument("--grid", type=int, default=512)
     p_sample.add_argument("--n-scale", type=int, default=4, help="lattice scale n (n^2 steps)")
     p_sample.add_argument("--n-samples", type=int, default=100)
@@ -249,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--steps", type=int, required=True, help="number of lattice time steps")
     p_enum.add_argument("--x-units", required=True)
     p_enum.add_argument("--y-units", required=True)
-    p_enum.add_argument("--g-const-units", type=float, default=None)
+    p_enum.add_argument("--g-const-units", type=float, default=float("-inf"))
     p_enum.add_argument("--out", default="out-enumerate")
     return parser
 

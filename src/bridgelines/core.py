@@ -1,7 +1,9 @@
-"""Shared domain types: intervals, curves, ensembles, barriers, lattice grids, RNG streams.
+"""Shared domain types: intervals, ensembles, lattice grids, RNG streams.
 
-Curves live on uniform time grids and are linearly interpolated in between.
-All types are immutable values after construction.
+Ensembles hold their curves' values on a uniform time grid. A barrier is a
+constant float per side: f above the top curve (+inf for none) and g below
+the bottom curve (-inf for none). All types are immutable values after
+construction.
 """
 
 from __future__ import annotations
@@ -73,98 +75,13 @@ class WeylVector:
 
 
 # ---------------------------------------------------------------------------
-# curves and ensembles
+# ensembles and the avoidance predicate
 # ---------------------------------------------------------------------------
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.asarray(arr, dtype=float)
     out.setflags(write=False)
     return out
-
-
-@dataclass(frozen=True)
-class Curve:
-    """Continuous path stored as values on a uniform grid, linear in between."""
-
-    interval: Interval
-    values: np.ndarray  # shape (M+1,)
-
-    def __post_init__(self):
-        vals = _freeze(self.values)
-        if vals.ndim != 1 or vals.size < 2:
-            raise StructuralError("curve needs a 1-d array of at least 2 values")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def m(self) -> int:
-        return self.values.size - 1
-
-    @property
-    def grid(self) -> np.ndarray:
-        return self.interval.grid(self.m)
-
-    def __call__(self, t) -> float | np.ndarray:
-        return eval_curve(self, t)
-
-
-def eval_curve(c: Curve, t) -> float | np.ndarray:
-    """Evaluate a curve at time(s) t by linear interpolation; exact at grid points."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < c.interval.a) or np.any(t > c.interval.b):
-        raise DomainError(f"t={t} outside [{c.interval.a}, {c.interval.b}]")
-    # map to fractional grid index; clamp handles t == b exactly
-    u = (t - c.interval.a) / c.interval.length * c.m
-    j = np.minimum(np.floor(u).astype(int), c.m - 1)
-    frac = u - j
-    out = c.values[j] * (1.0 - frac) + c.values[j + 1] * frac
-    return float(out) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class Barrier:
-    """Upper/lower constraint: +inf, -inf, or a sampled curve."""
-
-    kind: str  # "+inf", "-inf", or "curve"
-    curve: Curve | None = None
-
-    PLUS_INF = "+inf"
-    MINUS_INF = "-inf"
-    CURVE = "curve"
-
-    def __post_init__(self):
-        if self.kind not in (self.PLUS_INF, self.MINUS_INF, self.CURVE):
-            raise DomainError(f"unknown barrier kind {self.kind!r}")
-        if (self.kind == self.CURVE) != (self.curve is not None):
-            raise StructuralError("curve barrier needs a curve; sentinel barriers do not")
-
-    @classmethod
-    def plus_inf(cls) -> "Barrier":
-        return cls(cls.PLUS_INF)
-
-    @classmethod
-    def minus_inf(cls) -> "Barrier":
-        return cls(cls.MINUS_INF)
-
-    @classmethod
-    def from_curve(cls, c: Curve) -> "Barrier":
-        return cls(cls.CURVE, c)
-
-    @classmethod
-    def constant(cls, level: float, interval: Interval) -> "Barrier":
-        return cls.from_curve(Curve(interval, np.full(2, float(level))))
-
-    @property
-    def is_finite(self) -> bool:
-        return self.kind == self.CURVE
-
-    def at(self, times) -> np.ndarray:
-        """Barrier values at the given times; sentinels give +/-inf arrays."""
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        if self.kind == self.PLUS_INF:
-            return np.full(times.shape, np.inf)
-        if self.kind == self.MINUS_INF:
-            return np.full(times.shape, -np.inf)
-        return np.atleast_1d(eval_curve(self.curve, times))
 
 
 @dataclass(frozen=True)
@@ -192,25 +109,38 @@ class LineEnsemble:
     def grid(self) -> np.ndarray:
         return self.interval.grid(self.m)
 
-    def curve(self, i: int) -> Curve:
-        return Curve(self.interval, self.values[i])
 
-
-def check_avoiding(ens: LineEnsemble, f: Barrier, g: Barrier) -> bool:
+def check_avoiding(ens: LineEnsemble, f: float = np.inf, g: float = -np.inf) -> bool:
     """True iff f > curve_0 > ... > curve_{k-1} > g strictly at every grid point."""
-    return bool(_avoids(ens.values, f.at(ens.grid), g.at(ens.grid)))
+    return bool(_avoids(ens.values, f, g))
+
+
+class Barrier:
+    """The two infinite barriers under their old names, for perfbench/workloads.py alone.
+
+    Barriers are floats; this class exists only so that the benchmark's
+    checker, which imports it, keeps working until it passes floats itself.
+    """
+
+    @staticmethod
+    def plus_inf() -> float:
+        return np.inf
+
+    @staticmethod
+    def minus_inf() -> float:
+        return -np.inf
 
 
 def _avoids(vals: np.ndarray, f_vals, g_vals) -> np.ndarray:
     """The avoidance predicate: f > vals[..., 0, :] > ... > vals[..., k-1, :] > g strictly.
 
-    vals has shape (..., k, M+1) and the barriers broadcast against one curve
-    (M+1 values, +/-inf for none); the result has one bool per leading index.
+    vals has shape (..., k, M+1) and the barriers broadcast against one curve:
+    floats, +/-inf for none, or M+1 values; the result has one bool per leading index.
     """
     ok = (vals[..., :-1, :] > vals[..., 1:, :]).all(axis=(-2, -1))
-    if np.isfinite(f_vals).any():
+    if np.any(f_vals != np.inf):  # a NaN barrier is compared, so nothing passes it
         ok &= (vals[..., 0, :] < f_vals).all(axis=-1)
-    if np.isfinite(g_vals).any():
+    if np.any(g_vals != -np.inf):
         ok &= (vals[..., -1, :] > g_vals).all(axis=-1)
     return ok
 
@@ -223,18 +153,18 @@ class RejectionExhausted(RuntimeError):
         self.attempts = attempts
 
 
-def _rejection_sample(draw, f_vals, g_vals, k: int, n_samples: int, max_attempts: int, chunk: int):
+def _rejection_sample(draw, f, g, shape: tuple, n_samples: int, max_attempts: int, chunk: int):
     """Grid-check rejection over one row: keeps the candidates that pass _avoids.
 
-    f_vals and g_vals hold the barrier on the grid, shape (M+1,), and draw
-    returns candidates of shape (1, nc, k, M+1); see _rejection_loop. Returns
-    (accepted (n_out, k, M+1), drawn, seen, first_hit), the last three as ints.
+    shape is one candidate's (k, M+1), f and g the barriers as _avoids takes
+    them, and draw returns candidates of shape (1, nc, k, M+1); see
+    _rejection_loop. Returns (accepted (n_out, k, M+1), drawn, seen,
+    first_hit), the last three as ints.
     """
     def accept(rows, cands):
-        return _avoids(cands, f_vals, g_vals)
+        return _avoids(cands, f, g)
 
-    vals, drawn, seen, first_hit = _rejection_loop(draw, accept, 1, (k, np.size(f_vals)), n_samples,
-                                                   max_attempts, chunk)
+    vals, drawn, seen, first_hit = _rejection_loop(draw, accept, 1, shape, n_samples, max_attempts, chunk)
     return vals[0], int(drawn[0]), int(seen[0]), int(first_hit[0])
 
 

@@ -14,11 +14,12 @@ coupling invariant are checked in exact integer arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Barrier, DomainError, LatticeParams, StructuralError, _avoids
+from .core import DomainError, LatticeParams, StructuralError, _avoids
 
 
 class InfeasibleState(ValueError):
@@ -27,11 +28,11 @@ class InfeasibleState(ValueError):
 
 @dataclass(frozen=True)
 class GlauberConfig:
-    """Lattice path configuration: units[i][j] is curve i at column j in dx units."""
+    """Lattice path configuration: units[i][j] is curve i at column j in dx units, above the constant g."""
 
     lattice: LatticeParams
     units: tuple[tuple[int, ...], ...]
-    barrier_g: Barrier
+    g: float = -np.inf
 
     def __post_init__(self):
         n_cols = self.lattice.n_steps + 1
@@ -45,18 +46,17 @@ class GlauberConfig:
         return len(self.units)
 
     def is_feasible(self) -> bool:
-        return bool(_feasible(np.asarray(self.units, dtype=np.int64), self.lattice, self.barrier_g))
+        return bool(_feasible(np.asarray(self.units, dtype=np.int64), self.lattice, self.g))
 
 
-def _feasible(units: np.ndarray, lattice: LatticeParams, g: Barrier) -> np.ndarray:
+def _feasible(units: np.ndarray, lattice: LatticeParams, g: float) -> np.ndarray:
     """Increments in {-1, 0, +1} plus core._avoids over (..., k, cols) units; one bool per state."""
     steps_ok = (np.abs(np.diff(units, axis=-1)) <= 1).all(axis=(-2, -1))
-    g_vals = g.at(lattice.time_grid) if g.is_finite else -np.inf
-    return steps_ok & _avoids(units * lattice.dx, np.inf, g_vals)
+    return steps_ok & _avoids(units * lattice.dx, np.inf, g)
 
 
 def _config(like: GlauberConfig, rows: list[list[int]]) -> GlauberConfig:
-    return GlauberConfig(like.lattice, tuple(tuple(r) for r in rows), like.barrier_g)
+    return GlauberConfig(like.lattice, tuple(tuple(r) for r in rows), like.g)
 
 
 def _check_ends(x_units: list[int], y_units: list[int], n: int) -> None:
@@ -68,7 +68,7 @@ def _check_ends(x_units: list[int], y_units: list[int], n: int) -> None:
         raise DomainError("endpoints not reachable")
 
 
-def _extremal(name: str, lattice: LatticeParams, rows: list[np.ndarray], g: Barrier) -> GlauberConfig:
+def _extremal(name: str, lattice: LatticeParams, rows: list[np.ndarray], g: float) -> GlauberConfig:
     try:
         return GlauberConfig(lattice, tuple(tuple(int(v) for v in r) for r in rows), g)
     except InfeasibleState as exc:
@@ -76,7 +76,7 @@ def _extremal(name: str, lattice: LatticeParams, rows: list[np.ndarray], g: Barr
 
 
 def maximal_state(
-    lattice: LatticeParams, x_units: list[int], y_units: list[int], g: Barrier
+    lattice: LatticeParams, x_units: list[int], y_units: list[int], g: float = -np.inf
 ) -> GlauberConfig:
     """Highest feasible configuration: every curve rises at full slope then descends.
 
@@ -92,7 +92,7 @@ def maximal_state(
 
 
 def minimal_state(
-    lattice: LatticeParams, x_units: list[int], y_units: list[int], g: Barrier
+    lattice: LatticeParams, x_units: list[int], y_units: list[int], g: float = -np.inf
 ) -> GlauberConfig:
     """Lowest feasible configuration, built bottom curve first.
 
@@ -106,16 +106,25 @@ def minimal_state(
     cols = np.arange(n + 1)
     rows: list[np.ndarray] = []
     # the bottom curve sits at floor + 1 or higher: strictly above the barrier
-    below = np.floor(_barrier_units_floor(lattice, g))
+    below = _barrier_units_floor(lattice, g)
     for xi, yi in zip(x_units[::-1], y_units[::-1]):
         below = np.maximum(np.maximum(xi - cols, yi - (n - cols)), below + 1)
         rows.insert(0, below)
     return _extremal("minimal", lattice, rows, g)
 
 
-def _barrier_units_floor(lattice: LatticeParams, g: Barrier) -> list[float]:
-    """Per-column strict lower limits for the bottom curve, in dx units (-inf for none)."""
-    return (g.at(lattice.time_grid) / lattice.dx).tolist()
+def _barrier_units_floor(lattice: LatticeParams, g: float) -> float:
+    """The largest integer u with u * dx <= g (g itself when not finite): the bottom curve stays above it.
+
+    u * dx is the product _feasible compares with g, so a level g = u * dx
+    gives u itself, where g / dx can round to just below u.
+    """
+    if not math.isfinite(g):
+        return g
+    u = math.floor(g / lattice.dx) - 1
+    while (u + 1) * lattice.dx <= g:
+        u += 1
+    return u
 
 
 _CHUNK = 4096  # events drawn and decoded per piece; bounds the memory of long runs
@@ -124,35 +133,36 @@ _MAX_COALESCENCE_EVENTS = 10**7  # mixing_diagnostic gives up after this many ev
 
 def _run(
     rows: list[list[int]],
-    g_units: list[float],
+    g_units: float,
     num_events: int,
     rng: np.random.Generator,
     every: int = 0,
-    upper: tuple[list[list[int]], list[float]] | None = None,
+    upper: tuple[list[list[int]], float] | None = None,
     stop_at_meet: bool = False,
 ) -> tuple[int, np.ndarray]:
     """The chain event loop: apply up to num_events clock rings to rows in place.
 
-    The curves sit in one flat list of row width w between a +inf row and the
-    bottom-curve limits g_units, so site p has its neighbours at p-1, p+1 and
-    p-w, p+w. Event code c moves site[c] by -1 in the first third of
-    [0, 3 k (w-2)) and by +1 in the last. Every caller starts from a validated
-    GlauberConfig, and in a feasible state only one side of each constraint
-    can break: a -1 move is kept iff the site is at least both its curve
-    neighbours and stays above the one below, a +1 move iff it is at most both
-    and stays below the one above. With upper = (rows_b, g_b) a second chain
-    sees the same events; the touched site must keep rows <= rows_b, else
-    AssertionError. stop_at_meet ends the loop where the pair coincides. rows
-    is recorded every `every` events. Events are drawn in pieces of _CHUNK,
-    the same stream as one draw. Returns (events run, (n, k, w) int64 snapshots).
+    The curves sit in one flat list of row width w between a +inf row and a row
+    of the bottom curve's limit g_units (_barrier_units_floor), so site p has
+    its neighbours at p-1, p+1 and p-w, p+w. Event code c moves site[c] by -1
+    in the first third of [0, 3 k (w-2)) and by +1 in the last. Every caller
+    starts from a validated GlauberConfig, and in a feasible state only one
+    side of each constraint can break: a -1 move is kept iff the site is at
+    least both its curve neighbours and stays above the one below, a +1 move
+    iff it is at most both and stays below the one above. With upper = (rows_b,
+    g_b) a second chain sees the same events; the touched site must keep rows
+    <= rows_b, else AssertionError. stop_at_meet ends the loop where the pair
+    coincides. rows is recorded every `every` events. Events are drawn in
+    pieces of _CHUNK, the same stream as one draw. Returns (events run, (n, k,
+    w) int64 snapshots).
     """
     if num_events < 0 or every < 0:
         raise DomainError("event counts must be non-negative")
     k, w = len(rows), len(rows[0])
     site = [w * i + j for i in range(1, k + 1) for j in range(1, w - 1)] * 3
     kn, kn2 = len(site) // 3, 2 * len(site) // 3
-    x = [float("inf")] * w + sum(rows, []) + g_units
-    y = upper and [float("inf")] * w + sum(upper[0], []) + upper[1]
+    x = [float("inf")] * w + sum(rows, []) + [g_units] * w
+    y = upper and [float("inf")] * w + sum(upper[0], []) + [upper[1]] * w
     curves = slice(w, w + k * w)
     flat: list[int] = []
     met = stop_at_meet and x[curves] == y[curves]
@@ -220,9 +230,9 @@ def simulate_chain(
     n_steps + 1) in dx units, checked in one call of _feasible.
     """
     rows = [list(r) for r in init.units]
-    g_units = _barrier_units_floor(init.lattice, init.barrier_g)
+    g_units = _barrier_units_floor(init.lattice, init.g)
     _, snaps = _run(rows, g_units, num_events, rng, every=record_every)
-    if not _feasible(snaps, init.lattice, init.barrier_g).all():
+    if not _feasible(snaps, init.lattice, init.g).all():
         raise InfeasibleState("chain snapshot violates increments, ordering, or barrier")
     return _config(init, rows), snaps
 
@@ -236,7 +246,7 @@ def sample_stationary_keys(
 ) -> dict[tuple, int]:
     """Visit counts of state keys after burn-in, one sample every `thin` events."""
     rows = [list(r) for r in init.units]
-    g_units = _barrier_units_floor(init.lattice, init.barrier_g)
+    g_units = _barrier_units_floor(init.lattice, init.g)
     _run(rows, g_units, burn_in, rng)
     _, snaps = _run(rows, g_units, n_samples * thin, rng, every=thin)
     as_bytes = snaps.reshape(-1).view(f"V{snaps.strides[0]}")  # one flat sort key per snapshot
@@ -274,9 +284,9 @@ def simulate_coupled(
     AssertionError: it would falsify the update rule, not the inputs.
     """
     CoupledState(init_a, init_b)  # validates ordering of the inputs
-    ga = _barrier_units_floor(init_a.lattice, init_a.barrier_g)
-    gb = _barrier_units_floor(init_b.lattice, init_b.barrier_g)
-    if any(x > y for x, y in zip(ga, gb)):
+    ga = _barrier_units_floor(init_a.lattice, init_a.g)
+    gb = _barrier_units_floor(init_b.lattice, init_b.g)
+    if ga > gb:
         raise InfeasibleState("coupled barriers must satisfy g_b <= g_t")
     rows_a = [list(r) for r in init_a.units]
     rows_b = [list(r) for r in init_b.units]
@@ -296,7 +306,7 @@ def mixing_diagnostic(
     have not met after _MAX_COALESCENCE_EVENTS.
     """
     CoupledState(init_lo, init_hi)  # validates lo <= hi
-    g_units = _barrier_units_floor(init_lo.lattice, init_lo.barrier_g)
+    g_units = _barrier_units_floor(init_lo.lattice, init_lo.g)
     rows_lo = [list(r) for r in init_lo.units]
     rows_hi = [list(r) for r in init_hi.units]
     done, _ = _run(rows_lo, g_units, _MAX_COALESCENCE_EVENTS, rng, upper=(rows_hi, g_units), stop_at_meet=True)
@@ -309,7 +319,7 @@ def coalescence_burn_in(
     lattice: LatticeParams,
     x_units: list[int],
     y_units: list[int],
-    g: Barrier,
+    g: float,
     rngs,
 ) -> int:
     """Burn-in = 4 x median coalescence count from the extremal states, one run per generator."""

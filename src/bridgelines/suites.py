@@ -17,7 +17,7 @@ from scipy import stats
 
 from . import avoid, bridge, glauber, verify, walk
 from .core import (
-    Barrier, DomainError, Interval, LatticeParams, LineEnsemble, RejectionExhausted, RngSeed, WeylVector,
+    DomainError, Interval, LatticeParams, LineEnsemble, RejectionExhausted, RngSeed, WeylVector,
 )
 from .verify import SUITE_P_FLOOR, TestReport
 
@@ -227,10 +227,10 @@ def convergence_suite(cfg: ConvergenceConfig) -> SuiteResult:
 # glauber stationarity
 # ---------------------------------------------------------------------------
 
-def _chain_support(lat: LatticeParams, x_units, y_units, g: Barrier, k: int) -> list[tuple]:
+def _chain_support(lat: LatticeParams, x_units, y_units, g: float, k: int) -> list[tuple]:
     x = WeylVector(tuple(u * lat.dx for u in x_units))
     y = WeylVector(tuple(u * lat.dx for u in y_units))
-    spec = walk.WalkEnsembleSpec(lat, x, y, Barrier.plus_inf(), g)
+    spec = walk.WalkEnsembleSpec(lat, x, y, g=g)
     keys = []
     for ens in walk.enumerate_avoiding_configs(spec):
         units = np.rint(ens.values / lat.dx).astype(int)
@@ -252,19 +252,12 @@ def glauber_stationarity_suite(cfg: StationarityConfig) -> SuiteResult:
                           f"got {cfg.retained}, {cfg.burn_seeds}, {cfg.tv_tol}")
     root = RngSeed(cfg.seed)
     reports = []
+    lat4 = LatticeParams(Interval(0.0, 1.0), 4)
     instances = [
-        ("3state-k1", LatticeParams(Interval(0.0, 1.0), 2), [0], [0], Barrier.minus_inf()),
-        (
-            "104state-k2",
-            LatticeParams(Interval(0.0, 1.0), 4),
-            [2, 0],
-            [2, 0],
-            None,  # constant barrier built below (needs dx)
-        ),
+        ("3state-k1", LatticeParams(Interval(0.0, 1.0), 2), [0], [0], -np.inf),
+        ("104state-k2", lat4, [2, 0], [2, 0], -0.5 * lat4.dx),
     ]
     for name, lat, xu, yu, g in instances:
-        if g is None:
-            g = Barrier.constant(-0.5 * lat.dx, lat.interval)
         support = _chain_support(lat, xu, yu, g, len(xu))
         burn_streams = [root.derive(f"stationarity/{name}/burn/{i}").generator() for i in range(cfg.burn_seeds)]
         burn = glauber.coalescence_burn_in(lat, xu, yu, g, burn_streams)
@@ -322,10 +315,10 @@ def coupling_suite(cfg: CouplingConfig) -> SuiteResult:
         ya, yb = draw_pair(pick)
         use_barrier = s % 2 == 1
         if use_barrier:
-            g_b = Barrier.constant((min(xa[1], ya[1]) - 3) * lat.dx, lat.interval)
-            g_t = Barrier.constant((min(xb[1], yb[1]) - 2.5) * lat.dx, lat.interval)
+            g_b = (min(xa[1], ya[1]) - 3) * lat.dx
+            g_t = (min(xb[1], yb[1]) - 2.5) * lat.dx
         else:
-            g_b = g_t = Barrier.minus_inf()
+            g_b = g_t = -np.inf
         init_a = glauber.maximal_state(lat, xa, ya, g_b)
         init_b = glauber.maximal_state(lat, xb, yb, g_t)
         try:
@@ -343,10 +336,8 @@ def coupling_suite(cfg: CouplingConfig) -> SuiteResult:
     ))
     # stochastic dominance of avoiding laws: raised endpoints (one-sided KS)
     iv = Interval(0.0, 1.0)
-    lo_spec = avoid.AvoidSpec(iv, WeylVector((1.0, -1.0)), WeylVector((1.0, -1.0)),
-                              Barrier.plus_inf(), Barrier.minus_inf(), cfg.grid_points)
-    hi_spec = avoid.AvoidSpec(iv, WeylVector((2.0, 0.0)), WeylVector((2.0, 0.0)),
-                              Barrier.plus_inf(), Barrier.minus_inf(), cfg.grid_points)
+    lo_spec = avoid.AvoidSpec(iv, WeylVector((1.0, -1.0)), WeylVector((1.0, -1.0)), grid_points=cfg.grid_points)
+    hi_spec = avoid.AvoidSpec(iv, WeylVector((2.0, 0.0)), WeylVector((2.0, 0.0)), grid_points=cfg.grid_points)
     lo_vals, _, _ = avoid.sample_avoiding_batch(lo_spec, cfg.n_marginal_samples,
                                                 root.derive("coupling/xy/lo").generator())
     hi_vals, _, _ = avoid.sample_avoiding_batch(hi_spec, cfg.n_marginal_samples,
@@ -357,10 +348,9 @@ def coupling_suite(cfg: CouplingConfig) -> SuiteResult:
     reports += verify.marginal_ks(hi_vals, lo_vals, itertools.product(range(2), cols),
                                   "dominance-endpoints", f"{cfg.seed}", alternative="greater")
     # dominance under a raised lower barrier
-    base = avoid.AvoidSpec(iv, WeylVector((1.0, -1.0)), WeylVector((1.0, -1.0)),
-                           Barrier.plus_inf(), Barrier.minus_inf(), cfg.grid_points)
-    raised = avoid.AvoidSpec(iv, WeylVector((1.0, -1.0)), WeylVector((1.0, -1.0)),
-                             Barrier.plus_inf(), Barrier.constant(-2.0, iv), cfg.grid_points)
+    base = avoid.AvoidSpec(iv, WeylVector((1.0, -1.0)), WeylVector((1.0, -1.0)), grid_points=cfg.grid_points)
+    raised = avoid.AvoidSpec(iv, WeylVector((1.0, -1.0)), WeylVector((1.0, -1.0)), g=-2.0,
+                             grid_points=cfg.grid_points)
     b_vals, _, _ = avoid.sample_avoiding_batch(base, cfg.n_marginal_samples,
                                                root.derive("coupling/fg/base").generator())
     r_vals, _, _ = avoid.sample_avoiding_batch(raised, cfg.n_marginal_samples,
@@ -389,7 +379,7 @@ def gibbs_suite(cfg: GibbsConfig) -> SuiteResult:
     root = RngSeed(cfg.seed)
     iv = Interval(0.0, 1.0)
     vec = WeylVector(cfg.endpoints)
-    spec = avoid.AvoidSpec(iv, vec, vec, Barrier.plus_inf(), Barrier.minus_inf(), cfg.grid_points)
+    spec = avoid.AvoidSpec(iv, vec, vec, grid_points=cfg.grid_points)
     marginals = [(cfg.block[0], col) for col in cfg.marginal_cols]
     reports = verify.gibbs_resample_test(
         spec, cfg.block, cfg.sub_cols, marginals, cfg.n_samples,
@@ -434,7 +424,7 @@ def tails_suite(cfg: TailsConfig) -> SuiteResult:
     reports = []
     for k in cfg.ks:
         ends = WeylVector(tuple(cfg.spacing * (k - 1) / 2 - cfg.spacing * i for i in range(k)))
-        spec = avoid.AvoidSpec(iv, ends, ends, Barrier.plus_inf(), Barrier.minus_inf(), cfg.grid_points)
+        spec = avoid.AvoidSpec(iv, ends, ends, grid_points=cfg.grid_points)
         vals, _, _ = avoid.sample_avoiding_batch(spec, cfg.n_samples,
                                                  root.derive(f"tails/k{k}").generator())
         bottom = vals[:, -1, :]
@@ -570,8 +560,7 @@ def pw_suite(cfg: PwConfig) -> SuiteResult:
                           f"got {cfg.pair_interval}, {cfg.pair_top_quantile}")
     _window_times(Interval(0.0, 1.0), cfg.windows)  # a bad window fails before any draw
     vec = WeylVector((cfg.pair_gap / 2.0, -cfg.pair_gap / 2.0))
-    spec = avoid.AvoidSpec(Interval(*cfg.pair_interval), vec, vec, Barrier.plus_inf(), Barrier.minus_inf(),
-                           cfg.pair_grid)
+    spec = avoid.AvoidSpec(Interval(*cfg.pair_interval), vec, vec, grid_points=cfg.pair_grid)
     grid = spec.interval.grid(cfg.pair_grid)
     ja, jt, jb = _window_cols(spec.interval, grid, cfg.pair_w)
     root = RngSeed(cfg.seed)
@@ -713,8 +702,7 @@ def transforms_suite(cfg: TransformsConfig) -> SuiteResult:
         raise DomainError(f"need n_samples >= 1 and an affine scale c > 0, got {cfg.n_samples}, {cfg.affine}")
     root = RngSeed(cfg.seed)
     iv = Interval(0.0, 1.0)
-    src_spec = avoid.AvoidSpec(iv, WeylVector((2.0, 0.0)), WeylVector((1.0, -1.0)),
-                               Barrier.plus_inf(), Barrier.minus_inf(), cfg.grid_points)
+    src_spec = avoid.AvoidSpec(iv, WeylVector((2.0, 0.0)), WeylVector((1.0, -1.0)), grid_points=cfg.grid_points)
     src, _, _ = avoid.sample_avoiding_batch(src_spec, cfg.n_samples,
                                             root.derive("transforms/src").generator())
     cols = [cfg.grid_points // 4, cfg.grid_points // 2, 3 * cfg.grid_points // 4]
@@ -727,7 +715,7 @@ def transforms_suite(cfg: TransformsConfig) -> SuiteResult:
         moved[0].interval,
         WeylVector(tuple(c * v + r for v in src_spec.x.values)),
         WeylVector(tuple(c * v + r for v in src_spec.y.values)),
-        Barrier.plus_inf(), Barrier.minus_inf(), cfg.grid_points,
+        grid_points=cfg.grid_points,
     )
     tgt, _, _ = avoid.sample_avoiding_batch(tgt_spec, cfg.n_samples,
                                             root.derive("transforms/affine-tgt").generator())
@@ -737,7 +725,7 @@ def transforms_suite(cfg: TransformsConfig) -> SuiteResult:
         iv,
         WeylVector(tuple(-v for v in reversed(src_spec.x.values))),
         WeylVector(tuple(-v for v in reversed(src_spec.y.values))),
-        Barrier.plus_inf(), Barrier.minus_inf(), cfg.grid_points,
+        grid_points=cfg.grid_points,
     )
     flp, _, _ = avoid.sample_avoiding_batch(flip_spec, cfg.n_samples,
                                             root.derive("transforms/flip-tgt").generator())

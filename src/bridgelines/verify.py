@@ -231,7 +231,7 @@ def gibbs_resample_test(
     suite floor.
     """
     (i0, i1), (j0, j1) = block, sub_cols
-    if spec.f.is_finite or spec.g.is_finite or num_samples < 1:
+    if spec.f != np.inf or spec.g != -np.inf or num_samples < 1:
         raise DomainError(f"need a barrier-free spec and num_samples >= 1, got {num_samples}")
     if not 0 <= i0 <= i1 < spec.k:
         raise DomainError(f"block {block} must name curves 0..{spec.k - 1} in order")

@@ -18,7 +18,6 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (
-    Barrier,
     DomainError,
     LatticeParams,
     LineEnsemble,
@@ -173,17 +172,19 @@ def sample_walk_midpoints(n_steps: int, z: int, n_samples: int, rng: np.random.G
 
 @dataclass(frozen=True)
 class WalkEnsembleSpec:
-    """k walk bridges on a lattice with entrance/exit data on the dx-grid and barriers."""
+    """k walk bridges on a lattice with entrance/exit data on the dx-grid, between constants f and g."""
 
     lattice: LatticeParams
     x: WeylVector
     y: WeylVector
-    f: Barrier
-    g: Barrier
+    f: float = np.inf
+    g: float = -np.inf
 
     def __post_init__(self):
         if len(self.x) != len(self.y):
             raise StructuralError("entrance and exit vectors must have equal length")
+        if np.isnan(self.f) or np.isnan(self.g):
+            raise DomainError("barriers must be numbers, got NaN")
         for xi, yi in zip(self.x.values, self.y.values):
             zi = self.lattice.snap_units(yi) - self.lattice.snap_units(xi)
             if abs(zi) > self.lattice.n_steps:
@@ -221,9 +222,8 @@ def sample_avoiding_walks_batch(
         units += x_units[None, :, None]
         return units[None] * lat.dx
 
-    grid = lat.time_grid
-    vals, drawn, seen, _ = _rejection_sample(draw, spec.f.at(grid), spec.g.at(grid), spec.k, n_samples,
-                                             max_attempts, _AVOID_CHUNK)
+    vals, drawn, seen, _ = _rejection_sample(draw, spec.f, spec.g, (spec.k, n + 1), n_samples, max_attempts,
+                                             _AVOID_CHUNK)
     if vals.shape[0] < n_samples:
         raise RejectionExhausted(drawn, f"{vals.shape[0]}/{n_samples} accepted in {drawn} draws")
     return [LineEnsemble(lat.interval, v) for v in vals], drawn, seen
@@ -237,9 +237,6 @@ def enumerate_avoiding_configs(spec: WalkEnsembleSpec, guard: int = 10**7) -> li
         raise DomainError(f"state space 3^{spec.k * n} exceeds the enumeration guard")
     x_units = [lat.snap_units(v) for v in spec.x.values]
     z_units = [lat.snap_units(spec.y.values[i]) - x_units[i] for i in range(spec.k)]
-    grid = lat.time_grid
-    f_vals = spec.f.at(grid)
-    g_vals = spec.g.at(grid)
 
     per_curve: list[list[np.ndarray]] = []
     for i in range(spec.k):
@@ -255,6 +252,6 @@ def enumerate_avoiding_configs(spec: WalkEnsembleSpec, guard: int = 10**7) -> li
     out: list[LineEnsemble] = []
     for combo in itertools.product(*per_curve):
         vals = np.stack(combo) * lat.dx
-        if _avoids(vals, f_vals, g_vals):
+        if _avoids(vals, spec.f, spec.g):
             out.append(LineEnsemble(lat.interval, vals))
     return out

@@ -8,17 +8,11 @@ from scipy import stats
 from scipy.integrate import quad
 
 from bridgelines import avoid, bridge, walk
-from bridgelines.core import Barrier, DomainError, Interval, LatticeParams, LineEnsemble, RngSeed, WeylVector
+from bridgelines.core import DomainError, Interval, LatticeParams, LineEnsemble, RngSeed, WeylVector
 
 
-def _spec(x, y, grid=128, f=None, g=None, iv=None):
-    iv = iv or Interval(0, 1)
-    return avoid.AvoidSpec(
-        iv, WeylVector(x), WeylVector(y),
-        Barrier.plus_inf() if f is None else Barrier.constant(f, iv),
-        Barrier.minus_inf() if g is None else Barrier.constant(g, iv),
-        grid,
-    )
+def _spec(x, y, grid=128, f=np.inf, g=-np.inf, iv=None):
+    return avoid.AvoidSpec(iv or Interval(0, 1), WeylVector(x), WeylVector(y), f, g, grid)
 
 
 def test_sample_avoiding_values_pinned_at_fixed_seeds():
@@ -181,10 +175,11 @@ def test_sample_avoiding_at_errors():
 
 def test_spec_validates_barrier_clearance():
     _spec((1.0,), (1.0,), g=0.0)
-    with pytest.raises(DomainError):
-        _spec((1.0,), (1.0,), g=1.5)
-    with pytest.raises(DomainError):
-        _spec((1.0,), (1.0,), f=0.5)
+    _spec((1.0,), (1.0,), f=1.5, g=0.5)
+    for f, g in ((np.inf, 1.5), (0.5, -np.inf), (np.inf, 1.0), (np.nan, -np.inf), (np.inf, np.nan),
+                 (-np.inf, -np.inf), (np.inf, np.inf)):
+        with pytest.raises(DomainError):
+            _spec((1.0,), (1.0,), f=f, g=g)
 
 
 def test_unconstrained_single_bridge_accepts_first_try():
@@ -219,8 +214,7 @@ def test_grid_over_acceptance_shrinks_with_density():
 
 def test_rejection_exhaustion_error():
     spec = _spec((1.0, 0.5), (1.0, 0.5), grid=64)
-    bad = avoid.AvoidSpec(spec.interval, spec.x, spec.y, Barrier.plus_inf(),
-                          Barrier.constant(0.49, spec.interval), 64)
+    bad = avoid.AvoidSpec(spec.interval, spec.x, spec.y, g=0.49, grid_points=64)
     with pytest.raises(walk.RejectionExhausted) as exc:
         avoid.sample_avoiding_batch(bad, 50000, RngSeed(4).generator(), max_attempts=2000)
     assert exc.value.attempts == 2000
@@ -271,8 +265,7 @@ def test_affine_law_matches_direct_sampling():
     c, u, r = 1.5, 2.0, 0.5
     tgt = avoid.AvoidSpec(
         Interval(u, c * c + u),
-        WeylVector((c + r, -c + r)), WeylVector((c + r, -c + r)),
-        Barrier.plus_inf(), Barrier.minus_inf(), 64,
+        WeylVector((c + r, -c + r)), WeylVector((c + r, -c + r)), grid_points=64,
     )
     tvals, _, _ = avoid.sample_avoiding_batch(tgt, 2500, RngSeed(6).generator())
     moved = c * svals + r
@@ -308,21 +301,12 @@ def test_bounds_values_and_ordering():
         avoid.bound_inf(0, 1.0)
 
 
-def test_midpoint_cdf_avoiding_delegates_for_single_curve():
-    spec = _spec((0.0,), (0.0,), grid=64)
-    est, ci = avoid.midpoint_cdf_avoiding(1.0, spec, 10, RngSeed(9).generator())
-    assert est == pytest.approx(bridge.midpoint_cdf_single(1.0, 0, 1, 0, 0))
-    assert ci == (est, est)
-
-
-def test_midpoint_cdf_avoiding_monotone_in_r():
-    spec = _spec((1.0, -1.0), (1.0, -1.0), grid=64)
-    rng = RngSeed(10)
-    lo, _ = avoid.midpoint_cdf_avoiding(-10.0, spec, 4000, rng.derive("a").generator())
-    mid, _ = avoid.midpoint_cdf_avoiding(-1.0, spec, 4000, rng.derive("b").generator())
-    hi, _ = avoid.midpoint_cdf_avoiding(10.0, spec, 4000, rng.derive("c").generator())
-    assert lo <= mid <= hi
-    assert lo == 0.0 and hi == 1.0
+def _bottom_midpoint_estimate(r, x, n, seed):
+    """Share of n exact bottom-curve midpoint draws <= r, with its Wilson interval."""
+    vals, _, _ = avoid.sample_avoiding_at(Interval(0, 1), np.array(x), np.array(x), [0.5], n,
+                                          RngSeed(seed).generator())
+    hits = int(np.count_nonzero(vals[:, -1, 0] <= r))
+    return hits / n, avoid.wilson_ci(hits, n)
 
 
 @pytest.mark.parametrize("seed", [11, 12, 13])
@@ -331,7 +315,7 @@ def test_midpoint_cdf_avoiding_matches_km_quadrature(seed):
     # 0.7211-0.7219 at these seeds, each Wilson interval missing the quadrature value
     x = (0.15, -0.15)
     target = float(_bottom_midpoint_cdf(1.0, x, x)(-0.3))
-    est, (lo, hi) = avoid.midpoint_cdf_avoiding(-0.3, _spec(x, x, grid=512), 20000, RngSeed(seed).generator())
+    est, (lo, hi) = _bottom_midpoint_estimate(-0.3, x, 20000, seed)
     assert lo <= target <= hi, (est, target)
 
 
@@ -344,9 +328,8 @@ def test_midpoint_cdf_avoiding_vs_walk_pipeline():
     level = round(1.0 / lat.dx) * lat.dx
     r = -level - 0.5 * lat.dx
     x_lat = WeylVector((level, -level))
-    spec = avoid.AvoidSpec(iv, x_lat, x_lat, Barrier.plus_inf(), Barrier.minus_inf(), 64)
-    est, ci = avoid.midpoint_cdf_avoiding(r, spec, 60000, RngSeed(11).generator())
-    wspec = walk.WalkEnsembleSpec(lat, x_lat, x_lat, Barrier.plus_inf(), Barrier.minus_inf())
+    est, _ = _bottom_midpoint_estimate(r, x_lat.values, 60000, 11)
+    wspec = walk.WalkEnsembleSpec(lat, x_lat, x_lat)
     samples, _, _ = walk.sample_avoiding_walks_batch(wspec, 50000, RngSeed(12).generator(), 10**7)
     mids = np.array([ens.values[1, lat.n_steps // 2] for ens in samples])
     walk_est = float(np.mean(mids <= r))
@@ -354,12 +337,6 @@ def test_midpoint_cdf_avoiding_vs_walk_pipeline():
     est_se = math.sqrt(est * (1 - est) / 60000)
     # both routes approximate the continuum law; allow their discretization gaps
     assert abs(est - walk_est) <= 3 * (walk_se + est_se) + 0.02
-
-
-def test_barriered_midpoint_rejected():
-    spec = _spec((1.0,), (1.0,), g=0.0)
-    with pytest.raises(DomainError):
-        avoid.midpoint_cdf_avoiding(0.5, spec, 10, RngSeed(0).generator())
 
 
 def test_wilson_ci():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bridgelines import cli, walk
-from bridgelines.core import Barrier, Interval, LatticeParams, WeylVector, read_ensembles
+from bridgelines.core import Interval, LatticeParams, WeylVector, read_ensembles
 
 
 def run(argv):
@@ -65,8 +65,19 @@ README_RUNS = {  # the README's sample and enumerate lines, with its flags
     "glauber": ["sample", "--kind", "glauber", "--n-scale", "4", "--x-units", "2,0",
                 "--y-units", "2,0", "--burn-in", "20000"],
     "enumerate": ["enumerate", "--steps", "2", "--x-units", "0", "--y-units", "0"],
+    # constant barriers on each sampler, at levels off the dx lattice except enumerate's -1 dx
+    "avoid-barriers": ["sample", "--kind", "avoid", "--x-vec", "1,0,-1", "--y-vec", "1,0,-1",
+                       "--f-const", "2", "--g-const", "-2", "--grid", "64", "--n-samples", "20",
+                       "--seed", "7"],
+    "walk-barrier": ["sample", "--kind", "walk", "--n-scale", "8", "--x-units", "2,0", "--y-units", "2,0",
+                     "--g-const", "-0.1", "--n-samples", "20", "--seed", "7"],
+    "glauber-barrier": ["sample", "--kind", "glauber", "--n-scale", "4", "--x-units", "2,0",
+                        "--y-units", "2,0", "--g-const", "-0.1", "--burn-in", "20000"],
+    "enumerate-barrier": ["enumerate", "--steps", "4", "--x-units", "2,0", "--y-units", "2,0",
+                          "--g-const-units", "-1"],
 }
-# sha256 of each output file, recorded with the per-value writer and the walk-major step loop
+# sha256 of each output file, recorded with the per-value writer and the walk-major step loop;
+# the barrier rows were recorded while barriers were still interpolated curves
 README_DIGESTS = {
     ("bridge", "curves.txt"): "8cb576b8b4d60d4f3b6f5bf67d53ba6fd601b1303fdaf23b3b8b8c1c396bd325",
     ("bridge", "manifest.txt"): "454db1db670d9ab6dc8d56eff564e978b3eaf78dd414c7feeb86f52c5bdbe1c7",
@@ -77,6 +88,13 @@ README_DIGESTS = {
     ("glauber", "curves.txt"): "9ce73e098cce62da9d2909ebe42ea3fe27536848ad184926de50d7a88e6e0330",
     ("glauber", "manifest.txt"): "b5fe65f3dce24b951216371d2afad5d1653102245eeb150fcbe8dcaf2224063a",
     ("enumerate", "configs.txt"): "e9088122661fd801b1da82f3df4d1fa86667ef0421e1c025103c0118a4977906",
+    ("avoid-barriers", "curves.txt"): "c58dc6c627569103d6b106b567f2fa67eb3b963fc45c9dff3aabdc521b4173c3",
+    ("avoid-barriers", "manifest.txt"): "6c47ec070a765a6462e4da6215dfa38685e8446727b0358866311290c1135fef",
+    ("walk-barrier", "curves.txt"): "3488b27c0ac988030876e2e1f76d04325f0a74f8493814e51b79ec2e7a0fb288",
+    ("walk-barrier", "manifest.txt"): "b2c178b85ee3618e0694cabd0c7ceb35b8fcc01d5e3914cc4085818178a13ee9",
+    ("glauber-barrier", "curves.txt"): "56b60c4711b651f54a7438a647f4e5ca7dd6da3a04cd184d6551a0a763bcadc4",
+    ("glauber-barrier", "manifest.txt"): "b5fe65f3dce24b951216371d2afad5d1653102245eeb150fcbe8dcaf2224063a",
+    ("enumerate-barrier", "configs.txt"): "84b31f7341295e2c76e0bdb783aefdbf2c36ce13c2531e2614fcd021de085095",
 }
 
 
@@ -103,13 +121,26 @@ def test_enumerate_matches_module(tmp_path):
     assert rc == 0
     got = read_ensembles(out / "configs.txt")
     lat = LatticeParams(Interval(0, 1), 2)
-    spec = walk.WalkEnsembleSpec(
-        lat, WeylVector((0.0,)), WeylVector((0.0,)), Barrier.plus_inf(), Barrier.minus_inf()
-    )
+    spec = walk.WalkEnsembleSpec(lat, WeylVector((0.0,)), WeylVector((0.0,)))
     expect = walk.enumerate_avoiding_configs(spec)
     assert len(got) == len(expect) == 3
     for a, b in zip(got, expect):
         assert np.allclose(a.values, b.values)
+
+
+def test_lattice_barriers_on_dx_multiples_are_strict(tmp_path):
+    # a barrier at exactly -1 dx: the path through -1 dx at t = 1/3 touches it
+    out = tmp_path / "e"
+    assert run(["enumerate", "--steps", "3", "--x-units", "0", "--y-units", "0", "--g-const-units", "-1",
+                "--out", str(out)]) == 0
+    configs = read_ensembles(out / "configs.txt")
+    assert len(configs) == 4 and all(np.all(c.values > -LatticeParams(Interval(0, 1), 3).dx) for c in configs)
+    # a glauber request with g = -3 dx at n = 5 is valid: the chain keeps off the barrier
+    g = -3 * LatticeParams.scaled(Interval(0, 1), 5).dx
+    assert run(["sample", "--kind", "glauber", "--n-scale", "5", "--x-units=-1,-2", "--y-units=-1,-2",
+                f"--g-const={g!r}", "--burn-in", "20000", "--out", str(tmp_path / "g")]) == 0
+    ens = read_ensembles(tmp_path / "g" / "curves.txt")
+    assert len(ens) == 100 and all(np.all(e.values[-1] > g) for e in ens)
 
 
 def test_verify_deterministic_and_exit_codes(tmp_path):
@@ -231,6 +262,8 @@ def test_unknown_sample_kind_is_usage_error(tmp_path, capsys):
     bad += [["--kind", "glauber", "--events-per-sample", "0"],
             ["--kind", "glauber", "--x-units", "2,0", "--y-units", "2"],
             ["--kind", "glauber", "--n-scale", "1", "--x-units", "0", "--y-units", "0"]]
+    bad += [["--kind", kind, f"--{side}-const", "nan"] for kind in ("avoid", "walk", "glauber")
+            for side in ("f", "g") if side == "g" or kind == "avoid"]
     for argv in bad:
         assert run(["sample", *argv, "--out", str(tmp_path / "z")]) == 2
         err = capsys.readouterr().err

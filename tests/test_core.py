@@ -4,19 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bridgelines.core import (
-    Barrier,
-    Curve,
     DomainError,
     Interval,
     LatticeParams,
     LineEnsemble,
     RngSeed,
-    StructuralError,
     WeylVector,
     _avoids,
     _rejection_loop,
     check_avoiding,
-    eval_curve,
     read_ensembles,
     write_ensembles,
 )
@@ -36,35 +32,14 @@ def test_weyl_vector_strictly_decreasing():
         WeylVector(())
 
 
-def test_eval_curve_examples():
-    c = Curve(Interval(0, 1), np.array([0.0, 1.0, 0.0]))
-    assert eval_curve(c, 0.25) == pytest.approx(0.5)
-    # exact at grid points
-    assert eval_curve(c, 0.5) == 1.0
-    assert eval_curve(c, 1.0) == 0.0
-    dt = 0.1
-    c2 = Curve(Interval(0, 2 * dt), np.array([0.0, 0.25, 0.0]))
-    assert eval_curve(c2, 1.5 * dt) == pytest.approx(0.125)
-    with pytest.raises(DomainError):
-        eval_curve(c, 1.5)
-
-
-@given(st.lists(st.floats(-10, 10), min_size=2, max_size=20), st.floats(0, 1))
-def test_eval_curve_monotone_under_pointwise_order(vals, frac):
-    lo = Curve(Interval(0, 1), np.array(vals))
-    hi = Curve(Interval(0, 1), np.array(vals) + 1.0)
-    t = frac  # in [0, 1]
-    assert eval_curve(hi, t) >= eval_curve(lo, t)
-
-
 def test_check_avoiding_examples():
     iv = Interval(0, 1)
     one = LineEnsemble(iv, np.array([[0.3, -0.2, 0.4]]))
-    assert check_avoiding(one, Barrier.plus_inf(), Barrier.minus_inf())
+    assert check_avoiding(one)
     two = LineEnsemble(iv, np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]))
-    assert check_avoiding(two, Barrier.plus_inf(), Barrier.minus_inf())
+    assert check_avoiding(two)
     touching = LineEnsemble(iv, np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0]]))
-    assert not check_avoiding(touching, Barrier.plus_inf(), Barrier.minus_inf())
+    assert not check_avoiding(touching)
 
 
 def _avoids_oracle(rows, f, g):
@@ -97,10 +72,11 @@ def test_avoids_predicate_table():
 def test_check_avoiding_barriers():
     iv = Interval(0, 1)
     ens = LineEnsemble(iv, np.array([[0.5, 0.5, 0.5]]))
-    assert check_avoiding(ens, Barrier.plus_inf(), Barrier.constant(0.0, iv))
-    assert not check_avoiding(ens, Barrier.plus_inf(), Barrier.constant(0.5, iv))
-    assert not check_avoiding(ens, Barrier.constant(0.5, iv), Barrier.minus_inf())
-    assert check_avoiding(ens, Barrier.constant(0.6, iv), Barrier.minus_inf())
+    assert check_avoiding(ens, g=0.0)
+    assert not check_avoiding(ens, g=0.5)
+    assert not check_avoiding(ens, f=0.5)
+    assert check_avoiding(ens, 0.6, 0.4)
+    assert not check_avoiding(ens, np.nan, np.nan)
 
 
 @settings(max_examples=30)
@@ -115,10 +91,9 @@ def test_lattice_interpolation_preserves_strict_order(n_steps, seed):
     if not np.all(top > bot):
         return
     ens = LineEnsemble(lat.interval, np.stack([top, bot]) * lat.dx)
-    assert check_avoiding(ens, Barrier.plus_inf(), Barrier.minus_inf())
+    assert check_avoiding(ens)
     ts = rng.uniform(0, 1, size=200)
-    c_top, c_bot = ens.curve(0), ens.curve(1)
-    assert np.all(eval_curve(c_top, ts) > eval_curve(c_bot, ts))
+    assert np.all(np.interp(ts, ens.grid, ens.values[0]) > np.interp(ts, ens.grid, ens.values[1]))
 
 
 def test_lattice_params_invariants():
@@ -229,10 +204,3 @@ def test_write_ensembles_byte_format(tmp_path):
         b"0.75 0.6666666666666666\n"
         b"2.5 1.0\n"
     )
-
-
-def test_barrier_requires_curve_consistency():
-    with pytest.raises(StructuralError):
-        Barrier("curve", None)
-    with pytest.raises(DomainError):
-        Barrier("sideways")

@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 from bridgelines import avoid, bridge, verify
-from bridgelines.core import Barrier, DomainError, Interval, RngSeed, WeylVector
+from bridgelines.core import DomainError, Interval, RngSeed, WeylVector
 
 
 def test_ks_identical_samples():
@@ -202,7 +202,7 @@ def test_resample_block_matches_the_exact_conditional_law():
 def test_gibbs_bottom_block_invariance():
     iv = Interval(0, 1)
     vec = WeylVector((0.5, -0.5))
-    spec = avoid.AvoidSpec(iv, vec, vec, Barrier.plus_inf(), Barrier.minus_inf(), 64)
+    spec = avoid.AvoidSpec(iv, vec, vec, grid_points=64)
     reports = verify.gibbs_resample_test(
         spec, (1, 1), (16, 48), [(1, 24), (1, 32), (1, 40)], 2000,
         RngSeed(13).generator(), "t",
@@ -231,7 +231,7 @@ def test_gibbs_full_redraw_is_exact():
     # fresh draw from the same law, so marginals must match
     iv = Interval(0, 1)
     vec = WeylVector((0.5, -0.5))
-    spec = avoid.AvoidSpec(iv, vec, vec, Barrier.plus_inf(), Barrier.minus_inf(), 32)
+    spec = avoid.AvoidSpec(iv, vec, vec, grid_points=32)
     reports = verify.gibbs_resample_test(
         spec, (0, 1), (1, 31), [(0, 16), (1, 16)], 1500,
         RngSeed(8).generator(), "t",
@@ -243,3 +243,12 @@ def test_report_line_format():
     rep = verify.TestReport("name", 0.5, 0.01, None, 10, 20, "PASS", "7", "d")
     line = rep.line()
     assert "name" in line and "PASS" in line and "seed=7" in line
+
+
+def test_gibbs_resample_test_refuses_barriers():
+    iv = Interval(0, 1)
+    vec = WeylVector((0.5, -0.5))
+    for f, g in ((np.inf, -1.0), (1.0, -np.inf)):
+        spec = avoid.AvoidSpec(iv, vec, vec, f, g, 32)
+        with pytest.raises(DomainError, match="barrier-free"):
+            verify.gibbs_resample_test(spec, (0, 1), (1, 31), [(0, 16)], 10, RngSeed(0).generator(), "t")

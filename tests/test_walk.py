@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from bridgelines import walk
-from bridgelines.core import Barrier, DomainError, Interval, LatticeParams, RngSeed, WeylVector
+from bridgelines.core import DomainError, Interval, LatticeParams, RngSeed, WeylVector
 from bridgelines.verify import SUITE_P_FLOOR
 
 
@@ -77,12 +77,11 @@ def test_telescoping_identity():
             assert abs(walk.walk_log_prob(wb) + log_count) < 1e-9
 
 
-def _tiny_spec(k=1, steps=2, x_units=(0,), y_units=(0,), g=None):
+def _tiny_spec(k=1, steps=2, x_units=(0,), y_units=(0,), g=-np.inf):
     lat = LatticeParams(Interval(0, 1), steps)
     x = WeylVector(tuple(u * lat.dx for u in x_units))
     y = WeylVector(tuple(u * lat.dx for u in y_units))
-    barrier = Barrier.minus_inf() if g is None else Barrier.constant(g * lat.dx, lat.interval)
-    return walk.WalkEnsembleSpec(lat, x, y, Barrier.plus_inf(), barrier), lat
+    return walk.WalkEnsembleSpec(lat, x, y, g=g * lat.dx), lat
 
 
 def test_enumerate_tiny_instances():
@@ -97,6 +96,29 @@ def test_enumerate_tiny_instances():
     assert sorted(c.values[0, 1] / lat.dx for c in configs_g) == [0.0, 1.0]
 
 
+@pytest.mark.parametrize("steps", range(2, 9))
+def test_enumerated_configs_never_touch_an_integer_barrier(steps):
+    # g = u dx exactly, one curve from and to g + 1 or g + 2 units: every listed
+    # path stays strictly above g, and each one that stays above is listed
+    for u in range(-4, 1):
+        for above in (1, 2):
+            spec, lat = _tiny_spec(steps=steps, x_units=(u + above,), y_units=(u + above,), g=u)
+            configs = walk.enumerate_avoiding_configs(spec)
+            units = np.array([np.rint(c.values[0] / lat.dx) for c in configs])
+            assert np.all(units > u) and np.all(np.array([c.values[0] for c in configs]) > spec.g)
+            # paths of `steps` steps from and to u + above that stay at or above u + 1,
+            # counted on the shifted walk that starts at above - 1 and stays >= 0
+            counts = {above - 1: 1}
+            for _ in range(steps):
+                nxt = {}
+                for h, c in counts.items():
+                    for d in (-1, 0, 1):
+                        if h + d >= 0:
+                            nxt[h + d] = nxt.get(h + d, 0) + c
+                counts = nxt
+            assert len(configs) == counts[above - 1]
+
+
 def test_enumerate_guard():
     spec, _ = _tiny_spec(steps=40)
     with pytest.raises(DomainError):
@@ -107,7 +129,7 @@ def test_avoiding_walk_sampler_uniform_vs_enumeration():
     # k = 2 tiny instance: acceptance must be uniform over enumerated configs
     lat = LatticeParams(Interval(0, 1), 2)
     x = WeylVector((lat.dx, 0.0))
-    spec = walk.WalkEnsembleSpec(lat, x, x, Barrier.plus_inf(), Barrier.minus_inf())
+    spec = walk.WalkEnsembleSpec(lat, x, x)
     configs = walk.enumerate_avoiding_configs(spec)
     keys = {tuple(np.rint(c.values / lat.dx).astype(int).ravel()): 0 for c in configs}
     samples, drawn, seen = walk.sample_avoiding_walks_batch(
