@@ -22,7 +22,7 @@ from scipy import special
 from .bridge import SQRT2PI, _bridge_paths, certify_c0, midpoint_cdf_single  # noqa: F401
 from .core import (
     DomainError, Interval, LineEnsemble, RejectionExhausted, StructuralError, WeylVector,
-    _avoids, _rejection_loop, _rejection_sample,
+    _avoids, _check_barriers, _rejection_loop, _rejection_sample,
 )
 
 # half-width, in standard errors, of the Wilson and p_w confidence intervals
@@ -49,13 +49,7 @@ class AvoidSpec:
             raise StructuralError("entrance and exit vectors must have equal length")
         if self.grid_points < 2:
             raise DomainError("need at least 2 grid points")
-        # plain comparisons, so a NaN barrier fails them too
-        if not (self.f > self.x[0] and self.f > self.y[0]):
-            raise DomainError("upper barrier must clear the top endpoints")
-        if not (self.g < self.x[-1] and self.g < self.y[-1]):
-            raise DomainError("lower barrier must clear the bottom endpoints")
-        if not self.f > self.g:
-            raise DomainError("barriers must satisfy f > g")
+        _check_barriers(self.x, self.y, self.f, self.g)
 
     @property
     def k(self) -> int:

@@ -145,6 +145,19 @@ def _avoids(vals: np.ndarray, f_vals, g_vals) -> np.ndarray:
     return ok
 
 
+def _check_barriers(x, y, f: float, g: float) -> None:
+    """DomainError unless f > the top ends x[0], y[0], g < the bottom ends x[-1], y[-1], and f > g.
+
+    x and y are the ends as _avoids compares them; plain comparisons, so a NaN barrier fails.
+    """
+    if not (f > x[0] and f > y[0]):
+        raise DomainError("upper barrier must clear the top endpoints")
+    if not (g < x[-1] and g < y[-1]):
+        raise DomainError("lower barrier must clear the bottom endpoints")
+    if not f > g:
+        raise DomainError("barriers must satisfy f > g")
+
+
 class RejectionExhausted(RuntimeError):
     """Rejection sampler ran out of attempts; carries the attempt count."""
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, LatticeParams, StructuralError, _avoids
+from .core import DomainError, LatticeParams, StructuralError, _avoids, _check_barriers
 
 
 class InfeasibleState(ValueError):
@@ -59,20 +59,21 @@ def _config(like: GlauberConfig, rows: list[list[int]]) -> GlauberConfig:
     return GlauberConfig(like.lattice, tuple(tuple(r) for r in rows), like.g)
 
 
-def _check_ends(x_units: list[int], y_units: list[int], n: int) -> None:
+def _check_ends(lattice: LatticeParams, x_units: list[int], y_units: list[int], g: float) -> None:
+    """DomainError unless the ends are strictly decreasing, reachable and clear of g.
+
+    Such ends always give feasible maximal and minimal states.
+    """
     if len(x_units) != len(y_units):
         raise StructuralError(
             f"entrance and exit units must have equal length, got {len(x_units)} and {len(y_units)}"
         )
-    if any(abs(yi - xi) > n for xi, yi in zip(x_units, y_units)):
+    if not x_units or any(a <= b for units in (x_units, y_units) for a, b in zip(units, units[1:])):
+        raise DomainError(f"entrance and exit units must be strictly decreasing, got {x_units} and {y_units}")
+    if any(abs(yi - xi) > lattice.n_steps for xi, yi in zip(x_units, y_units)):
         raise DomainError("endpoints not reachable")
-
-
-def _extremal(name: str, lattice: LatticeParams, rows: list[np.ndarray], g: float) -> GlauberConfig:
-    try:
-        return GlauberConfig(lattice, tuple(tuple(int(v) for v in r) for r in rows), g)
-    except InfeasibleState as exc:
-        raise InfeasibleState(f"{name} state infeasible at this lattice resolution; increase n") from exc
+    # u * dx is the product _feasible compares with g
+    _check_barriers([u * lattice.dx for u in x_units], [u * lattice.dx for u in y_units], np.inf, g)
 
 
 def maximal_state(
@@ -85,10 +86,10 @@ def maximal_state(
     parity, then down-steps).
     """
     n = lattice.n_steps
-    _check_ends(x_units, y_units, n)
+    _check_ends(lattice, x_units, y_units, g)
     cols = np.arange(n + 1)
     rows = [np.minimum(x + cols, y + (n - cols)) for x, y in zip(x_units, y_units)]
-    return _extremal("maximal", lattice, rows, g)
+    return GlauberConfig(lattice, tuple(tuple(int(v) for v in r) for r in rows), g)
 
 
 def minimal_state(
@@ -102,7 +103,7 @@ def minimal_state(
     maximal construction (all down-steps first).
     """
     n = lattice.n_steps
-    _check_ends(x_units, y_units, n)
+    _check_ends(lattice, x_units, y_units, g)
     cols = np.arange(n + 1)
     rows: list[np.ndarray] = []
     # the bottom curve sits at floor + 1 or higher: strictly above the barrier
@@ -110,7 +111,7 @@ def minimal_state(
     for xi, yi in zip(x_units[::-1], y_units[::-1]):
         below = np.maximum(np.maximum(xi - cols, yi - (n - cols)), below + 1)
         rows.insert(0, below)
-    return _extremal("minimal", lattice, rows, g)
+    return GlauberConfig(lattice, tuple(tuple(int(v) for v in r) for r in rows), g)
 
 
 def _barrier_units_floor(lattice: LatticeParams, g: float) -> float:

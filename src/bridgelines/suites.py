@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy import stats
@@ -42,36 +42,76 @@ def _report(name, statistic, verdict, seed_label, p_value=None, ci=None, n1=0, n
 
 
 # ---------------------------------------------------------------------------
+# configs: each field's type is its default's, and its domain is declared on it
+# ---------------------------------------------------------------------------
+
+def _same_type(value, default) -> bool:
+    """value has default's type; a float takes an int but no bool, a tuple's elements are checked like its first."""
+    if isinstance(default, tuple):
+        return isinstance(value, tuple) and all(_same_type(v, default[0]) for v in value)
+    return not isinstance(value, bool) and isinstance(value, (int, float) if type(default) is float else type(default))
+
+
+def _domain(default, rule, words: str):
+    """A config field whose value v must satisfy rule(v); a violation says the key must `words`."""
+    return field(default=default, metadata={"domain": (rule, words)})
+
+
+def _at_least(default, least=1):
+    return _domain(default, lambda v: v >= least, f"be at least {least}")
+
+
+def _tuple_of(default, rule, words: str):
+    return _domain(default, lambda t: len(t) > 0 and all(rule(v) for v in t), f"be a non-empty tuple of {words}")
+
+
+def _window_widths(default):
+    # on [0, 1] with t1 = 1/2 the window [t1 - 1/w, t1 + 1/w] lies strictly inside iff w >= 3
+    return _tuple_of(default, lambda w: w >= 3, "widths >= 3")
+
+
+@dataclass(frozen=True)
+class SuiteConfig:
+    """The seed every suite config starts with; building a config checks all its fields.
+
+    In field order, each value must have its default's type (_same_type) and
+    satisfy the domain its field declares, so a config is checked before any
+    draw, whoever builds it. Checks that tie two fields together stay in the suites.
+    """
+
+    seed: int = 1
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _same_type(value, f.default):
+                raise ValueError(f"config key {f.name} must have the type of {f.default!r}, got {value!r}")
+            rule, words = f.metadata.get("domain", (None, ""))
+            if rule is not None and not rule(value):
+                raise DomainError(f"config key {f.name} must {words}, got {value!r}")
+
+
+# ---------------------------------------------------------------------------
 # reflection formula (bridge maximum)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ReflectionConfig:
-    seed: int = 1
-    cases: tuple[tuple[float, float, float], ...] = ((1.0, 0.0, 1.0), (2.0, 0.0, 1.0), (1.0, 0.5, 1.0))
-    grid_points: int = 2048
-    n_samples: int = 100000
-    shrink_grid_coarse: int = 512
-    shrink_samples: int = 30000
+class ReflectionConfig(SuiteConfig):
+    cases: tuple[tuple[float, float, float], ...] = _tuple_of(
+        ((1.0, 0.0, 1.0), (2.0, 0.0, 1.0), (1.0, 0.5, 1.0)),
+        lambda c: len(c) == 3 and c[0] > 0 and all(abs(x) <= sys.float_info.max for x in c),
+        "(T, a, beta) of finite numbers with T > 0",
+    )
+    grid_points: int = _at_least(2048, 2)
+    n_samples: int = _at_least(100000)
+    shrink_grid_coarse: int = _at_least(512)
+    shrink_samples: int = _at_least(30000)
 
 
 def reflection_suite(cfg: ReflectionConfig) -> SuiteResult:
-    if not cfg.cases:
-        raise DomainError("cases must name at least one (T, a, beta)")
-    bad = [c for c in cfg.cases if not (
-        isinstance(c, tuple) and len(c) == 3
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max for x in c)
-        and c[0] > 0
-    )]
-    if bad:
-        raise DomainError(f"every case must be a (T, a, beta) of finite numbers with T > 0, got {bad}")
-    if min(cfg.n_samples, cfg.shrink_samples) < 1:
-        raise DomainError(f"n_samples and shrink_samples must be at least 1, got {cfg.n_samples}, {cfg.shrink_samples}")
-    if not 1 <= cfg.shrink_grid_coarse < cfg.grid_points:
+    if not cfg.shrink_grid_coarse < cfg.grid_points:
         # the shrink check compares the allowance on a coarse grid with the finer main one
-        raise DomainError(
-            f"need 1 <= shrink_grid_coarse < grid_points, got {cfg.shrink_grid_coarse}, {cfg.grid_points}"
-        )
+        raise DomainError(f"need shrink_grid_coarse < grid_points, got {cfg.shrink_grid_coarse}, {cfg.grid_points}")
     root = RngSeed(cfg.seed)
     reports = []
     for T, a, beta in cfg.cases:
@@ -112,13 +152,14 @@ def reflection_suite(cfg: ReflectionConfig) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class WalkExactConfig:
-    seed: int = 1
-    max_steps: int = 6
-    n_samples: int = 100000
-    telescope_cases: tuple[tuple[int, int], ...] = ((6, 0), (6, 3), (40, 7), (64, -10))
-    telescope_paths: int = 50
-    telescope_tol: float = 1e-9
+class WalkExactConfig(SuiteConfig):
+    max_steps: int = _at_least(6)
+    n_samples: int = _at_least(100000)
+    telescope_cases: tuple[tuple[int, int], ...] = _tuple_of(
+        ((6, 0), (6, 3), (40, 7), (64, -10)), lambda c: len(c) == 2 and abs(c[1]) <= c[0], "(N, z) with |z| <= N",
+    )
+    telescope_paths: int = _at_least(50)
+    telescope_tol: float = _at_least(1e-9, 0)
 
 
 def walk_exact_suite(cfg: WalkExactConfig) -> SuiteResult:
@@ -167,10 +208,10 @@ def walk_exact_suite(cfg: WalkExactConfig) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ConvergenceConfig:
-    seed: int = 1
-    scales: tuple[int, ...] = (4, 8, 16, 32)
-    n_samples: int = 100000
+class ConvergenceConfig(SuiteConfig):
+    # the walk has n^2 steps and its midpoint needs an even count
+    scales: tuple[int, ...] = _tuple_of((4, 8, 16, 32), lambda n: n >= 2 and n % 2 == 0, "even integers >= 2")
+    n_samples: int = _at_least(100000)
     final_tol: float = 0.02
     inversion_tol: float = 0.005
 
@@ -185,13 +226,6 @@ def _lattice_ks_floor(n_steps: int, dx: float, sd: float) -> float:
 
 
 def convergence_suite(cfg: ConvergenceConfig) -> SuiteResult:
-    if not cfg.scales:
-        raise DomainError("scales must name at least one n")
-    if cfg.n_samples < 1:
-        raise DomainError(f"n_samples must be at least 1, got {cfg.n_samples}")
-    bad = [n for n in cfg.scales if not isinstance(n, int) or n < 2 or n % 2]
-    if bad:  # the walk has n^2 steps and its midpoint needs an even count
-        raise DomainError(f"every scale n must be an even integer >= 2, got {bad}")
     root = RngSeed(cfg.seed)
     interval = Interval(0.0, 1.0)
     sd = np.sqrt(interval.length / 4.0)
@@ -227,7 +261,7 @@ def convergence_suite(cfg: ConvergenceConfig) -> SuiteResult:
 # glauber stationarity
 # ---------------------------------------------------------------------------
 
-def _chain_support(lat: LatticeParams, x_units, y_units, g: float, k: int) -> list[tuple]:
+def _chain_support(lat: LatticeParams, x_units, y_units, g: float) -> list[tuple]:
     x = WeylVector(tuple(u * lat.dx for u in x_units))
     y = WeylVector(tuple(u * lat.dx for u in y_units))
     spec = walk.WalkEnsembleSpec(lat, x, y, g=g)
@@ -239,17 +273,13 @@ def _chain_support(lat: LatticeParams, x_units, y_units, g: float, k: int) -> li
 
 
 @dataclass(frozen=True)
-class StationarityConfig:
-    seed: int = 1
-    retained: int = 100000
-    tv_tol: float = 0.02
-    burn_seeds: int = 32
+class StationarityConfig(SuiteConfig):
+    retained: int = _at_least(100000)
+    tv_tol: float = _domain(0.02, lambda v: 0 <= v < 1, "be in [0, 1)")  # a TV distance never exceeds 1
+    burn_seeds: int = _at_least(32)
 
 
 def glauber_stationarity_suite(cfg: StationarityConfig) -> SuiteResult:
-    if min(cfg.retained, cfg.burn_seeds) < 1 or not 0 <= cfg.tv_tol < 1:
-        raise DomainError(f"need retained >= 1, burn_seeds >= 1 and 0 <= tv_tol < 1, "
-                          f"got {cfg.retained}, {cfg.burn_seeds}, {cfg.tv_tol}")
     root = RngSeed(cfg.seed)
     reports = []
     lat4 = LatticeParams(Interval(0.0, 1.0), 4)
@@ -258,7 +288,7 @@ def glauber_stationarity_suite(cfg: StationarityConfig) -> SuiteResult:
         ("104state-k2", lat4, [2, 0], [2, 0], -0.5 * lat4.dx),
     ]
     for name, lat, xu, yu, g in instances:
-        support = _chain_support(lat, xu, yu, g, len(xu))
+        support = _chain_support(lat, xu, yu, g)
         burn_streams = [root.derive(f"stationarity/{name}/burn/{i}").generator() for i in range(cfg.burn_seeds)]
         burn = glauber.coalescence_burn_in(lat, xu, yu, g, burn_streams)
         thin = max(1, burn // 16)
@@ -281,20 +311,15 @@ def glauber_stationarity_suite(cfg: StationarityConfig) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class CouplingConfig:
-    seed: int = 1
-    n_chain_seeds: int = 100
-    chain_events: int = 10000
-    chain_scale: int = 4
-    n_marginal_samples: int = 4000
-    grid_points: int = 128
+class CouplingConfig(SuiteConfig):
+    n_chain_seeds: int = _at_least(100)
+    chain_events: int = _at_least(10000)
+    chain_scale: int = _at_least(4, 2)  # a 1-step lattice (chain_scale 1) has no interior site for the chain to move
+    n_marginal_samples: int = _at_least(4000)
+    grid_points: int = _at_least(128, 4)  # columns g // 4, g // 2 and 3 g // 4 distinct and interior
 
 
 def coupling_suite(cfg: CouplingConfig) -> SuiteResult:
-    if min(cfg.n_chain_seeds, cfg.chain_events, cfg.n_marginal_samples) < 1 or cfg.chain_scale < 2:
-        # a 1-step lattice (chain_scale 1) has no interior site for the chain to move
-        raise DomainError(f"need n_chain_seeds, chain_events, n_marginal_samples >= 1 and chain_scale >= 2, got "
-                          f"{cfg.n_chain_seeds}, {cfg.chain_events}, {cfg.n_marginal_samples}, {cfg.chain_scale}")
     root = RngSeed(cfg.seed)
     reports = []
     # pathwise: coupled chains on shared clocks, random ordered boundary data
@@ -365,10 +390,9 @@ def coupling_suite(cfg: CouplingConfig) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class GibbsConfig:
-    seed: int = 1
-    n_samples: int = 5000
-    grid_points: int = 256
+class GibbsConfig(SuiteConfig):
+    n_samples: int = _at_least(5000)
+    grid_points: int = _at_least(256, 2)
     endpoints: tuple[float, float] = (0.25, -0.25)
     block: tuple[int, int] = (0, 0)
     sub_cols: tuple[int, int] = (64, 192)
@@ -404,19 +428,15 @@ def gibbs_suite(cfg: GibbsConfig) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TailsConfig:
-    seed: int = 1
-    ks: tuple[int, ...] = (1, 2, 3)
-    rs: tuple[float, ...] = (0.5, 1.0, 1.5)
-    n_samples: int = 20000
-    grid_points: int = 256
-    spacing: float = 1.0
+class TailsConfig(SuiteConfig):
+    ks: tuple[int, ...] = _tuple_of((1, 2, 3), lambda k: k >= 1, "curve counts >= 1")
+    rs: tuple[float, ...] = _tuple_of((0.5, 1.0, 1.5), lambda r: r >= 0, "numbers >= 0")
+    n_samples: int = _at_least(20000)
+    grid_points: int = _at_least(256, 2)
+    spacing: float = _domain(1.0, lambda v: 0 < v < np.inf, "be in (0, inf)")
 
 
 def tails_suite(cfg: TailsConfig) -> SuiteResult:
-    if not (cfg.ks and cfg.rs and cfg.n_samples >= 1 and min(cfg.ks) >= 1 and min(cfg.rs) >= 0):
-        raise DomainError(f"need n_samples >= 1 and nonempty ks >= 1 and rs >= 0, "
-                          f"got {cfg.n_samples}, {cfg.ks}, {cfg.rs}")
     root = RngSeed(cfg.seed)
     iv = Interval(0.0, 1.0)
     length = iv.length
@@ -456,23 +476,22 @@ def tails_suite(cfg: TailsConfig) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PwConfig:
-    seed: int = 1
-    windows: tuple[int, ...] = (4, 8, 16, 32)
-    n_single: int = 50000
+class PwConfig(SuiteConfig):
+    windows: tuple[int, ...] = _window_widths((4, 8, 16, 32))
+    n_single: int = _at_least(50000)
     single_x1: float = 1.5
     # calibrated two-curve instance: x1 sits at the top curve's upper bulk so the
     # ratio estimator keeps finite weights; n_pair sets the Monte Carlo
     # resolution against which the finite-w sandwich gap is judged
-    pair_interval: tuple[float, float] = (0.0, 1.0)
-    pair_gap: float = 0.5
-    pair_grid: int = 128
+    pair_interval: tuple[float, float] = _domain((0.0, 1.0), lambda iv: len(iv) == 2, "be a pair (a, b)")
+    pair_gap: float = _domain(0.5, lambda v: 0 < v < np.inf, "be in (0, inf)")
+    pair_grid: int = _at_least(128, 2)
     pair_w: int = 32
-    n_pair: int = 1200
-    pair_top_quantile: float = 0.97
-    n_pilot: int = 2000
-    n_domination: int = 2000
-    domination_budget: float = 0.001
+    n_pair: int = _at_least(1200)
+    pair_top_quantile: float = _domain(0.97, lambda q: 0 <= q <= 1, "be in [0, 1]")
+    n_pilot: int = _at_least(2000)
+    n_domination: int = _at_least(2000)
+    domination_budget: float = _domain(0.001, lambda v: 0 < v <= 1, "be in (0, 1]")
 
 
 def single_bridge_pw(windows, x1: float, n_samples: int, rng: np.random.Generator,
@@ -547,18 +566,6 @@ _DOMINATION_ROUNDING = 1e-12
 
 
 def pw_suite(cfg: PwConfig) -> SuiteResult:
-    counts = dict(n_single=cfg.n_single, n_pair=cfg.n_pair, n_pilot=cfg.n_pilot, n_domination=cfg.n_domination)
-    bad = [f"{key}={n}" for key, n in counts.items() if n < 1]
-    if bad:
-        raise DomainError(f"{', '.join(bad)}: each sample count must be at least 1")
-    if not 0 < cfg.domination_budget <= 1:
-        raise DomainError(f"domination_budget must lie in (0, 1], got {cfg.domination_budget}")
-    if not cfg.windows:
-        raise DomainError("windows must name at least one width")
-    if len(cfg.pair_interval) != 2 or not 0 <= cfg.pair_top_quantile <= 1:
-        raise DomainError(f"need a pair_interval (a, b) and a pair_top_quantile in [0, 1], "
-                          f"got {cfg.pair_interval}, {cfg.pair_top_quantile}")
-    _window_times(Interval(0.0, 1.0), cfg.windows)  # a bad window fails before any draw
     vec = WeylVector((cfg.pair_gap / 2.0, -cfg.pair_gap / 2.0))
     spec = avoid.AvoidSpec(Interval(*cfg.pair_interval), vec, vec, grid_points=cfg.pair_grid)
     grid = spec.interval.grid(cfg.pair_grid)
@@ -620,18 +627,17 @@ def pw_suite(cfg: PwConfig) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class DetectConfig:
-    seed: int = 1
-    n_seeds: int = 10
-    windows: tuple[int, ...] = (4, 8, 16, 32)
-    tau: float = 0.9
-    n_samples: int = 20000
+class DetectConfig(SuiteConfig):
+    n_seeds: int = _at_least(10)
+    windows: tuple[int, ...] = _window_widths((4, 8, 16, 32))
+    tau: float = _domain(0.9, lambda v: 0 < v < 1, "be in (0, 1)")
+    n_samples: int = _at_least(20000, 2)  # the capped estimator's standard error needs two samples
     single_x1: float = 1.5
-    pair_gap: float = 0.3
-    hidden_quantile: float = 0.8
-    n_pilot: int = 2000
-    cap: int = 1000  # detector consumes the truncated (finite-variance) estimator
-    planted: str = "both"  # "hidden" | "none" | "both"
+    pair_gap: float = _domain(0.3, lambda v: 0 < v < np.inf, "be in (0, inf)")
+    hidden_quantile: float = _domain(0.8, lambda q: 0 <= q <= 1, "be in [0, 1]")
+    n_pilot: int = _at_least(2000)
+    cap: int = _at_least(1000)  # detector consumes the truncated (finite-variance) estimator
+    planted: str = _domain("both", lambda p: p in ("hidden", "none", "both"), "be hidden, none or both")
 
 
 def _detect_single_case(cfg: DetectConfig, root: RngSeed, s: int) -> str:
@@ -650,11 +656,6 @@ def _detect_hidden_case(cfg: DetectConfig, root: RngSeed, s: int) -> str:
 
 
 def detect_suite(cfg: DetectConfig) -> SuiteResult:
-    if cfg.planted not in ("hidden", "none", "both"):
-        raise DomainError(f"planted must be hidden, none or both, got {cfg.planted!r}")
-    if cfg.n_seeds < 1:
-        raise DomainError(f"n_seeds must be at least 1, got {cfg.n_seeds}")
-    _window_times(Interval(0.0, 1.0), cfg.windows)  # a bad window fails before any draw
     root = RngSeed(cfg.seed)
     reports = []
     correct = 0
@@ -690,16 +691,15 @@ def detect_suite(cfg: DetectConfig) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TransformsConfig:
-    seed: int = 1
-    n_samples: int = 4000
-    grid_points: int = 128
-    affine: tuple[float, float, float] = (2.0, 3.0, -1.0)
+class TransformsConfig(SuiteConfig):
+    n_samples: int = _at_least(4000)
+    grid_points: int = _at_least(128, 4)  # columns g // 4, g // 2 and 3 g // 4 distinct and interior
+    affine: tuple[float, float, float] = _domain(
+        (2.0, 3.0, -1.0), lambda a: len(a) == 3 and a[0] > 0, "be (c, u, r) with c > 0"
+    )
 
 
 def transforms_suite(cfg: TransformsConfig) -> SuiteResult:
-    if cfg.n_samples < 1 or cfg.affine[0] <= 0:
-        raise DomainError(f"need n_samples >= 1 and an affine scale c > 0, got {cfg.n_samples}, {cfg.affine}")
     root = RngSeed(cfg.seed)
     iv = Interval(0.0, 1.0)
     src_spec = avoid.AvoidSpec(iv, WeylVector((2.0, 0.0)), WeylVector((1.0, -1.0)), grid_points=cfg.grid_points)
@@ -752,26 +752,14 @@ SUITES = {
 }
 
 
-def _same_type(value, default) -> bool:
-    """value has default's type; a float takes an int, a tuple's elements are checked like its first."""
-    if isinstance(default, tuple):
-        return isinstance(value, tuple) and all(_same_type(v, default[0]) for v in value)
-    return isinstance(value, (int, float) if type(default) is float else type(default))
-
-
 def run_suite(name: str, **overrides) -> SuiteResult:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
     cfg_cls, fn = SUITES[name]
-    defaults = {f.name: f.default for f in fields(cfg_cls)}
-    bad = set(overrides) - set(defaults)
+    bad = set(overrides) - {f.name for f in fields(cfg_cls)}
     if bad:
         raise KeyError(f"unknown config keys for suite {name}: {sorted(bad)}")
-    for key, value in overrides.items():
-        if not _same_type(value, defaults[key]):
-            raise ValueError(f"config key {key} of suite {name} must have the type of {defaults[key]!r}, "
-                             f"got {value!r}")
-    cfg = cfg_cls(**overrides)
+    cfg = cfg_cls(**overrides)  # checks every field's type and domain
     try:
         return fn(cfg)
     except RejectionExhausted as exc:

@@ -25,6 +25,7 @@ from .core import (
     StructuralError,
     WeylVector,
     _avoids,
+    _check_barriers,
     _rejection_sample,
 )
 
@@ -183,12 +184,12 @@ class WalkEnsembleSpec:
     def __post_init__(self):
         if len(self.x) != len(self.y):
             raise StructuralError("entrance and exit vectors must have equal length")
-        if np.isnan(self.f) or np.isnan(self.g):
-            raise DomainError("barriers must be numbers, got NaN")
-        for xi, yi in zip(self.x.values, self.y.values):
-            zi = self.lattice.snap_units(yi) - self.lattice.snap_units(xi)
-            if abs(zi) > self.lattice.n_steps:
-                raise DomainError("endpoints not reachable in n^2 steps")
+        lat = self.lattice
+        xu, yu = ([lat.snap_units(v) for v in ends.values] for ends in (self.x, self.y))
+        if any(abs(b - a) > lat.n_steps for a, b in zip(xu, yu)):
+            raise DomainError("endpoints not reachable in n^2 steps")
+        # the ends as the samplers compare them with the barriers: units * dx
+        _check_barriers([u * lat.dx for u in xu], [u * lat.dx for u in yu], self.f, self.g)
 
     @property
     def k(self) -> int:

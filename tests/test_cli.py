@@ -224,6 +224,7 @@ def test_verify_unknown_suite_and_bad_key(tmp_path, capsys):
         ["--suite", "tails", "--set", "ks=()"],
         ["--suite", "tails", "--set", "rs=()"],
         ["--suite", "tails", "--set", "rs=(0.5,'a')"],  # wrong element type
+        ["--suite", "tails", "--set", "n_samples=True"],  # a bool is no count
         ["--suite", "gibbs", "--set", "marginal_cols=('a',)"],
         ["--suite", "glauber-stationarity", "--set", "retained=0"],
         ["--suite", "glauber-stationarity", "--set", "burn_seeds=0"],
@@ -231,6 +232,7 @@ def test_verify_unknown_suite_and_bad_key(tmp_path, capsys):
         ["--suite", "coupling", "--set", "n_chain_seeds=0"],
         ["--suite", "coupling", "--set", "n_marginal_samples=0"],
         ["--suite", "transforms", "--set", "n_samples=0"],
+        ["--suite", "transforms", "--set", "grid_points=3"],  # column 0 is the fixed entrance
         ["--suite", "gibbs", "--set", "marginal_cols=(10,)"],
         ["--suite", "gibbs", "--set", "sub_cols=(0, 192)"],
         ["--suite", "pw", "--set", "pair_w=1"],  # window reaches outside the interval
@@ -247,6 +249,11 @@ def test_verify_unknown_suite_and_bad_key(tmp_path, capsys):
         ["--suite", "convergence", "--set", "scales=()"],
         ["--suite", "convergence", "--set", "n_samples=0"],
         ["--suite", "convergence", "--set", "scales=(32,33)"],
+        ["--suite", "walk-exact", "--set", "n_samples=0"],
+        ["--suite", "walk-exact", "--set", "max_steps=0"],
+        ["--suite", "walk-exact", "--set", "telescope_cases=((3,7),)"],  # |z| > N
+        ["--suite", "detect", "--set", "cap=0"],
+        ["--suite", "detect", "--set", "n_samples=1"],  # a standard error needs two samples
     ):
         assert run(["verify", *argv, "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
@@ -264,8 +271,14 @@ def test_unknown_sample_kind_is_usage_error(tmp_path, capsys):
             ["--kind", "glauber", "--n-scale", "1", "--x-units", "0", "--y-units", "0"]]
     bad += [["--kind", kind, f"--{side}-const", "nan"] for kind in ("avoid", "walk", "glauber")
             for side in ("f", "g") if side == "g" or kind == "avoid"]
-    for argv in bad:
-        assert run(["sample", *argv, "--out", str(tmp_path / "z")]) == 2
+    # lattice ends must clear the barrier and, for the chain, decrease strictly
+    bad += [["--kind", "walk", "--g-const", "0.0", "--n-samples", "5"],
+            ["--kind", "glauber", "--g-const", "0.0"],
+            ["--kind", "glauber", "--x-units", "0,2", "--y-units", "0,2"],
+            ["--kind", "glauber", "--x-units", "2,2", "--y-units", "2,0"]]
+    enumerate_bad = [["enumerate", "--steps", "2", "--x-units", "0", "--y-units", "0", "--g-const-units", "0"]]
+    for argv in [["sample", *argv] for argv in bad] + enumerate_bad:
+        assert run([*argv, "--out", str(tmp_path / "z")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not (tmp_path / "z").exists()

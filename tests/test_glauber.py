@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bridgelines import glauber, walk
-from bridgelines.core import Interval, LatticeParams, RngSeed, WeylVector
+from bridgelines.core import DomainError, Interval, LatticeParams, RngSeed, WeylVector
 
 
 def _lat(steps=2):
@@ -32,7 +32,7 @@ def test_minimal_state_mirrors_and_respects_barrier():
 
 def test_maximal_state_infeasible_barrier_raises():
     lat = _lat(2)
-    with pytest.raises(glauber.InfeasibleState):
+    with pytest.raises(DomainError, match="lower barrier must clear the bottom endpoints"):
         glauber.maximal_state(lat, [0], [0], 0.5 * lat.dx)
 
 

@@ -6,9 +6,18 @@ import subprocess
 import sys
 from pathlib import Path
 
-from bridgelines import cli
+from bridgelines import cli, suites
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def _benchmark_workloads(monkeypatch):
+    """perfbench/workloads.py, imported by path: tier-1 does not collect perfbench/."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 def test_run_acceptance_sweeps_pw_over_two_seeds():
@@ -27,11 +36,8 @@ def test_run_acceptance_sweeps_pw_over_two_seeds():
 
 def test_benchmark_sample_checker_passes_each_kind(tmp_path, monkeypatch):
     # perfbench/workloads.py checks every sample-stream output through the package's
-    # API; tier-1 does not collect perfbench/, so a change that breaks it shows here
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
+    # API, so a change that breaks it shows here
+    workloads = _benchmark_workloads(monkeypatch)
     firsts = {}
     for op in workloads.build_passes("sample-stream", 1)[0]:
         firsts.setdefault(op.expect["kind"], op)
@@ -40,3 +46,18 @@ def test_benchmark_sample_checker_passes_each_kind(tmp_path, monkeypatch):
         out = tmp_path / kind
         assert cli.main([*op.argv, "--out", str(out)]) == 0, op.argv
         assert workloads.check_sample(op, str(out)) == [], op.argv
+
+
+def test_benchmark_verify_operations_pass_the_config_checks(tmp_path, monkeypatch):
+    # every verify operation of the benchmark builds its suite's config through cli.main;
+    # with each suite stubbed to an empty passing result, a domain that refuses one
+    # of the benchmark's settings (detect's n_seeds=5) or a default fails here
+    workloads = _benchmark_workloads(monkeypatch)
+    for name, (cfg_cls, _) in suites.SUITES.items():
+        cfg_cls()  # the defaults lie in every declared domain
+        monkeypatch.setitem(suites.SUITES, name, (cfg_cls, lambda cfg, name=name: suites.SuiteResult(name, [])))
+    for workload in ("verify-rejection", "verify-window", "verify-lattice"):
+        for op in workloads.build_passes(workload, 1)[0]:
+            out = tmp_path / op.expect["suite"]
+            assert cli.main([*op.argv, "--out", str(out)]) == 0, op.argv
+            assert workloads.check_verify(op, str(out)) == [], op.argv

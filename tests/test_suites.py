@@ -136,9 +136,40 @@ def test_detect_rejects_a_bad_config_before_any_draw(monkeypatch):
         dict(planted="both", windows=(4, 2)),  # t1 - 1/2 is the interval's end
         dict(planted="hiden"),
         dict(n_seeds=0),
+        dict(tau=1.5),
+        dict(cap=0),
+        dict(n_samples=1),  # the capped estimator's standard error needs two samples
+        dict(hidden_quantile=1.5),
+        dict(pair_gap=0.0),
     ):
         with pytest.raises(DomainError):
             suites.run_suite("detect", seed=1, **overrides)
+
+
+def test_walk_exact_rejects_a_bad_config_before_any_draw(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("sampled before the config was checked")
+
+    monkeypatch.setattr(suites.walk, "sample_walk_steps", no_draw)
+    monkeypatch.setattr(suites.walk, "sample_walk_bridge", no_draw)
+    for overrides in (
+        dict(n_samples=0),
+        dict(max_steps=0),  # no (N, z) case: the chi-square check would pass vacuously
+        dict(telescope_cases=()),
+        dict(telescope_cases=((3, 7),)),  # |z| > N: no path
+        dict(telescope_cases=((3,),)),
+        dict(telescope_paths=0),
+        dict(telescope_tol=-1.0),
+    ):
+        with pytest.raises(DomainError):
+            suites.run_suite("walk-exact", seed=1, **overrides)
+
+
+def test_a_config_checks_its_fields_when_built():
+    with pytest.raises(DomainError, match="^config key n_samples must be at least 1, got 0$"):
+        suites.TailsConfig(n_samples=0)
+    with pytest.raises(ValueError, match="^config key rs must have the type of"):
+        suites.TailsConfig(rs=0.5)
 
 
 def test_pw_rejects_a_bad_config_before_any_draw(monkeypatch):
@@ -228,6 +259,7 @@ def test_chain_suites_reject_a_bad_config_before_any_event(monkeypatch):
         ("coupling", dict(chain_events=0)),
         ("coupling", dict(n_marginal_samples=0)),
         ("coupling", dict(chain_scale=1)),  # one step: no interior site
+        ("coupling", dict(grid_points=3)),  # column 0 is the fixed entrance
     ):
         with pytest.raises(DomainError):
             suites.run_suite(name, seed=1, **overrides)

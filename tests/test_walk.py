@@ -153,7 +153,11 @@ def test_single_walk_accepted_immediately():
 
 
 def test_impossible_barrier_exhausts():
-    spec, _ = _tiny_spec(g=5)  # barrier above the endpoints: empty event
+    # a barrier above the endpoints leaves no avoiding configuration: the spec refuses it
+    with pytest.raises(DomainError, match="lower barrier must clear the bottom endpoints"):
+        _tiny_spec(g=5)
+    # three walks one unit apart for 16 steps, above -0.5 dx: about 4 in 10^6 candidates pass
+    spec, _ = _tiny_spec(steps=16, x_units=(2, 1, 0), y_units=(2, 1, 0), g=-0.5)
     # the batch sampler raises rather than returning fewer ensembles
     with pytest.raises(walk.RejectionExhausted) as exc:
         walk.sample_avoiding_walks_batch(spec, 3, RngSeed(6).generator(), max_attempts=500)
