@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 # midpoint_cdf_single is re-exported: perfbench's tracer test wraps it under this name too
 from .bridge import SQRT2PI, _bridge_paths, certify_c0, midpoint_cdf_single  # noqa: F401
@@ -128,6 +127,8 @@ def window_top_cdf(x1, a, b, h, dt: float) -> np.ndarray:
     log (scipy's log_ndtr) so that no term overflows at large w. The result
     is 0 for x1 <= h(t1) and NaN unless the pair is ordered at both edges.
     """
+    from scipy import special
+
     a, b, h = np.asarray(a, dtype=float), np.asarray(b, dtype=float), np.asarray(h, dtype=float)
     sd = np.sqrt(dt / 2.0)
     mean = 0.5 * (a + b)

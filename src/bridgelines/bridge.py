@@ -16,7 +16,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .core import DomainError, Interval
 
@@ -32,6 +31,8 @@ _GRID_MAX_CHUNK = 20000
 
 def normal_cdf(z):
     """Standard normal CDF via erfc; stable deep into the left tail."""
+    from scipy import special
+
     z = np.asarray(z, dtype=float)
     out = 0.5 * special.erfc(-z / SQRT2)
     return float(out) if out.ndim == 0 else out
@@ -39,7 +40,7 @@ def normal_cdf(z):
 
 @dataclass(frozen=True)
 class BridgeSpec:
-    """Bridge from x at interval.a to y at interval.b on a grid of M+1 points."""
+    """Bridge from finite x at interval.a to finite y at interval.b on a grid of M+1 points."""
 
     interval: Interval
     x: float
@@ -47,6 +48,8 @@ class BridgeSpec:
     grid_points: int = 512
 
     def __post_init__(self):
+        if not (np.isfinite(self.x) and np.isfinite(self.y)):
+            raise DomainError(f"bridge ends must be finite, got x={self.x}, y={self.y}")
         if self.grid_points < 2:
             raise DomainError("need at least 2 grid points (M >= 2)")
 
@@ -280,6 +283,8 @@ def midpoint_cdf_single(r, s: float, t: float, x, y) -> float | np.ndarray:
 
 def mills_ratio(x) -> float | np.ndarray:
     """(1 - Phi(x)) / phi(x) for x >= 0, via the scaled complementary error function."""
+    from scipy import special
+
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise DomainError("mills_ratio requires x >= 0")

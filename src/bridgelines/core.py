@@ -28,12 +28,14 @@ class StructuralError(ValueError):
 
 @dataclass(frozen=True)
 class Interval:
-    """Time interval [a, b] with a < b."""
+    """Time interval [a, b] with finite a < b."""
 
     a: float
     b: float
 
     def __post_init__(self):
+        if not (np.isfinite(self.a) and np.isfinite(self.b)):
+            raise DomainError(f"interval ends must be finite, got [{self.a}, {self.b}]")
         if not self.a < self.b:
             raise DomainError(f"interval needs a < b, got [{self.a}, {self.b}]")
 
@@ -52,7 +54,7 @@ class Interval:
 
 @dataclass(frozen=True)
 class WeylVector:
-    """Strictly decreasing k-tuple of spatial positions (valid entrance/exit data)."""
+    """Strictly decreasing k-tuple of finite spatial positions (valid entrance/exit data)."""
 
     values: tuple[float, ...]
 
@@ -61,6 +63,8 @@ class WeylVector:
         object.__setattr__(self, "values", vals)
         if len(vals) < 1:
             raise DomainError("need at least one entry")
+        if not np.all(np.isfinite(vals)):
+            raise DomainError(f"entries must be finite, got {vals}")
         if any(vals[i] <= vals[i + 1] for i in range(len(vals) - 1)):
             raise DomainError(f"entries must be strictly decreasing, got {vals}")
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from . import avoid  # read at call time, so replacing avoid.sample_avoiding_at reaches gibbs_resample_test
 # sample_avoiding_values is re-exported: perfbench's tracer test wraps it under this name too
@@ -62,6 +61,8 @@ def ks_two_sample(
     alternative='greater' detects violations of 'sample 1 stochastically
     dominates sample 2' (its statistic is sup of cdf1 - cdf2).
     """
+    from scipy import stats
+
     s1 = np.asarray(s1, dtype=float)
     s2 = np.asarray(s2, dtype=float)
     if s1.size == 0 or s2.size == 0:
@@ -103,6 +104,8 @@ def chi_square_uniform(
     seed_label: str,
 ) -> TestReport:
     """Chi-square test of uniformity over categories from raw counts; PASS iff p >= SUITE_P_FLOOR."""
+    from scipy import stats
+
     observed = np.asarray(observed, dtype=float)
     n = observed.sum()
     expected = np.full(observed.size, n / observed.size)

@@ -1,4 +1,9 @@
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -282,3 +287,66 @@ def test_unknown_sample_kind_is_usage_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not (tmp_path / "z").exists()
+
+
+def test_non_finite_inputs_are_usage_errors(tmp_path, capsys):
+    for argv in (
+        ["--kind", "bridge", "--x", "nan"],
+        ["--kind", "bridge", "--x", "inf"],
+        ["--kind", "bridge", "--b", "inf"],
+        ["--kind", "walk", "--a=-inf"],
+        ["--kind", "avoid", "--x-vec", "1,nan"],
+        ["--kind", "avoid", "--x-vec", "nan,0"],
+    ):
+        assert run(["sample", *argv, "--out", str(tmp_path / "z")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "barrier" not in err, err
+    assert not (tmp_path / "z").exists()
+
+
+# a fresh interpreter runs the requests through cli.main, then prints their exit codes and
+# the scipy modules that are loaded
+_IMPORT_PROBE = """
+import json, sys
+from bridgelines import cli
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def _fresh_process_run(requests, cwd):
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(requests)],
+                          capture_output=True, text=True, timeout=300, env=env, cwd=cwd)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])  # [exit codes, loaded scipy modules]
+
+
+def test_sample_enumerate_and_usage_errors_never_load_scipy(tmp_path):
+    requests = [
+        ["sample", "--kind", "bridge", "--grid", "8", "--n-samples", "2", "--out", "b"],
+        ["sample", "--kind", "avoid", "--x-vec", "1,-1", "--y-vec", "1,-1", "--grid", "8",
+         "--n-samples", "2", "--out", "a"],
+        ["sample", "--kind", "walk", "--n-scale", "2", "--x-units", "2,0", "--y-units", "2,0",
+         "--n-samples", "2", "--out", "w"],
+        ["sample", "--kind", "glauber", "--n-scale", "2", "--x-units", "2,0", "--y-units", "2,0",
+         "--n-samples", "2", "--burn-in", "20", "--out", "g"],
+        ["enumerate", "--steps", "2", "--x-units", "0", "--y-units", "0", "--out", "e"],
+        ["sample", "--kind", "bridge", "--x", "nan", "--out", "bad"],
+        ["verify", "--suite", "detect", "--set", "planted=hiden", "--out", "bad"],
+        ["--help"],
+    ]
+    codes, scipy_modules = _fresh_process_run(requests, tmp_path)
+    assert codes == [0, 0, 0, 0, 0, 2, 2, 0]
+    assert scipy_modules == []
+
+
+def test_verify_loads_scipy_inside_its_statistics(tmp_path):
+    # the counterpart of the test above, so that it cannot pass because nothing loads scipy
+    request = ["verify", "--suite", "pw", "--set", "n_single=200", "--set", "n_pair=100",
+               "--set", "n_pilot=100", "--set", "n_domination=10", "--out", "v"]
+    codes, scipy_modules = _fresh_process_run([request], tmp_path)
+    assert codes[0] in (0, 1)
+    assert "scipy.special" in scipy_modules

@@ -3,7 +3,7 @@
 The acceptance gate judges each criterion on PASS/FAIL only; this test pins
 every report line and its details string, so a renamed, reordered or changed
 report shows up. The sizes are small for speed, so verdicts here carry no
-meaning: at 200 samples the gibbs negative control lacks the power to fire.
+meaning: at 200 samples (400 in its control) the gibbs negative control lacks the power to fire.
 """
 
 import numpy as np
@@ -84,7 +84,7 @@ EXPECTED = {
          'alternative=two-sided floor=1e-05'),
         ('PASS         gibbs-marginal-curve0-col184                 stat=0.05 p=0.953 ci=- n=(200,200) seed=1',
          'alternative=two-sided floor=1e-05'),
-        ('FAIL         gibbs-negative-control                       stat=0.307758 p=0.308 ci=- n=(200,0) seed=1',
+        ('FAIL         gibbs-negative-control                       stat=0.0735893 p=0.0736 ci=- n=(400,0) seed=1',
          'planted defect must be detected: min p < 1e-06'),
         ('SUITE FAIL gibbs', None),
     ],
