@@ -20,14 +20,14 @@ import numpy as np
 # midpoint_cdf_single is re-exported: perfbench's tracer test wraps it under this name too
 from .bridge import SQRT2PI, _bridge_paths, certify_c0, midpoint_cdf_single  # noqa: F401
 from .core import (
-    DomainError, Interval, LineEnsemble, RejectionExhausted, StructuralError, WeylVector,
+    DomainError, Interval, LineEnsemble, StructuralError, WeylVector,
     _avoids, _check_barriers, _rejection_loop, _rejection_sample,
 )
 
 # half-width, in standard errors, of the Wilson and p_w confidence intervals
 CI_Z = 3.0
 # candidates per round, and per row before it counts as exhausted, of the Karlin-McGregor
-# rejections (sample_avoiding_at, verify.resample_block); a candidate holds k values per time
+# rejection (_km_rejection); a candidate holds k values per time
 _KM_CHUNK = 8192
 _KM_ATTEMPTS = 10**7
 
@@ -59,21 +59,21 @@ def sample_avoiding_values(
     interval: Interval,
     x_vec: np.ndarray,
     y_vec: np.ndarray,
-    f_vals: np.ndarray,
-    g_vals: np.ndarray,
+    f: float,
+    g: float,
     grid_points: int,
     n_samples: int,
     rng: np.random.Generator,
     max_attempts: int,
     chunk: int = 2048,
 ) -> tuple[np.ndarray, int, int, int]:
-    """Rejection sampling between barriers given as floats or as value arrays on the grid.
+    """Rejection sampling on the grid between the constant barriers f and g.
 
     Returns (values, n_drawn, n_accepted_seen, first_hit): values has shape
-    (n_out, k, M+1) with n_out = min(n_samples, n_accepted_seen), and first_hit
-    is the 0-based draw index of the first acceptance (or -1). Candidates are
-    drawn in whole chunks so the acceptance rate n_accepted_seen / n_drawn is
-    unbiased.
+    (n_samples, k, M+1), and first_hit is the 0-based draw index of the first
+    acceptance. Candidates are drawn in whole chunks so the acceptance rate
+    n_accepted_seen / n_drawn is unbiased. Raises RejectionExhausted when fewer
+    than n_samples are accepted within max_attempts candidates.
     """
     m = grid_points
     grid = interval.grid(m)
@@ -83,7 +83,7 @@ def sample_avoiding_values(
         z = rng.standard_normal((1, nc, x.size, m - 1))
         return _bridge_paths(x, y, interval.a, grid[1:m], interval.b, z)
 
-    return _rejection_sample(draw, f_vals, g_vals, (x.size, m + 1), n_samples, max_attempts, chunk)
+    return _rejection_sample(draw, f, g, (x.size, m + 1), n_samples, max_attempts, chunk)
 
 
 def _km_weight(vals: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -111,6 +111,38 @@ def _km_weight(vals: np.ndarray, times: np.ndarray) -> np.ndarray:
     out = np.zeros(ok.shape)
     out[ok] = np.maximum(det, 0.0).prod(axis=-1)
     return out
+
+
+def _km_rejection(stack: np.ndarray, times: np.ndarray, block: tuple[int, int], n_samples: int,
+                  rng: np.random.Generator, max_attempts: int = _KM_ATTEMPTS):
+    """n_samples exact draws at times[1:-1] of curves block[0]..block[1] of each row of stack.
+
+    stack (R, k, len(times)) holds the curves at the increasing times; a draw
+    follows the block's law given the row's block ends and other curves.
+    Candidates are free bridges between the block ends, kept when a uniform,
+    drawn after the round's candidates, falls below _km_weight of the
+    candidate stacked with the row's other curves (the non-intersecting
+    density at a set of times is the free density times that weight). Returns
+    (values (R, n_samples, block size, len(times)), drawn, seen), the last two
+    per row.
+    """
+    i0, i1 = block
+    x, y = stack[:, None, i0 : i1 + 1, 0], stack[:, None, i0 : i1 + 1, -1]
+    whole = i1 - i0 + 1 == stack.shape[1]  # then a candidate is the whole stack
+
+    def draw(rows, nc):
+        z = rng.standard_normal((rows.size, nc, i1 - i0 + 1, times.size - 2))
+        return _bridge_paths(x[rows], y[rows], times[0], times[1:-1], times[-1], z)
+
+    def accept(rows, cands):
+        full = cands
+        if not whole:
+            full = np.repeat(stack[rows, None], cands.shape[1], axis=1)
+            full[:, :, i0 : i1 + 1] = cands
+        return rng.random(cands.shape[:2]) < _km_weight(full, times)
+
+    return _rejection_loop(draw, accept, stack.shape[0], (i1 - i0 + 1, times.size), n_samples, max_attempts,
+                           _KM_CHUNK)[:3]
 
 
 def window_top_cdf(x1, a, b, h, dt: float) -> np.ndarray:
@@ -159,12 +191,11 @@ def sample_avoiding_at(
     """Exact joint samples of k barrier-free avoiding bridges at the given interior times.
 
     The k-curve counterpart of bridge.sample_bridge_at: no grid is involved, so
-    the values follow the continuous non-intersecting law at those times. Each
-    candidate is k independent bridges seen at the sorted times, accepted with
-    probability _km_weight; its uniform is drawn after the round's candidates.
-    Returns (values (n_samples, k, len(times)) with columns in time order,
-    n_drawn, n_accepted_seen) and raises RejectionExhausted when fewer than
-    n_samples are accepted within max_attempts candidates.
+    the values follow the continuous non-intersecting law at those times. This
+    is one row of _km_rejection whose block is every curve. Returns (values
+    (n_samples, k, len(times)) with columns in time order, n_drawn,
+    n_accepted_seen) and raises RejectionExhausted when fewer than n_samples
+    are accepted within max_attempts candidates.
     """
     times = np.sort(np.asarray(times, dtype=float))
     if times[0] <= interval.a or times[-1] >= interval.b or np.any(np.diff(times) == 0):
@@ -173,20 +204,10 @@ def sample_avoiding_at(
     if x.shape != y.shape or np.any(np.diff(x) >= 0) or np.any(np.diff(y) >= 0):
         raise DomainError("entrance and exit vectors must be strictly decreasing and of equal length")
     knots = np.concatenate([[interval.a], times, [interval.b]])
-
-    def draw(rows, nc):
-        z = rng.standard_normal((1, nc, x.size, times.size))
-        return _bridge_paths(x, y, interval.a, times, interval.b, z)
-
-    def accept(rows, paths):
-        return rng.random(paths.shape[:2]) < _km_weight(paths, knots)
-
-    vals, drawn, seen, _ = _rejection_loop(draw, accept, 1, (x.size, knots.size), n_samples,
-                                           max_attempts, _KM_CHUNK)
-    drawn, seen = int(drawn[0]), int(seen[0])
-    if vals.shape[1] < n_samples:
-        raise RejectionExhausted(drawn, f"{vals.shape[1]}/{n_samples} accepted in {drawn} draws")
-    return vals[0, ..., 1:-1], drawn, seen
+    stack = np.zeros((1, x.size, knots.size))  # the ends; the interior is drawn
+    stack[0, :, 0], stack[0, :, -1] = x, y
+    vals, drawn, seen = _km_rejection(stack, knots, (0, x.size - 1), n_samples, rng, max_attempts)
+    return vals[0, ..., 1:-1], int(drawn[0]), int(seen[0])
 
 
 def sample_avoiding_batch(
@@ -196,19 +217,8 @@ def sample_avoiding_batch(
     max_attempts: int = 10**7,
 ) -> tuple[np.ndarray, int, int]:
     """Batch of accepted ensembles as an array (n, k, M+1) plus draw statistics."""
-    vals, drawn, seen, _ = sample_avoiding_values(
-        spec.interval,
-        spec.x.as_array(),
-        spec.y.as_array(),
-        spec.f,
-        spec.g,
-        spec.grid_points,
-        n_samples,
-        rng,
-        max_attempts,
-    )
-    if vals.shape[0] < n_samples:
-        raise RejectionExhausted(drawn, f"{vals.shape[0]}/{n_samples} accepted in {drawn} draws")
+    vals, drawn, seen, _ = sample_avoiding_values(spec.interval, spec.x.as_array(), spec.y.as_array(), spec.f,
+                                                  spec.g, spec.grid_points, n_samples, rng, max_attempts)
     return vals, drawn, seen
 
 

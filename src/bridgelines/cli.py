@@ -111,6 +111,10 @@ def cmd_sample(args) -> int:
         raise ValueError(f"--max-attempts must be at least 1, got {args.max_attempts}")
     if args.kind == "glauber" and args.events_per_sample < 1:
         raise ValueError(f"--events-per-sample must be at least 1, got {args.events_per_sample}")
+    if args.kind in ("bridge", "glauber") and args.f_const != float("inf"):
+        raise ValueError(f"--kind {args.kind} takes no upper barrier, got --f-const {args.f_const}")
+    if args.kind == "bridge" and args.g_const != float("-inf"):
+        raise ValueError(f"--kind bridge takes no lower barrier, got --g-const {args.g_const}")
     interval = Interval(args.a, args.b)
     seed = RngSeed(args.seed)
     manifest: list[tuple[str, object]] = [
@@ -134,6 +138,7 @@ def cmd_sample(args) -> int:
             ensembles = [LineEnsemble(interval, v) for v in vals]
             manifest += [
                 ("x_vec", args.x_vec), ("y_vec", args.y_vec),
+                ("f_const", repr(args.f_const)), ("g_const", repr(args.g_const)),
                 ("candidates_drawn", drawn), ("accepted_seen", seen),
                 ("acceptance_rate", repr(seen / drawn)),
             ]
@@ -142,13 +147,14 @@ def cmd_sample(args) -> int:
             xu, yu = _units(args.x_units), _units(args.y_units)
             xv = WeylVector(tuple(u * lat.dx for u in xu))
             yv = WeylVector(tuple(u * lat.dx for u in yu))
-            spec = walk.WalkEnsembleSpec(lat, xv, yv, g=args.g_const)
+            spec = walk.WalkEnsembleSpec(lat, xv, yv, args.f_const, args.g_const)
             ensembles, drawn, seen = walk.sample_avoiding_walks_batch(
                 spec, args.n_samples, seed.derive("sample/walk").generator(), args.max_attempts
             )
             manifest += [
                 ("n_scale", args.n_scale), ("dt", repr(lat.dt)), ("dx", repr(lat.dx)),
                 ("x_units", args.x_units), ("y_units", args.y_units),
+                ("f_const", repr(args.f_const)), ("g_const", repr(args.g_const)),
                 ("candidates_drawn", drawn), ("accepted_seen", seen),
                 ("acceptance_rate", repr(seen / drawn)),
             ]
@@ -164,7 +170,8 @@ def cmd_sample(args) -> int:
             ensembles = [LineEnsemble(lat.interval, u * lat.dx) for u in units]
             manifest += [
                 ("n_scale", args.n_scale), ("x_units", args.x_units), ("y_units", args.y_units),
-                ("burn_in", args.burn_in), ("events_per_sample", args.events_per_sample),
+                ("g_const", repr(args.g_const)), ("burn_in", args.burn_in),
+                ("events_per_sample", args.events_per_sample),
             ]
     except RejectionExhausted as exc:
         print(f"error: rejection exhausted after {exc.attempts} attempts", file=sys.stderr)

@@ -135,17 +135,17 @@ class Barrier:
         return -np.inf
 
 
-def _avoids(vals: np.ndarray, f_vals, g_vals) -> np.ndarray:
+def _avoids(vals: np.ndarray, f: float, g: float) -> np.ndarray:
     """The avoidance predicate: f > vals[..., 0, :] > ... > vals[..., k-1, :] > g strictly.
 
-    vals has shape (..., k, M+1) and the barriers broadcast against one curve:
-    floats, +/-inf for none, or M+1 values; the result has one bool per leading index.
+    vals has shape (..., k, M+1) and f, g are floats, +/-inf for none; the
+    result has one bool per leading index.
     """
     ok = (vals[..., :-1, :] > vals[..., 1:, :]).all(axis=(-2, -1))
-    if np.any(f_vals != np.inf):  # a NaN barrier is compared, so nothing passes it
-        ok &= (vals[..., 0, :] < f_vals).all(axis=-1)
-    if np.any(g_vals != -np.inf):
-        ok &= (vals[..., -1, :] > g_vals).all(axis=-1)
+    if f != np.inf:  # a NaN barrier is compared, so nothing passes it
+        ok &= (vals[..., 0, :] < f).all(axis=-1)
+    if g != -np.inf:
+        ok &= (vals[..., -1, :] > g).all(axis=-1)
     return ok
 
 
@@ -175,7 +175,7 @@ def _rejection_sample(draw, f, g, shape: tuple, n_samples: int, max_attempts: in
 
     shape is one candidate's (k, M+1), f and g the barriers as _avoids takes
     them, and draw returns candidates of shape (1, nc, k, M+1); see
-    _rejection_loop. Returns (accepted (n_out, k, M+1), drawn, seen,
+    _rejection_loop. Returns (accepted (n_samples, k, M+1), drawn, seen,
     first_hit), the last three as ints.
     """
     def accept(rows, cands):
@@ -197,9 +197,10 @@ def _rejection_loop(draw, accept, n_rows: int, shape: tuple, n_samples: int, max
     accepted ones in draw order, so every row samples its own conditional law;
     with one row the draws are whole chunks. Candidates are drawn in whole
     rounds so that seen / drawn is an unbiased acceptance rate. Returns
-    (accepted (n_rows, n_out, *shape), drawn, seen, first_hit), the last three
-    per row, with n_out the fewest samples any row got and first_hit the
-    0-based draw index of a row's first acceptance, or -1.
+    (accepted (n_rows, n_samples, *shape), drawn, seen, first_hit), the last
+    three per row, with first_hit the 0-based draw index of a row's first
+    acceptance, or -1; raises RejectionExhausted, with the largest draw count,
+    when a row is still short after max_attempts candidates.
     """
     out = np.empty((n_rows, n_samples, *shape))
     got = np.zeros(n_rows, dtype=np.int64)
@@ -227,7 +228,10 @@ def _rejection_loop(draw, accept, n_rows: int, shape: tuple, n_samples: int, max
             got[r] += take.size
         drawn[pending] += nc
         pending = pending[got[pending] < n_samples]
-    return out[:, : got.min(initial=n_samples)], drawn, seen, first_hit
+    if pending.size:
+        most = int(drawn.max())
+        raise RejectionExhausted(most, f"{got.min()}/{n_samples} accepted in {most} draws")
+    return out, drawn, seen, first_hit
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +265,6 @@ class LatticeParams:
         if n < 1:
             raise DomainError("n must be a positive integer")
         return cls(interval, n * n)
-
-    @property
-    def time_grid(self) -> np.ndarray:
-        return self.interval.grid(self.n_steps)
 
     def snap_units(self, x: float) -> int:
         """Nearest lattice index of x; errors if x is off-lattice beyond 1e-12*dx."""

@@ -15,8 +15,8 @@ import numpy as np
 from . import avoid  # read at call time, so replacing avoid.sample_avoiding_at reaches gibbs_resample_test
 # sample_avoiding_values is re-exported: perfbench's tracer test wraps it under this name too
 from .avoid import CI_Z, AvoidSpec, sample_avoiding_values, wilson_ci  # noqa: F401
-from .bridge import _bridge_paths, midpoint_cdf_single
-from .core import DomainError, Interval, RejectionExhausted, _rejection_loop
+from .bridge import midpoint_cdf_single
+from .core import DomainError, Interval
 
 SUITE_P_FLOOR = 1e-5
 NEGATIVE_CONTROL_P = 1e-6
@@ -181,34 +181,17 @@ def resample_block(
     values has shape (n, k, len(times)), the curves at the increasing times.
     The block gets a draw at times[1:-1] from its exact conditional law given
     every curve at times[0] and times[-1] and the other curves at all times:
-    candidates are free bridges between each sample's own block ends, kept when
-    a uniform, drawn after the round's candidates, falls below avoid._km_weight
-    of the candidate stacked with the sample's other curves (the non-intersecting
-    density at a set of times is the free density times that weight). All n
-    blocks are redrawn in one batched rejection pass. ignore_lower plants the
-    negative-control defect: the curves below the block leave the stack.
+    avoid._km_rejection with one sample per row, so all n blocks are redrawn in
+    one batched rejection pass. ignore_lower plants the negative-control
+    defect: the curves below the block leave the stack.
     """
-    n, k, n_times = values.shape
+    _, k, n_times = values.shape
     i0, i1 = block
     times = np.asarray(times, dtype=float)
     if not 0 <= i0 <= i1 < k or n_times < 3 or times.shape != (n_times,) or np.any(np.diff(times) <= 0):
         raise DomainError("need a block of the curves and 3 or more increasing times, one per column")
     stack = values[:, : i1 + 1] if ignore_lower else values
-    x, y = values[:, None, i0 : i1 + 1, 0], values[:, None, i0 : i1 + 1, -1]
-
-    def draw(rows, nc):
-        z = rng.standard_normal((rows.size, nc, i1 - i0 + 1, n_times - 2))
-        return _bridge_paths(x[rows], y[rows], times[0], times[1:-1], times[-1], z)
-
-    def accept(rows, cands):
-        full = np.repeat(stack[rows, None], cands.shape[1], axis=1)
-        full[:, :, i0 : i1 + 1] = cands
-        return rng.random(cands.shape[:2]) < avoid._km_weight(full, times)
-
-    vals, drawn, _, _ = _rejection_loop(draw, accept, n, (i1 - i0 + 1, n_times), 1, avoid._KM_ATTEMPTS,
-                                        avoid._KM_CHUNK)
-    if not vals.shape[1]:
-        raise RejectionExhausted(int(drawn.max()), f"redraw of block {block} exhausted")
+    vals, _, _ = avoid._km_rejection(stack, times, block, 1, rng)
     out = values.copy()
     out[:, i0 : i1 + 1] = vals[:, 0]
     return out

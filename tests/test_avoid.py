@@ -19,12 +19,11 @@ def test_sample_avoiding_values_pinned_at_fixed_seeds():
     # values recorded before the rejection loop gained its row axis: the
     # one-row stream (draws, kept candidates, counts, generator state) is unchanged
     iv = Interval(0.0, 1.0)
-    inf = np.full(5, np.inf)
+    inf = np.inf
 
-    def run(x, f_vals, g_vals, n_samples, max_attempts, chunk):
+    def run(x, f, g, n_samples, max_attempts, chunk):
         rng = RngSeed(21).generator()
-        out = avoid.sample_avoiding_values(iv, x, x, f_vals, g_vals, 4, n_samples, rng, max_attempts,
-                                           chunk)
+        out = avoid.sample_avoiding_values(iv, x, x, f, g, 4, n_samples, rng, max_attempts, chunk)
         return out, float(rng.random())
 
     (vals, drawn, seen, first), nxt = run(np.array([0.5, -0.5]), inf, -inf, 3, 10**4, 2048)
@@ -36,7 +35,7 @@ def test_sample_avoiding_values_pinned_at_fixed_seeds():
     ]
     assert nxt == 0.0894586821003025
     # a tight lower barrier and chunks of 4: the two acceptances come from different chunks
-    (vals, drawn, seen, first), nxt = run(np.array([0.15, -0.15]), inf, np.full(5, -0.3), 2, 100, 4)
+    (vals, drawn, seen, first), nxt = run(np.array([0.15, -0.15]), inf, -0.3, 2, 100, 4)
     assert vals.shape == (2, 2, 5) and (drawn, seen, first) == (28, 2, 23)
     assert vals[:, :, 2].tolist() == [
         [0.3167902207378811, -0.14598353422343416],
@@ -44,10 +43,31 @@ def test_sample_avoiding_values_pinned_at_fixed_seeds():
     ]
     assert nxt == 0.011735130404212257
     # exhaustion: 10 attempts in chunks of 4, 4, 2
-    (vals, drawn, seen, first), nxt = run(np.array([0.1, -0.1]), np.full(5, 0.2), np.full(5, -0.2),
-                                          1, 10, 4)
-    assert vals.shape == (0, 2, 5) and (drawn, seen, first) == (10, 0, -1)
-    assert nxt == 0.33930018248772564
+    rng, x = RngSeed(21).generator(), np.array([0.1, -0.1])
+    with pytest.raises(walk.RejectionExhausted, match="^0/1 accepted in 10 draws$") as exc:
+        avoid.sample_avoiding_values(iv, x, x, 0.2, -0.2, 4, 1, rng, 10, 4)
+    assert exc.value.attempts == 10
+    assert rng.random() == 0.33930018248772564
+
+
+def test_sample_avoiding_at_pinned_at_a_fixed_seed():
+    # the Karlin-McGregor stream that detect, gibbs and pw read: values, counts and the
+    # generator's next draw, recorded before the sampler was shared with verify.resample_block
+    x = np.array([0.3, -0.3])
+    rng = RngSeed(5).generator()
+    vals, drawn, seen = avoid.sample_avoiding_at(Interval(0.0, 1.0), x, x, [0.75, 0.25, 0.5], 4, rng)
+    assert vals.shape == (4, 2, 3) and (drawn, seen) == (8192, 2396)
+    assert vals[:, :, 1].tolist() == [
+        [0.6765777206366458, -0.8341930864134968],
+        [0.7570392651566519, -0.774500035265024],
+        [0.1281908784979562, -0.33974997321716705],
+        [0.3458372886738094, -0.46754156081331016],
+    ]
+    assert vals[3].tolist() == [
+        [0.3817525951603432, 0.3458372886738094, 0.5383092009832631],
+        [-0.45801012029472243, -0.46754156081331016, -0.29807600448277455],
+    ]
+    assert rng.random() == 0.830235500182843
 
 
 # detect's window times: t1 = 1/2 and t1 +/- 1/w for w = 4, 8, 16, 32
@@ -183,7 +203,7 @@ def test_spec_validates_barrier_clearance():
 
 
 def test_unconstrained_single_bridge_accepts_first_try():
-    iv, x, free = Interval(0, 1), np.array([0.0]), np.full(129, np.inf)
+    iv, x, free = Interval(0, 1), np.array([0.0]), np.inf
     vals, drawn, seen, first = avoid.sample_avoiding_values(iv, x, x, free, -free, 128, 1,
                                                             RngSeed(1).generator(), 10**6)
     assert first == 0

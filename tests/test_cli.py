@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from bridgelines import cli, walk
-from bridgelines.core import Interval, LatticeParams, WeylVector, read_ensembles
+from bridgelines.core import Interval, LatticeParams, WeylVector, check_avoiding, read_ensembles
 
 
 def run(argv):
@@ -60,6 +60,20 @@ def test_sample_walk_and_glauber(tmp_path):
     assert len(ens) == 3
 
 
+def test_sample_walk_honours_the_upper_barrier(tmp_path):
+    # at n = 4 the top curve starts at 2 dx ~ 0.61 and its next level up, 3 dx ~ 0.92, is above f
+    f = 0.8
+    argv = ["sample", "--kind", "walk", "--n-scale", "4", "--x-units", "2,0", "--y-units", "2,0",
+            "--n-samples", "20", "--seed", "3"]
+    assert run(argv + ["--f-const", repr(f), "--out", str(tmp_path / "f")]) == 0
+    assert run(argv + ["--out", str(tmp_path / "free")]) == 0
+    ens = read_ensembles(tmp_path / "f" / "curves.txt")
+    assert len(ens) == 20 and all(check_avoiding(e, f) for e in ens)
+    free = read_ensembles(tmp_path / "free" / "curves.txt")
+    assert not all(check_avoiding(e, f) for e in free)
+    assert f"f_const={f!r}\n" in (tmp_path / "f" / "manifest.txt").read_text()
+
+
 README_RUNS = {  # the README's sample and enumerate lines, with its flags
     "bridge": ["sample", "--kind", "bridge", "--a", "0", "--b", "1", "--x", "0", "--y", "0",
                "--grid", "512", "--n-samples", "100", "--seed", "7"],
@@ -82,23 +96,24 @@ README_RUNS = {  # the README's sample and enumerate lines, with its flags
                           "--g-const-units", "-1"],
 }
 # sha256 of each output file, recorded with the per-value writer and the walk-major step loop;
-# the barrier rows were recorded while barriers were still interpolated curves
+# the barrier rows' curves were recorded while barriers were still interpolated curves, and the
+# avoid, walk and glauber manifests once they recorded their barriers
 README_DIGESTS = {
     ("bridge", "curves.txt"): "8cb576b8b4d60d4f3b6f5bf67d53ba6fd601b1303fdaf23b3b8b8c1c396bd325",
     ("bridge", "manifest.txt"): "454db1db670d9ab6dc8d56eff564e978b3eaf78dd414c7feeb86f52c5bdbe1c7",
     ("avoid", "curves.txt"): "bb97cb82662eda15e8271dd5758d873fa06b7aec129d7dfe7d1e1bf5508a1208",
-    ("avoid", "manifest.txt"): "5186acdc4e9676bbd490b93bc52b140c77501c138221f2e7bab9686b4bbd0ec9",
+    ("avoid", "manifest.txt"): "3550bb97c50d33fe34d68b116251481096347e317f52946cc07f9e188b8aded4",
     ("walk", "curves.txt"): "6f036c0b4bcb7464e62f3185573c813598a2a54f3772104e3042960750a65fb4",
-    ("walk", "manifest.txt"): "6910c366140f005d371e7bf907c96bd2dc396617e1389a1a25f88ab2904ec346",
+    ("walk", "manifest.txt"): "53b651d540295a909f1068145cbe2b176af6a98bbf30a3bad4c27ab8ef04c8b8",
     ("glauber", "curves.txt"): "9ce73e098cce62da9d2909ebe42ea3fe27536848ad184926de50d7a88e6e0330",
-    ("glauber", "manifest.txt"): "b5fe65f3dce24b951216371d2afad5d1653102245eeb150fcbe8dcaf2224063a",
+    ("glauber", "manifest.txt"): "1440d8b926a74b5b4dd6a0061a4488154275eec33012cd85cd03d4cbbfb33bb5",
     ("enumerate", "configs.txt"): "e9088122661fd801b1da82f3df4d1fa86667ef0421e1c025103c0118a4977906",
     ("avoid-barriers", "curves.txt"): "c58dc6c627569103d6b106b567f2fa67eb3b963fc45c9dff3aabdc521b4173c3",
-    ("avoid-barriers", "manifest.txt"): "6c47ec070a765a6462e4da6215dfa38685e8446727b0358866311290c1135fef",
+    ("avoid-barriers", "manifest.txt"): "61e4f4b17638fe8daa3a60492d4a81f12b2d123b0dceb4ea8d06ff76a77e73ee",
     ("walk-barrier", "curves.txt"): "3488b27c0ac988030876e2e1f76d04325f0a74f8493814e51b79ec2e7a0fb288",
-    ("walk-barrier", "manifest.txt"): "b2c178b85ee3618e0694cabd0c7ceb35b8fcc01d5e3914cc4085818178a13ee9",
+    ("walk-barrier", "manifest.txt"): "37e46c82195a06dc5793a77ee590f564e482b6faa4ff62392baf9602a5d8a3c4",
     ("glauber-barrier", "curves.txt"): "56b60c4711b651f54a7438a647f4e5ca7dd6da3a04cd184d6551a0a763bcadc4",
-    ("glauber-barrier", "manifest.txt"): "b5fe65f3dce24b951216371d2afad5d1653102245eeb150fcbe8dcaf2224063a",
+    ("glauber-barrier", "manifest.txt"): "eb0e8f50e6cf0b637785e45223ee018ed8200d78a8d7df1e7e73e6422fab20f6",
     ("enumerate-barrier", "configs.txt"): "84b31f7341295e2c76e0bdb783aefdbf2c36ce13c2531e2614fcd021de085095",
 }
 
@@ -109,6 +124,8 @@ def test_readme_invocations_are_byte_identical(tmp_path):
     got = {(kind, name): hashlib.sha256((tmp_path / kind / name).read_bytes()).hexdigest()
            for kind, name in README_DIGESTS}
     assert got == README_DIGESTS
+    # a barrier run's manifest names its barrier, so it differs from the free run's
+    assert got["glauber", "manifest.txt"] != got["glauber-barrier", "manifest.txt"]
 
 
 def test_main_dispatches_to_the_current_command_function(tmp_path, monkeypatch):
@@ -275,7 +292,12 @@ def test_unknown_sample_kind_is_usage_error(tmp_path, capsys):
             ["--kind", "glauber", "--x-units", "2,0", "--y-units", "2"],
             ["--kind", "glauber", "--n-scale", "1", "--x-units", "0", "--y-units", "0"]]
     bad += [["--kind", kind, f"--{side}-const", "nan"] for kind in ("avoid", "walk", "glauber")
-            for side in ("f", "g") if side == "g" or kind == "avoid"]
+            for side in ("f", "g")]
+    # the walk's top curve starts at 2 dx ~ 0.61, above f; glauber and bridge take no such barrier
+    bad += [["--kind", "walk", "--n-scale", "4", "--x-units", "2,0", "--y-units", "2,0", "--f-const", "0.1"],
+            ["--kind", "glauber", "--f-const", "0.1"],
+            ["--kind", "bridge", "--f-const", "1"],
+            ["--kind", "bridge", "--g-const", "-1"]]
     # lattice ends must clear the barrier and, for the chain, decrease strictly
     bad += [["--kind", "walk", "--g-const", "0.0", "--n-samples", "5"],
             ["--kind", "glauber", "--g-const", "0.0"],

@@ -8,6 +8,7 @@ from bridgelines.core import (
     Interval,
     LatticeParams,
     LineEnsemble,
+    RejectionExhausted,
     RngSeed,
     WeylVector,
     _avoids,
@@ -45,7 +46,7 @@ def test_check_avoiding_examples():
 def _avoids_oracle(rows, f, g):
     # plain-Python reading of f > row_0 > ... > row_{k-1} > g at every column
     for j in range(len(rows[0])):
-        col = [f[j]] + [row[j] for row in rows] + [g[j]]
+        col = [f] + [row[j] for row in rows] + [g]
         if any(col[i] <= col[i + 1] for i in range(len(col) - 1)):
             return False
     return True
@@ -55,17 +56,17 @@ def test_avoids_predicate_table():
     # curves at integer levels two apart plus noise in {-1, 0, 1}: neighbours and
     # barriers touch (compare equal) in a good share of the rows
     rng = np.random.default_rng(0)
-    inf = np.full(5, np.inf)
+    inf = np.inf
     for k in (1, 2, 3):
         levels = 2.0 * np.arange(k)[::-1, None] - (k - 1)
         stack = levels + rng.integers(-1, 2, size=(400, k, 5))
-        f = k + np.array([1.0, 0.0, 1.0, 1.0, 1.0])
-        g = -f[::-1]
-        for f_vals, g_vals in ((inf, -inf), (f, -inf), (inf, g), (f, g)):
-            got = _avoids(stack, f_vals, g_vals)
-            want = [_avoids_oracle(rows.tolist(), f_vals.tolist(), g_vals.tolist()) for rows in stack]
+        f = float(k)
+        g = -f
+        for f_val, g_val in ((inf, -inf), (f, -inf), (inf, g), (f, g)):
+            got = _avoids(stack, f_val, g_val)
+            want = [_avoids_oracle(rows.tolist(), f_val, g_val) for rows in stack]
             assert got.shape == (400,) and got.tolist() == want
-            constrained = k > 1 or f_vals is f or g_vals is g
+            constrained = k > 1 or f_val == f or g_val == g
             assert any(want) and (not all(want) or not constrained)
 
 
@@ -127,7 +128,7 @@ def test_rejection_rows_keep_their_first_acceptances():
         return (start[:, None] + np.arange(nc))[:, :, None, None].astype(float)
 
     def accept(rows, cands):
-        return _avoids(cands, np.inf, thresholds[rows, None])
+        return cands[:, :, 0, 0] > thresholds[rows]
 
     thresholds = np.array([[0.5], [2.5], [5.5]])
     drawn_so_far = np.zeros(3, dtype=int)
@@ -139,10 +140,10 @@ def test_rejection_rows_keep_their_first_acceptances():
     assert first_hit.tolist() == [1, 3, 6]
     # max_attempts caps each row: the last row draws index 5 only and gets nothing
     drawn_so_far[:] = 0
-    vals, drawn, seen, first_hit = _rejection_loop(draw, accept, 3, (1, 1), 2, 6, 4)
-    assert vals.shape == (3, 0, 1, 1)
-    assert drawn.tolist() == [3, 5, 6]
-    assert first_hit.tolist() == [1, 3, -1]
+    with pytest.raises(RejectionExhausted, match="^0/2 accepted in 6 draws$") as exc:
+        _rejection_loop(draw, accept, 3, (1, 1), 2, 6, 4)
+    assert exc.value.attempts == 6
+    assert drawn_so_far.tolist() == [3, 5, 6]
     # every candidate passes: each row keeps the first two of its round of three
     drawn_so_far[:] = 0
     thresholds[:] = -1.0

@@ -181,6 +181,27 @@ def test_resample_block_reads_each_rows_own_boundary_data():
     assert dips.mean() > 0.5
 
 
+def test_resample_block_pinned_at_a_fixed_seed():
+    # the top curve of three samples redrawn at two interior times, with and without the
+    # curves below it; recorded before the sampler was shared with avoid.sample_avoiding_at
+    times = np.array([0.0, 0.2, 0.5, 1.0])
+    base = np.array([[0.4, 0.5, 0.3, 0.4], [0.0, 0.1, -0.2, 0.0], [-0.5, -0.4, -0.6, -0.5]])
+    batch = np.stack([base + 0.05 * i for i in range(3)])
+    want = {
+        False: [[0.9218193466664264, 1.3850524261569124], [0.4763622046123436, 0.45203694500477826],
+                [0.8927265993430544, 0.9229993989633654]],
+        True: [[-0.29530655939875283, -0.6133499069643455], [-0.14511540029604492, 0.27337077532767706],
+               [0.5311716416972334, 0.2225737393961565]],
+    }
+    for ignore_lower, block_values in want.items():
+        rng = RngSeed(8).generator()
+        out = verify.resample_block(batch, times, (0, 0), rng, ignore_lower=ignore_lower)
+        assert out[:, 0, 1:-1].tolist() == block_values
+        assert np.array_equal(out[:, 0, [0, -1]], batch[:, 0, [0, -1]])
+        assert np.array_equal(out[:, 1:], batch[:, 1:])
+        assert rng.random() == 0.35562820585043775
+
+
 def test_resample_block_matches_the_exact_conditional_law():
     # k = 2, block (0, 0) and one interior time t1: given the pair at a_w and
     # b_w and curve 1 (h) at t1, curve 0 at t1 follows the closed-form law of
