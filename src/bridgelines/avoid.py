@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 # midpoint_cdf_single is re-exported: perfbench's tracer test wraps it under this name too
-from .bridge import SQRT2PI, _bridge_paths, certify_c0, midpoint_cdf_single  # noqa: F401
+from .bridge import SQRT2PI, _bridge_paths, _exact_times, certify_c0, midpoint_cdf_single  # noqa: F401
 from .core import (
     DomainError, Interval, LineEnsemble, StructuralError, WeylVector,
     _avoids, _check_barriers, _rejection_loop, _rejection_sample,
@@ -197,10 +197,10 @@ def sample_avoiding_at(
     n_accepted_seen) and raises RejectionExhausted when fewer than n_samples
     are accepted within max_attempts candidates.
     """
-    times = np.sort(np.asarray(times, dtype=float))
-    if times[0] <= interval.a or times[-1] >= interval.b or np.any(np.diff(times) == 0):
-        raise DomainError("times must be distinct and lie strictly inside the interval")
     x, y = np.asarray(x_vec, dtype=float), np.asarray(y_vec, dtype=float)
+    times = _exact_times(interval, times, x, y)
+    if np.any(np.diff(times) == 0):
+        raise DomainError("times must be distinct")
     if x.shape != y.shape or np.any(np.diff(x) >= 0) or np.any(np.diff(y) >= 0):
         raise DomainError("entrance and exit vectors must be strictly decreasing and of equal length")
     knots = np.concatenate([[interval.a], times, [interval.b]])

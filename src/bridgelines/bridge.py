@@ -2,7 +2,11 @@
 
 All bridges have diffusion parameter 1. Sampling is a single forward pass of
 conditional Gaussians: given the value v at time s, the value at t < b is
-Normal(v + (t-s)/(b-s) * (y-v), (t-s)(b-t)/(b-s)). The same step, with y the
+Normal(v + (t-s)/(b-s) * (y-v), (t-s)(b-t)/(b-s)), drawn by the in-place
+_bridge_step. The path constructor _bridge_paths runs that step over blocks
+of time steps in one time-major scratch buffer of at most _PATH_BLOCK
+doubles, on contiguous rows, and its paths are bit-identical to a step per
+time column whatever the block size. The same step, with y the
 value at any later time b, fills in a grid by midpoint bisection:
 grid_max_exceedance draws only the grid values of segments whose ends lie
 close enough to the barrier to matter. Its segments are walked by node rank
@@ -12,6 +16,7 @@ and each level is compacted through one index of the segments it splits.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
@@ -27,6 +32,8 @@ SQRT2PI = float(np.sqrt(2.0 * np.pi))
 GRID_MAX_BETA = 0.5825971579390107
 # bridges per pass of grid_max_exceedance
 _GRID_MAX_CHUNK = 20000
+# doubles in _bridge_paths's time-major scratch buffer (2 MB), unless two rows of paths need more
+_PATH_BLOCK = 2**18
 
 
 def normal_cdf(z):
@@ -66,30 +73,57 @@ def _step_coefficients(s, t, b):
     return (t - s) / (b - s), np.sqrt((t - s) * (b - t) / (b - s))
 
 
-def _bridge_step(v, y, s: float, t: float, b: float, z):
-    """The one forward step: the bridge value at t given v at s, for a bridge ending at y at b.
+def _bridge_step(v, y, w, sd, z, tmp) -> None:
+    """The one forward step, in place: z becomes v + w (y - v) + sd z.
 
-    Draws Normal(v + (t-s)/(b-s) * (y-v), (t-s)(b-t)/(b-s)) from the standard
-    normals z; v, y and z broadcast together.
+    v is the bridge value at s and y its value at a later time b; w and sd are
+    the _step_coefficients of the step to t, and z holds standard normals, so
+    z ends up holding a draw of Normal(v + (t-s)/(b-s) * (y-v),
+    (t-s)(b-t)/(b-s)), the value at t. The operations run in the order
+    y - v, times w, plus v, then plus sd z; tmp, shaped like z, holds the
+    mean. v, y, w and sd broadcast against z.
     """
-    w, sd = _step_coefficients(s, t, b)
-    return v + w * (y - v) + sd * z
+    np.subtract(y, v, out=tmp)
+    tmp *= w
+    tmp += v
+    z *= sd
+    z += tmp
 
 
 def _bridge_paths(x, y, a: float, times, b: float, z) -> np.ndarray:
     """Bridges from x at a to y at b, read at a, the increasing interior times and b.
 
-    Returns shape (*z.shape[:-1], len(times) + 2); each z[..., j] drives the
-    _bridge_step to times[j], and x and y broadcast against z.shape[:-1].
+    Returns a C-contiguous array of shape (*z.shape[:-1], len(times) + 2);
+    each z[..., j] drives the _bridge_step to times[j], and x and y broadcast
+    against z.shape[:-1]. The n paths step through the times in blocks, in
+    one time-major scratch buffer of _PATH_BLOCK doubles (two rows of n at
+    least): its first row carries the values at the block's previous time,
+    the block's normals are copied in transposed below it, each row is
+    stepped in place from the row above, and the block is copied out
+    transposed. Each value goes through the same float operations in the
+    same order whatever the block size, so the paths are bit-identical to a
+    step per column.
     """
-    out = np.empty((*z.shape[:-1], len(times) + 2))
+    lead, m = z.shape[:-1], z.shape[-1]
+    n = math.prod(lead)
+    out = np.empty((*lead, m + 2))
     out[..., 0] = x
     out[..., -1] = y
-    v, s = out[..., 0], a
-    for j, t in enumerate(times):
-        v = _bridge_step(v, y, s, t, b, z[..., j])
-        out[..., j + 1] = v
-        s = t
+    flat, zf = out.reshape(n, m + 2), z.reshape(n, m)
+    ends = np.ascontiguousarray(flat[:, -1])
+    times = np.asarray(times, dtype=float)
+    w, sd = _step_coefficients(np.concatenate(([a], times[:-1])), times, b)
+    rows = max(2, min(m + 1, _PATH_BLOCK // max(n, 1)))
+    buf, tmp = np.empty((rows, n)), np.empty(n)
+    buf[0] = flat[:, 0]
+    for j0 in range(0, m, rows - 1):
+        j1 = min(j0 + rows - 1, m)
+        block = buf[: j1 - j0 + 1]
+        block[1:] = zf[:, j0:j1].T
+        for i in range(j1 - j0):
+            _bridge_step(block[i], ends, w[j0 + i], sd[j0 + i], block[i + 1], tmp)
+        flat[:, j0 + 1 : j1 + 1] = block[1:].T
+        buf[0] = block[-1]
     return out
 
 
@@ -99,6 +133,24 @@ def sample_bridge_paths(spec: BridgeSpec, n_samples: int, rng: np.random.Generat
     iv = spec.interval
     z = rng.standard_normal((n_samples, m - 1))
     return _bridge_paths(spec.x, spec.y, iv.a, iv.grid(m)[1:m], iv.b, z)
+
+
+def _exact_times(interval: Interval, times, *ends) -> np.ndarray:
+    """An exact sampler's times, sorted; DomainError unless they and the ends are sound.
+
+    times must be a non-empty 1-D sequence of finite times strictly inside
+    the interval, and every value of the ends (scalars or arrays) a finite
+    float. The samplers call it before any draw.
+    """
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or not times.size or not np.isfinite(times).all():
+        raise DomainError(f"times must be a non-empty 1-D sequence of finite times, got {times}")
+    times = np.sort(times)
+    if times[0] <= interval.a or times[-1] >= interval.b:
+        raise DomainError("times must lie strictly inside the interval")
+    if not all(np.all(np.abs(e) <= sys.float_info.max) for e in ends):  # NaN and ints beyond float fail
+        raise DomainError(f"bridge ends must be finite, got {ends}")
+    return times
 
 
 def sample_bridge_at(
@@ -114,9 +166,7 @@ def sample_bridge_at(
     No grid involved: the finite-dimensional law is sampled directly, so values
     at arbitrary times carry no discretization error.
     """
-    times = np.sort(np.asarray(times, dtype=float))
-    if times[0] <= interval.a or times[-1] >= interval.b:
-        raise DomainError("times must lie strictly inside the interval")
+    times = _exact_times(interval, times, x, y)
     z = rng.standard_normal((n_samples, times.size))
     return _bridge_paths(x, y, interval.a, times, interval.b, z)[:, 1:-1]
 
@@ -252,18 +302,15 @@ def grid_max_exceedance(
             parent = node.take(i, mode="clip")
             child.take(parent, out=nnode[:k], mode="clip")
             np.add(nnode[:k], 1, out=nnode[k:])
-            left, right, w = nu[:k], nv[k:], nv[:k]
+            left, right = nu[:k], nv[k:]
             u.take(i, out=left, mode="clip")
             v.take(i, out=right, mode="clip")
-            # u + weight (v - u) + sd z, the bridge step's operations in its order
-            np.subtract(right, left, out=w)
-            w *= weight.take(parent, mode="clip")
-            w += left
-            z = rng.standard_normal(k)
-            z *= sd.take(parent, mode="clip")
-            w += z
-            nu[k:] = w
-            hit[nrow[:k][w >= beta]] = True
+            # the step's mean uses nv[:k] as scratch; the midpoint value lands in mid
+            mid = rng.standard_normal(k)
+            _bridge_step(left, right, weight.take(parent, mode="clip"), sd.take(parent, mode="clip"), mid,
+                         nv[:k])
+            nv[:k] = nu[k:] = mid
+            hit[nrow[:k][mid >= beta]] = True
             row, node, u, v = nrow, nnode, nu, nv
         hits += int(np.count_nonzero(hit))
         missed_sum += float(np.sum(-np.expm1(log_survive[~hit])))

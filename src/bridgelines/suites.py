@@ -453,9 +453,10 @@ def tails_suite(cfg: TailsConfig) -> SuiteResult:
         spec = avoid.AvoidSpec(iv, ends, ends, grid_points=cfg.grid_points)
         vals, _, _ = avoid.sample_avoiding_batch(spec, cfg.n_samples,
                                                  root.derive(f"tails/k{k}").generator())
-        bottom = vals[:, -1, :]
-        mid = bottom[:, cfg.grid_points // 2]
-        inf_vals = bottom.min(axis=1)
+        # copies of the bottom curve's midpoint and grid minimum, so the batch is freed
+        # before the next k's fills
+        mid, inf_vals = vals[:, -1, cfg.grid_points // 2].copy(), vals[:, -1].min(axis=1)
+        del vals
         ref = ends[k - 1]  # x = y, so max and min of the endpoint pair coincide
         for r in cfg.rs:
             hits_max = int(np.count_nonzero(mid >= ref + np.sqrt(length) * r))

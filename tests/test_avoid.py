@@ -186,11 +186,18 @@ def test_sample_avoiding_at_errors():
     with pytest.raises(walk.RejectionExhausted) as exc:
         avoid.sample_avoiding_at(iv, x, x, [0.5], 100, RngSeed(33).generator(), max_attempts=50)
     assert exc.value.attempts == 50
-    for times in ([0.0, 0.5], [0.5, 1.0], [0.5, 0.25, 0.5]):
+    for times in ([0.0, 0.5], [0.5, 1.0], [0.5, 0.25, 0.5], [], [0.5, np.nan], [[0.25, 0.5]], 0.5):
         with pytest.raises(DomainError):
             avoid.sample_avoiding_at(iv, x, x, times, 1, RngSeed(33).generator())
     with pytest.raises(DomainError):
         avoid.sample_avoiding_at(iv, x[::-1], x, [0.5], 1, RngSeed(33).generator())
+    for ends in (np.array([0.01, np.nan]), np.array([np.inf, -0.01])):
+        rng = RngSeed(33).generator()
+        with pytest.raises(DomainError):
+            avoid.sample_avoiding_at(iv, ends, x, [0.5], 1, rng)
+        with pytest.raises(DomainError):
+            avoid.sample_avoiding_at(iv, x, ends, [0.5], 1, rng)
+        assert rng.random() == RngSeed(33).generator().random()  # refused before any draw
 
 
 def test_spec_validates_barrier_clearance():

@@ -128,6 +128,51 @@ def test_sample_bridge_at_exact_times():
     assert vals[:, 0].var() == pytest.approx(0.25 * 0.75, rel=0.03)
     with pytest.raises(DomainError):
         bridge.sample_bridge_at(iv, 0, 0, [0.0, 0.5], 1, RngSeed(0).generator())
+    for times, x, y in (([], 0, 0), ([0.5, np.nan], 0, 0), ([[0.25, 0.5]], 0, 0), (0.5, 0, 0),
+                        ([0.5], np.nan, 0), ([0.5], 0, np.inf), ([0.5], 10**400, 0)):
+        rng = RngSeed(0).generator()
+        with pytest.raises(DomainError):
+            bridge.sample_bridge_at(iv, x, y, times, 1, rng)
+        assert rng.random() == RngSeed(0).generator().random()  # refused before any draw
+
+
+def _column_paths(x, y, a, times, b, z):
+    """The step-per-column recursion that _bridge_paths's blocked loop replaced: the bit-identity reference."""
+    out = np.empty((*z.shape[:-1], len(times) + 2))
+    out[..., 0] = x
+    out[..., -1] = y
+    v, s = out[..., 0], a
+    for j, t in enumerate(times):
+        w, sd = (t - s) / (b - s), np.sqrt((t - s) * (b - t) / (b - s))
+        v = v + w * (y - v) + sd * z[..., j]
+        out[..., j + 1] = v
+        s = t
+    return out
+
+
+@pytest.mark.parametrize("budget", [1, 7, None])
+def test_bridge_paths_bit_identical_to_column_recursion(budget, monkeypatch):
+    # budget 1 and 7 run one-step and remainder blocks on small arrays; the default
+    # budget runs the tails chunk in blocks of 41 steps (255 is no multiple) and
+    # (100000, 3) in one-step blocks
+    if budget is not None:
+        monkeypatch.setattr(bridge, "_PATH_BLOCK", budget)
+    rng = RngSeed(3).generator()
+    ladder = np.array([1.0, 0.0, -1.0])
+    per_row = rng.normal(size=(4, 1, 2))  # the per-row ends _km_rejection passes
+    cases = [
+        (ladder, ladder, 0.0, np.linspace(0.0, 1.0, 257)[1:256], 1.0, (1, 2048, 3, 255)),
+        (0.5, -0.5, 0.0, np.array([1.5]), 2.0, (7, 1)),
+        (0.5, -0.5, 0.0, np.array([1.5]), 2.0, (1, 1)),
+        (per_row, per_row[:, :, ::-1], 0.0, np.sort(rng.uniform(0.0, 1.0, 5)), 1.0, (4, 50, 2, 5)),
+        (0.0, 1.0, -1.0, np.sort(rng.uniform(-1.0, 1.0, 20)), 1.0, (1, 20)),
+        (0.2, -0.3, 0.0, np.array([0.25, 0.5, 0.75]), 1.0, (100000, 3)),
+    ]
+    for x, y, a, times, b, shape in cases:
+        z = rng.standard_normal(shape)
+        paths = bridge._bridge_paths(x, y, a, times, b, z)
+        assert paths.flags.c_contiguous
+        assert np.array_equal(paths, _column_paths(x, y, a, times, b, z)), shape
 
 
 def test_bridge_samplers_pinned_at_fixed_seeds():

@@ -6,10 +6,12 @@ report shows up. The sizes are small for speed, so verdicts here carry no
 meaning: at 200 samples (400 in its control) the gibbs negative control lacks the power to fire.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
-from bridgelines import suites
+from bridgelines import avoid, suites
 from bridgelines.core import DomainError
 
 CASES = {
@@ -263,3 +265,21 @@ def test_chain_suites_reject_a_bad_config_before_any_event(monkeypatch):
     ):
         with pytest.raises(DomainError):
             suites.run_suite(name, seed=1, **overrides)
+
+
+def test_tails_holds_one_batch_at_a_time(monkeypatch):
+    # each batch's memory owner (the rejection loop's output, of which the batch is
+    # a view) must be freed before the next k's batch is drawn
+    owners = []
+    draw = avoid.sample_avoiding_batch
+
+    def tracked(*args, **kwargs):
+        assert all(ref() is None for ref in owners), "an earlier batch is still alive"
+        out = draw(*args, **kwargs)
+        vals = out[0]
+        owners.append(weakref.ref(vals if vals.base is None else vals.base))
+        return out
+
+    monkeypatch.setattr(avoid, "sample_avoiding_batch", tracked)
+    assert suites.tails_suite(suites.TailsConfig(n_samples=200)).reports
+    assert len(owners) == 3
