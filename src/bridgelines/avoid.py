@@ -1,12 +1,14 @@
 """Samplers and transforms for avoiding (non-intersecting) Brownian bridge ensembles.
 
-The primary sampler is rejection: draw k independent bridges, accept iff the
-strict ordering and barrier constraints hold at every grid point. Without
-barriers, sample_avoiding_at samples the continuous law exactly at a few times
-instead, accepting with Karlin-McGregor weights; the same weights give the
-top curve's closed-form law in a window above a given second curve. Closed-form
-tail bounds for the bottom curve and the affine/flip distributional identities
-live here too.
+Every sampler and transform here passes ensembles on as one array of shape
+(n, k, M+1), or (n, k, times) for the exact sampler. The grid law has one
+entry point, sample_avoiding_values: rejection over k independent bridges,
+accepted iff the strict ordering and barrier constraints hold at every grid
+point. Without barriers, sample_avoiding_at samples the continuous law exactly
+at a few times instead, accepting with Karlin-McGregor weights; the same
+weights give the top curve's closed-form law in a window above a given second
+curve. Closed-form tail bounds for the bottom curve and the affine/flip
+distributional identities, which act on whole batches, live here too.
 """
 
 from __future__ import annotations
@@ -20,12 +22,14 @@ import numpy as np
 # midpoint_cdf_single is re-exported: perfbench's tracer test wraps it under this name too
 from .bridge import SQRT2PI, _bridge_paths, _exact_times, certify_c0, midpoint_cdf_single  # noqa: F401
 from .core import (
-    DomainError, Interval, LineEnsemble, StructuralError, WeylVector,
-    _avoids, _check_barriers, _rejection_loop, _rejection_sample,
+    DomainError, Interval, StructuralError, WeylVector,
+    _avoids, _check_barriers, _rejection_loop,
 )
 
 # half-width, in standard errors, of the Wilson and p_w confidence intervals
 CI_Z = 3.0
+# candidates per round of the grid-checked rejection (sample_avoiding_values)
+_GRID_CHUNK = 2048
 # candidates per round, and per row before it counts as exhausted, of the Karlin-McGregor
 # rejection (_km_rejection); a candidate holds k values per time
 _KM_CHUNK = 8192
@@ -56,34 +60,35 @@ class AvoidSpec:
 
 
 def sample_avoiding_values(
-    interval: Interval,
-    x_vec: np.ndarray,
-    y_vec: np.ndarray,
-    f: float,
-    g: float,
-    grid_points: int,
+    spec: AvoidSpec,
     n_samples: int,
     rng: np.random.Generator,
-    max_attempts: int,
-    chunk: int = 2048,
+    max_attempts: int = 10**7,
 ) -> tuple[np.ndarray, int, int, int]:
-    """Rejection sampling on the grid between the constant barriers f and g.
+    """Rejection sampling of spec's ensemble on its grid, between its constant barriers f and g.
 
-    Returns (values, n_drawn, n_accepted_seen, first_hit): values has shape
-    (n_samples, k, M+1), and first_hit is the 0-based draw index of the first
-    acceptance. Candidates are drawn in whole chunks so the acceptance rate
-    n_accepted_seen / n_drawn is unbiased. Raises RejectionExhausted when fewer
-    than n_samples are accepted within max_attempts candidates.
+    Candidates are k independent bridges, drawn _GRID_CHUNK at a time and
+    kept when _avoids passes them. Returns (values, n_drawn,
+    n_accepted_seen, first_hit): values has shape (n_samples, k, M+1), and
+    first_hit is the 0-based draw index of the first acceptance. Candidates
+    are drawn in whole chunks so the acceptance rate n_accepted_seen /
+    n_drawn is unbiased. Raises RejectionExhausted when fewer than n_samples
+    are accepted within max_attempts candidates.
     """
-    m = grid_points
-    grid = interval.grid(m)
-    x, y = np.asarray(x_vec, dtype=float), np.asarray(y_vec, dtype=float)
+    m, iv = spec.grid_points, spec.interval
+    grid = iv.grid(m)
+    x, y = spec.x.as_array(), spec.y.as_array()
 
     def draw(rows, nc):
-        z = rng.standard_normal((1, nc, x.size, m - 1))
-        return _bridge_paths(x, y, interval.a, grid[1:m], interval.b, z)
+        z = rng.standard_normal((1, nc, spec.k, m - 1))
+        return _bridge_paths(x, y, iv.a, grid[1:m], iv.b, z)
 
-    return _rejection_sample(draw, f, g, (x.size, m + 1), n_samples, max_attempts, chunk)
+    def accept(rows, cands):
+        return _avoids(cands, spec.f, spec.g)
+
+    vals, drawn, seen, first_hit = _rejection_loop(draw, accept, 1, (spec.k, m + 1), n_samples, max_attempts,
+                                                   _GRID_CHUNK)
+    return vals[0], int(drawn[0]), int(seen[0]), int(first_hit[0])
 
 
 def _km_weight(vals: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -210,18 +215,6 @@ def sample_avoiding_at(
     return vals[0, ..., 1:-1], int(drawn[0]), int(seen[0])
 
 
-def sample_avoiding_batch(
-    spec: AvoidSpec,
-    n_samples: int,
-    rng: np.random.Generator,
-    max_attempts: int = 10**7,
-) -> tuple[np.ndarray, int, int]:
-    """Batch of accepted ensembles as an array (n, k, M+1) plus draw statistics."""
-    vals, drawn, seen, _ = sample_avoiding_values(spec.interval, spec.x.as_array(), spec.y.as_array(), spec.f,
-                                                  spec.g, spec.grid_points, n_samples, rng, max_attempts)
-    return vals, drawn, seen
-
-
 def wilson_ci(successes: int, n: int) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion, CI_Z standard errors wide."""
     if n <= 0:
@@ -238,17 +231,20 @@ def wilson_ci(successes: int, n: int) -> tuple[float, float]:
 # distributional transforms
 # ---------------------------------------------------------------------------
 
-def affine_transform(ens: LineEnsemble, c: float, u: float, r: float) -> LineEnsemble:
-    """Time grid t -> c^2 t + u, values v -> c v + r; maps avoiding law to avoiding law."""
+def affine_transform(interval: Interval, values: np.ndarray, c: float, u: float,
+                     r: float) -> tuple[Interval, np.ndarray]:
+    """Time t -> c^2 t + u, values v -> c v + r of ensembles (..., k, M+1) on interval.
+
+    Returns the new interval and values; maps the avoiding law to the avoiding law.
+    """
     if c <= 0:
         raise DomainError("scale c must be positive")
-    a, b = ens.interval.a, ens.interval.b
-    return LineEnsemble(Interval(c * c * a + u, c * c * b + u), c * ens.values + r)
+    return Interval(c * c * interval.a + u, c * c * interval.b + u), c * values + r
 
 
-def flip_transform(ens: LineEnsemble) -> LineEnsemble:
-    """Negate values and reverse the curve order; preserves the ordering invariant."""
-    return LineEnsemble(ens.interval, -ens.values[::-1, :])
+def flip_transform(values: np.ndarray) -> np.ndarray:
+    """Negate ensembles (..., k, M+1) and reverse their curve order; preserves the ordering invariant."""
+    return -values[..., ::-1, :]
 
 
 # ---------------------------------------------------------------------------

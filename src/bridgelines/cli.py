@@ -20,7 +20,6 @@ from . import avoid, bridge, glauber, suites, walk
 from .core import (
     Interval,
     LatticeParams,
-    LineEnsemble,
     RejectionExhausted,
     RngSeed,
     WeylVector,
@@ -29,8 +28,12 @@ from .core import (
 
 
 def _parse_kv_file(path: str) -> dict[str, str]:
+    try:
+        fh = open(path)
+    except OSError as exc:  # a usage error, like an undecodable file
+        raise ValueError(f"cannot read config file {path}: {exc.strerror or exc}") from None
     out = {}
-    with open(path) as fh:
+    with fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -101,7 +104,10 @@ def _vector(text: str) -> WeylVector:
 
 
 def _units(text: str) -> list[int]:
-    return [int(v) for v in text.split(",")]
+    units = [int(v) for v in text.split(",")]
+    if any(abs(u) > 2**53 for u in units):  # floats hold these exactly, and u * dx cannot overflow
+        raise ValueError(f"lattice units must lie within +/-2^53, got {text}")
+    return units
 
 
 def cmd_sample(args) -> int:
@@ -121,21 +127,18 @@ def cmd_sample(args) -> int:
         ("kind", args.kind), ("a", args.a), ("b", args.b), ("seed", args.seed),
         ("n_samples", args.n_samples), ("grid", args.grid),
     ]
-    ensembles: list[LineEnsemble] = []
     try:
         if args.kind == "bridge":
             rng = seed.derive("sample/bridge").generator()
             spec = bridge.BridgeSpec(interval, args.x, args.y, args.grid)
-            paths = bridge.sample_bridge_paths(spec, args.n_samples, rng)
-            ensembles = [LineEnsemble(interval, p[None, :]) for p in paths]
+            values = bridge.sample_bridge_paths(spec, args.n_samples, rng)[:, None, :]
             manifest += [("x", args.x), ("y", args.y)]
         elif args.kind == "avoid":
             xv, yv = _vector(args.x_vec), _vector(args.y_vec)
             spec = avoid.AvoidSpec(interval, xv, yv, args.f_const, args.g_const, args.grid)
-            vals, drawn, seen = avoid.sample_avoiding_batch(
+            values, drawn, seen, _ = avoid.sample_avoiding_values(
                 spec, args.n_samples, seed.derive("sample/avoid").generator(), args.max_attempts
             )
-            ensembles = [LineEnsemble(interval, v) for v in vals]
             manifest += [
                 ("x_vec", args.x_vec), ("y_vec", args.y_vec),
                 ("f_const", repr(args.f_const)), ("g_const", repr(args.g_const)),
@@ -148,7 +151,7 @@ def cmd_sample(args) -> int:
             xv = WeylVector(tuple(u * lat.dx for u in xu))
             yv = WeylVector(tuple(u * lat.dx for u in yu))
             spec = walk.WalkEnsembleSpec(lat, xv, yv, args.f_const, args.g_const)
-            ensembles, drawn, seen = walk.sample_avoiding_walks_batch(
+            values, drawn, seen = walk.sample_avoiding_walks_batch(
                 spec, args.n_samples, seed.derive("sample/walk").generator(), args.max_attempts
             )
             manifest += [
@@ -167,7 +170,7 @@ def cmd_sample(args) -> int:
             _, units = glauber.simulate_chain(
                 state, args.n_samples * args.events_per_sample, rng, record_every=args.events_per_sample
             )
-            ensembles = [LineEnsemble(lat.interval, u * lat.dx) for u in units]
+            values = units * lat.dx
             manifest += [
                 ("n_scale", args.n_scale), ("x_units", args.x_units), ("y_units", args.y_units),
                 ("g_const", repr(args.g_const)), ("burn_in", args.burn_in),
@@ -178,13 +181,13 @@ def cmd_sample(args) -> int:
         return 1
     os.makedirs(args.out, exist_ok=True)
     curves_path = os.path.join(args.out, "curves.txt")
-    write_ensembles(curves_path, ensembles)
+    write_ensembles(curves_path, interval, values)
     manifest.append(("curves_file", "curves.txt"))
-    manifest.append(("n_written", len(ensembles)))
+    manifest.append(("n_written", len(values)))
     with open(os.path.join(args.out, "manifest.txt"), "w") as fh:
         for key, val in manifest:
             fh.write(f"{key}={val}\n")
-    print(f"wrote {len(ensembles)} ensembles to {curves_path}")
+    print(f"wrote {len(values)} ensembles to {curves_path}")
     return 0
 
 
@@ -198,7 +201,7 @@ def cmd_enumerate(args) -> int:
     configs = walk.enumerate_avoiding_configs(spec)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "configs.txt")
-    write_ensembles(path, configs)
+    write_ensembles(path, lat.interval, configs)
     print(f"{len(configs)} avoiding configurations -> {path}")
     return 0
 

@@ -170,21 +170,6 @@ class RejectionExhausted(RuntimeError):
         self.attempts = attempts
 
 
-def _rejection_sample(draw, f, g, shape: tuple, n_samples: int, max_attempts: int, chunk: int):
-    """Grid-check rejection over one row: keeps the candidates that pass _avoids.
-
-    shape is one candidate's (k, M+1), f and g the barriers as _avoids takes
-    them, and draw returns candidates of shape (1, nc, k, M+1); see
-    _rejection_loop. Returns (accepted (n_samples, k, M+1), drawn, seen,
-    first_hit), the last three as ints.
-    """
-    def accept(rows, cands):
-        return _avoids(cands, f, g)
-
-    vals, drawn, seen, first_hit = _rejection_loop(draw, accept, 1, shape, n_samples, max_attempts, chunk)
-    return vals[0], int(drawn[0]), int(seen[0]), int(first_hit[0])
-
-
 def _rejection_loop(draw, accept, n_rows: int, shape: tuple, n_samples: int, max_attempts: int,
                     chunk: int):
     """The chunked rejection loop over n_rows rows, each keeping the candidates accept passes.
@@ -308,31 +293,38 @@ class RngSeed:
 # columnar text serialization (the only on-disk curve format)
 # ---------------------------------------------------------------------------
 
-def write_ensembles(path, ensembles: list[LineEnsemble]) -> None:
-    """Write ensembles in the columnar format: header `k M a b`, rows `t v_1 ... v_k`."""
-    times: dict[str, list[str]] = {}  # "M a b" -> each grid row's leading "t "
+def write_ensembles(path, interval: Interval, values: np.ndarray) -> None:
+    """Write a batch of ensembles on one grid, values (n, k, M+1), in the columnar format.
+
+    Each ensemble is a header `k M a b` and one row `t v_1 ... v_k` per grid time.
+    """
+    _, k, cols = values.shape
+    head = f"{k} {cols - 1} {interval.a!r} {interval.b!r}\n"
+    times = [f"{t!r} " for t in interval.grid(cols - 1).tolist()]
     with open(path, "w") as fh:
-        for ens in ensembles:
-            key = f"{ens.m} {ens.interval.a!r} {ens.interval.b!r}"
-            if key not in times:
-                times[key] = [f"{t!r} " for t in ens.grid.tolist()]
-            rows = (t + " ".join(map(repr, row)) for t, row in zip(times[key], ens.values.T.tolist()))
-            fh.write(f"{ens.k} {key}\n" + "\n".join(rows) + "\n")
+        for ens in values:  # one sample's rows at a time, so that no batch of lists is held
+            rows = (t + " ".join(map(repr, row)) for t, row in zip(times, ens.T.tolist()))
+            fh.write(head + "\n".join(rows) + "\n")
 
 
 def read_ensembles(path) -> list[LineEnsemble]:
-    """Read back ensembles written by write_ensembles."""
+    """Read back ensembles written by write_ensembles.
+
+    Raises StructuralError, naming the 1-based line, for a data row without
+    k + 1 fields or an ensemble that ends before its header's M + 1 rows.
+    """
     out = []
-    with open(path) as fh:
-        lines = [ln for ln in (l.strip() for l in fh) if ln]
-    pos = 0
-    while pos < len(lines):
-        k, m, a, b = lines[pos].split()
-        k, m = int(k), int(m)
-        vals = np.empty((k, m + 1))
-        for j in range(m + 1):
-            parts = lines[pos + 1 + j].split()
-            vals[:, j] = [float(p) for p in parts[1:]]
-        out.append(LineEnsemble(Interval(float(a), float(b)), vals))
-        pos += m + 2
+    with open(path) as fh:  # parsed as it is read, so that no copy of the file's lines is held
+        rows = ((no, parts) for no, parts in enumerate(map(str.split, fh), 1) if parts)
+        for head_no, (k, m, a, b) in rows:
+            k, m = int(k), int(m)
+            vals = np.empty((k, m + 1))
+            for j in range(m + 1):
+                no, parts = next(rows, (None, None))
+                if parts is None:
+                    raise StructuralError(f"line {head_no}: the header needs {m + 1} rows, the file ends after {j}")
+                if len(parts) != k + 1:
+                    raise StructuralError(f"line {no}: expected {k + 1} fields (t and {k} values), got {len(parts)}")
+                vals[:, j] = [float(p) for p in parts[1:]]
+            out.append(LineEnsemble(Interval(float(a), float(b)), vals))
     return out

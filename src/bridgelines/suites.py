@@ -16,7 +16,7 @@ import numpy as np
 
 from . import avoid, bridge, glauber, verify, walk
 from .core import (
-    DomainError, Interval, LatticeParams, LineEnsemble, RejectionExhausted, RngSeed, WeylVector,
+    DomainError, Interval, LatticeParams, RejectionExhausted, RngSeed, WeylVector,
 )
 from .verify import SUITE_P_FLOOR, TestReport
 
@@ -191,9 +191,8 @@ def walk_exact_suite(cfg: WalkExactConfig) -> SuiteResult:
     for n, z in cfg.telescope_cases:
         rng = root.derive(f"walk-telescope/{n}/{z}").generator()
         log_count = float(np.log(float(walk.count_paths(n, z))))
-        for _ in range(cfg.telescope_paths):
-            wb = walk.sample_walk_bridge(n, z, rng)
-            worst_err = max(worst_err, abs(walk.walk_log_prob(wb) + log_count))
+        steps = walk.sample_walk_steps(n, z, cfg.telescope_paths, rng)
+        worst_err = max(worst_err, float(np.abs(walk.walk_log_prob(steps, z) + log_count).max()))
     reports.append(_report(
         "walk-telescoping-logprob", worst_err,
         "PASS" if worst_err <= cfg.telescope_tol else "FAIL", f"{cfg.seed}",
@@ -268,11 +267,8 @@ def _chain_support(lat: LatticeParams, x_units, y_units, g: float) -> list[tuple
     x = WeylVector(tuple(u * lat.dx for u in x_units))
     y = WeylVector(tuple(u * lat.dx for u in y_units))
     spec = walk.WalkEnsembleSpec(lat, x, y, g=g)
-    keys = []
-    for ens in walk.enumerate_avoiding_configs(spec):
-        units = np.rint(ens.values / lat.dx).astype(int)
-        keys.append(tuple(tuple(int(v) for v in row) for row in units))
-    return keys
+    units = np.rint(walk.enumerate_avoiding_configs(spec) / lat.dx).astype(int)
+    return [tuple(map(tuple, config)) for config in units.tolist()]
 
 
 @dataclass(frozen=True)
@@ -366,10 +362,10 @@ def coupling_suite(cfg: CouplingConfig) -> SuiteResult:
     iv = Interval(0.0, 1.0)
     lo_spec = avoid.AvoidSpec(iv, WeylVector((1.0, -1.0)), WeylVector((1.0, -1.0)), grid_points=cfg.grid_points)
     hi_spec = avoid.AvoidSpec(iv, WeylVector((2.0, 0.0)), WeylVector((2.0, 0.0)), grid_points=cfg.grid_points)
-    lo_vals, _, _ = avoid.sample_avoiding_batch(lo_spec, cfg.n_marginal_samples,
-                                                root.derive("coupling/xy/lo").generator())
-    hi_vals, _, _ = avoid.sample_avoiding_batch(hi_spec, cfg.n_marginal_samples,
-                                                root.derive("coupling/xy/hi").generator())
+    lo_vals, _, _, _ = avoid.sample_avoiding_values(lo_spec, cfg.n_marginal_samples,
+                                                    root.derive("coupling/xy/lo").generator())
+    hi_vals, _, _, _ = avoid.sample_avoiding_values(hi_spec, cfg.n_marginal_samples,
+                                                    root.derive("coupling/xy/hi").generator())
     cols = [cfg.grid_points // 4, cfg.grid_points // 2, 3 * cfg.grid_points // 4]
     # dominance: cdf(hi) <= cdf(lo) everywhere; the one-sided statistic
     # sup(cdf_hi - cdf_lo) detects violations of that direction
@@ -379,10 +375,10 @@ def coupling_suite(cfg: CouplingConfig) -> SuiteResult:
     base = avoid.AvoidSpec(iv, WeylVector((1.0, -1.0)), WeylVector((1.0, -1.0)), grid_points=cfg.grid_points)
     raised = avoid.AvoidSpec(iv, WeylVector((1.0, -1.0)), WeylVector((1.0, -1.0)), g=-2.0,
                              grid_points=cfg.grid_points)
-    b_vals, _, _ = avoid.sample_avoiding_batch(base, cfg.n_marginal_samples,
-                                               root.derive("coupling/fg/base").generator())
-    r_vals, _, _ = avoid.sample_avoiding_batch(raised, cfg.n_marginal_samples,
-                                               root.derive("coupling/fg/raised").generator())
+    b_vals, _, _, _ = avoid.sample_avoiding_values(base, cfg.n_marginal_samples,
+                                                   root.derive("coupling/fg/base").generator())
+    r_vals, _, _, _ = avoid.sample_avoiding_values(raised, cfg.n_marginal_samples,
+                                                   root.derive("coupling/fg/raised").generator())
     reports += verify.marginal_ks(r_vals, b_vals, [(i, cfg.grid_points // 2) for i in range(2)],
                                   "dominance-barrier", f"{cfg.seed}", alternative="greater")
     return SuiteResult("coupling", reports)
@@ -451,8 +447,8 @@ def tails_suite(cfg: TailsConfig) -> SuiteResult:
     for k in cfg.ks:
         ends = WeylVector(tuple(cfg.spacing * (k - 1) / 2 - cfg.spacing * i for i in range(k)))
         spec = avoid.AvoidSpec(iv, ends, ends, grid_points=cfg.grid_points)
-        vals, _, _ = avoid.sample_avoiding_batch(spec, cfg.n_samples,
-                                                 root.derive(f"tails/k{k}").generator())
+        vals, _, _, _ = avoid.sample_avoiding_values(spec, cfg.n_samples,
+                                                     root.derive(f"tails/k{k}").generator())
         # copies of the bottom curve's midpoint and grid minimum, so the batch is freed
         # before the next k's fills
         mid, inf_vals = vals[:, -1, cfg.grid_points // 2].copy(), vals[:, -1].min(axis=1)
@@ -591,7 +587,7 @@ def pw_suite(cfg: PwConfig) -> SuiteResult:
         ))
     # (b) calibrated two-curve ensemble at the largest window
     def pair(n, label):
-        return avoid.sample_avoiding_batch(spec, n, root.derive(label).generator())[0]
+        return avoid.sample_avoiding_values(spec, n, root.derive(label).generator())[0]
 
     x1 = float(np.quantile(pair(cfg.n_pilot, "pw/pair/pilot")[:, 0, jt], cfg.pair_top_quantile))
     vals = pair(cfg.n_pair, "pw/pair/main")
@@ -710,23 +706,23 @@ def transforms_suite(cfg: TransformsConfig) -> SuiteResult:
     root = RngSeed(cfg.seed)
     iv = Interval(0.0, 1.0)
     src_spec = avoid.AvoidSpec(iv, WeylVector((2.0, 0.0)), WeylVector((1.0, -1.0)), grid_points=cfg.grid_points)
-    src, _, _ = avoid.sample_avoiding_batch(src_spec, cfg.n_samples,
-                                            root.derive("transforms/src").generator())
+    src, _, _, _ = avoid.sample_avoiding_values(src_spec, cfg.n_samples,
+                                                root.derive("transforms/src").generator())
     cols = [cfg.grid_points // 4, cfg.grid_points // 2, 3 * cfg.grid_points // 4]
     cells = list(itertools.product(range(2), cols))
     # affine: transformed source law must match the directly sampled target law
     # on the transformed interval; grid columns correspond under the affine time map
     c, u, r = cfg.affine
-    moved = [avoid.affine_transform(LineEnsemble(iv, v), c, u, r) for v in src]
+    moved_iv, moved = avoid.affine_transform(iv, src, c, u, r)
     tgt_spec = avoid.AvoidSpec(
-        moved[0].interval,
+        moved_iv,
         WeylVector(tuple(c * v + r for v in src_spec.x.values)),
         WeylVector(tuple(c * v + r for v in src_spec.y.values)),
         grid_points=cfg.grid_points,
     )
-    tgt, _, _ = avoid.sample_avoiding_batch(tgt_spec, cfg.n_samples,
-                                            root.derive("transforms/affine-tgt").generator())
-    reports = verify.marginal_ks(np.stack([e.values for e in moved]), tgt, cells, "affine", f"{cfg.seed}")
+    tgt, _, _, _ = avoid.sample_avoiding_values(tgt_spec, cfg.n_samples,
+                                                root.derive("transforms/affine-tgt").generator())
+    reports = verify.marginal_ks(moved, tgt, cells, "affine", f"{cfg.seed}")
     # flip: negate and reverse curve order; target swaps and negates boundary data
     flip_spec = avoid.AvoidSpec(
         iv,
@@ -734,10 +730,9 @@ def transforms_suite(cfg: TransformsConfig) -> SuiteResult:
         WeylVector(tuple(-v for v in reversed(src_spec.y.values))),
         grid_points=cfg.grid_points,
     )
-    flp, _, _ = avoid.sample_avoiding_batch(flip_spec, cfg.n_samples,
-                                            root.derive("transforms/flip-tgt").generator())
-    flipped = np.stack([avoid.flip_transform(LineEnsemble(iv, v)).values for v in src])
-    reports += verify.marginal_ks(flipped, flp, cells, "flip", f"{cfg.seed}")
+    flp, _, _, _ = avoid.sample_avoiding_values(flip_spec, cfg.n_samples,
+                                                root.derive("transforms/flip-tgt").generator())
+    reports += verify.marginal_ks(avoid.flip_transform(src), flp, cells, "flip", f"{cfg.seed}")
     return SuiteResult("transforms", reports)
 
 

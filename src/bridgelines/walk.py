@@ -7,6 +7,9 @@ live in a log-space table so N in the thousands fits; count_paths is the exact i
 The forward sampler walks time-major: one uniform per (walk, step), drawn up front, and at
 each step every walk compares its uniform with two cuts, P(step = -1) and P(step <= 0), read
 for its (steps left, displacement) from tables built once per N from the log counts.
+Paths travel as (n, N) int8 step arrays: walk_log_prob scores such a batch against the
+table. Ensembles of k walks on the lattice, from the avoiding-walk rejection sampler and
+the exhaustive enumeration oracle, are one float array (n, k, N+1) of values units * dx.
 """
 
 from __future__ import annotations
@@ -20,32 +23,13 @@ import numpy as np
 from .core import (
     DomainError,
     LatticeParams,
-    LineEnsemble,
     RejectionExhausted,  # noqa: F401  re-exported: callers catch it as walk.RejectionExhausted
     StructuralError,
     WeylVector,
     _avoids,
     _check_barriers,
-    _rejection_sample,
+    _rejection_loop,
 )
-
-
-@dataclass(frozen=True)
-class WalkBridge:
-    """N-step walk with steps in {-1, 0, +1} summing to z."""
-
-    n_steps: int
-    z: int
-    steps: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.steps) != self.n_steps or sum(self.steps) != self.z:
-            raise StructuralError("steps must have length N and sum to z")
-
-    def positions(self) -> np.ndarray:
-        out = np.zeros(self.n_steps + 1, dtype=int)
-        out[1:] = np.cumsum(self.steps)
-        return out
 
 
 @lru_cache(maxsize=256)
@@ -126,25 +110,24 @@ def sample_walk_steps(
     return np.ascontiguousarray(steps.T)
 
 
-def sample_walk_bridge(n_steps: int, z: int, rng: np.random.Generator) -> WalkBridge:
-    """One exact sample of the conditioned walk."""
-    steps = sample_walk_steps(n_steps, z, 1, rng)[0]
-    return WalkBridge(n_steps, z, tuple(int(s) for s in steps))
-
-
-def walk_log_prob(bridge: WalkBridge) -> float:
-    """Sum of per-step log conditional probabilities along the path.
+def walk_log_prob(steps: np.ndarray, z: int) -> np.ndarray:
+    """Per path of steps (n, N), the sum of its per-step log conditional probabilities.
 
     Telescopes to -log count(N, z): the sampled path is uniform among the valid
-    step sequences.
+    step sequences. Raises StructuralError unless every step is -1, 0 or +1
+    and every path sums to z.
     """
-    table = _log_count_table(bridge.n_steps)
-    off = bridge.n_steps + 1
-    d = bridge.z
-    total = 0.0
-    for m, delta in enumerate(bridge.steps):
-        rem = bridge.n_steps - m
-        total += float(table[rem - 1][d - delta + off] - table[rem][d + off])
+    if steps.ndim != 2 or not np.isin(steps, (-1, 0, 1)).all() or np.any(steps.sum(axis=1) != z):
+        raise StructuralError(f"need an (n, N) batch of steps in {{-1, 0, 1}} summing to z = {z}")
+    n_steps = steps.shape[1]
+    table = _log_count_table(n_steps)
+    off = n_steps + 1
+    d = np.full(steps.shape[0], z, dtype=np.int64)
+    total = np.zeros(steps.shape[0])
+    for m in range(n_steps):
+        rem = n_steps - m
+        delta = steps[:, m]
+        total += table[rem - 1][d - delta + off] - table[rem][d + off]
         d -= delta
     return total
 
@@ -201,13 +184,14 @@ def sample_avoiding_walks_batch(
     n_samples: int,
     rng: np.random.Generator,
     max_attempts: int,
-) -> tuple[list[LineEnsemble], int, int]:
+) -> tuple[np.ndarray, int, int]:
     """Accepted ensembles of k independent walk bridges; raises RejectionExhausted when short.
 
-    The grid-checked rejection loop (core._rejection_sample) over the spec's
-    one row. Returns (samples, n_drawn, n_accepted_seen): candidates are drawn
-    in whole chunks, so n_accepted_seen / n_drawn is an unbiased acceptance-rate
-    estimate even when more than n_samples acceptances landed in the final chunk.
+    The rejection loop (core._rejection_loop) over the spec's one row, each
+    candidate kept when _avoids passes it. Returns (values (n_samples, k,
+    N+1), n_drawn, n_accepted_seen): candidates are drawn in whole chunks, so
+    n_accepted_seen / n_drawn is an unbiased acceptance-rate estimate even
+    when more than n_samples acceptances landed in the final chunk.
     """
     lat = spec.lattice
     n = lat.n_steps
@@ -223,13 +207,16 @@ def sample_avoiding_walks_batch(
         units += x_units[None, :, None]
         return units[None] * lat.dx
 
-    vals, drawn, seen, _ = _rejection_sample(draw, spec.f, spec.g, (spec.k, n + 1), n_samples, max_attempts,
-                                             _AVOID_CHUNK)
-    return [LineEnsemble(lat.interval, v) for v in vals], drawn, seen
+    def accept(rows, cands):
+        return _avoids(cands, spec.f, spec.g)
+
+    vals, drawn, seen, _ = _rejection_loop(draw, accept, 1, (spec.k, n + 1), n_samples, max_attempts,
+                                           _AVOID_CHUNK)
+    return vals[0], int(drawn[0]), int(seen[0])
 
 
-def enumerate_avoiding_configs(spec: WalkEnsembleSpec, guard: int = 10**7) -> list[LineEnsemble]:
-    """Exhaustive list of avoiding lattice configurations, lexicographic in the step lists."""
+def enumerate_avoiding_configs(spec: WalkEnsembleSpec, guard: int = 10**7) -> np.ndarray:
+    """Every avoiding lattice configuration, values (n_configs, k, N+1), lexicographic in the step lists."""
     lat = spec.lattice
     n = lat.n_steps
     if 3 ** (spec.k * n) > guard:
@@ -248,9 +235,9 @@ def enumerate_avoiding_configs(spec: WalkEnsembleSpec, guard: int = 10**7) -> li
             paths.append(pos + x_units[i])
         per_curve.append(paths)
 
-    out: list[LineEnsemble] = []
+    out: list[np.ndarray] = []
     for combo in itertools.product(*per_curve):
         vals = np.stack(combo) * lat.dx
         if _avoids(vals, spec.f, spec.g):
-            out.append(LineEnsemble(lat.interval, vals))
-    return out
+            out.append(vals)
+    return np.reshape(out, (len(out), spec.k, n + 1))

@@ -8,14 +8,14 @@ from scipy import stats
 from scipy.integrate import quad
 
 from bridgelines import avoid, bridge, walk
-from bridgelines.core import DomainError, Interval, LatticeParams, LineEnsemble, RngSeed, WeylVector
+from bridgelines.core import DomainError, Interval, LatticeParams, RngSeed, WeylVector
 
 
 def _spec(x, y, grid=128, f=np.inf, g=-np.inf, iv=None):
     return avoid.AvoidSpec(iv or Interval(0, 1), WeylVector(x), WeylVector(y), f, g, grid)
 
 
-def test_sample_avoiding_values_pinned_at_fixed_seeds():
+def test_sample_avoiding_values_pinned_at_fixed_seeds(monkeypatch):
     # values recorded before the rejection loop gained its row axis: the
     # one-row stream (draws, kept candidates, counts, generator state) is unchanged
     iv = Interval(0.0, 1.0)
@@ -23,7 +23,8 @@ def test_sample_avoiding_values_pinned_at_fixed_seeds():
 
     def run(x, f, g, n_samples, max_attempts, chunk):
         rng = RngSeed(21).generator()
-        out = avoid.sample_avoiding_values(iv, x, x, f, g, 4, n_samples, rng, max_attempts, chunk)
+        monkeypatch.setattr(avoid, "_GRID_CHUNK", chunk)
+        out = avoid.sample_avoiding_values(_spec(x, x, 4, f, g, iv), n_samples, rng, max_attempts)
         return out, float(rng.random())
 
     (vals, drawn, seen, first), nxt = run(np.array([0.5, -0.5]), inf, -inf, 3, 10**4, 2048)
@@ -45,7 +46,7 @@ def test_sample_avoiding_values_pinned_at_fixed_seeds():
     # exhaustion: 10 attempts in chunks of 4, 4, 2
     rng, x = RngSeed(21).generator(), np.array([0.1, -0.1])
     with pytest.raises(walk.RejectionExhausted, match="^0/1 accepted in 10 draws$") as exc:
-        avoid.sample_avoiding_values(iv, x, x, 0.2, -0.2, 4, 1, rng, 10, 4)
+        avoid.sample_avoiding_values(_spec(x, x, 4, 0.2, -0.2, iv), 1, rng, 10)
     assert exc.value.attempts == 10
     assert rng.random() == 0.33930018248772564
 
@@ -210,9 +211,8 @@ def test_spec_validates_barrier_clearance():
 
 
 def test_unconstrained_single_bridge_accepts_first_try():
-    iv, x, free = Interval(0, 1), np.array([0.0]), np.inf
-    vals, drawn, seen, first = avoid.sample_avoiding_values(iv, x, x, free, -free, 128, 1,
-                                                            RngSeed(1).generator(), 10**6)
+    vals, drawn, seen, first = avoid.sample_avoiding_values(_spec((0.0,), (0.0,)), 1, RngSeed(1).generator(),
+                                                            10**6)
     assert first == 0
     assert vals.shape == (1, 1, 129) and seen == drawn
 
@@ -221,7 +221,7 @@ def test_acceptance_rate_matches_reflection_formula():
     # k=1 above a flat barrier: acceptance = 1 - exp(-2 x^2 / T), up to the
     # documented grid over-acceptance (enforced at grid points only)
     spec = _spec((1.0,), (1.0,), g=0.0, grid=512)
-    _, drawn, seen = avoid.sample_avoiding_batch(spec, 40000, RngSeed(2).generator(), 10**6)
+    _, drawn, seen, _ = avoid.sample_avoiding_values(spec, 40000, RngSeed(2).generator(), 10**6)
     rate = seen / drawn
     target = 1 - math.exp(-2.0)
     allowance = bridge.grid_max_allowance(1.0, 0.0, 1.0, 512)
@@ -234,7 +234,7 @@ def test_grid_over_acceptance_shrinks_with_density():
     rates = []
     for grid in (64, 512):
         spec = _spec((1.0,), (1.0,), g=0.0, grid=grid)
-        _, drawn, seen = avoid.sample_avoiding_batch(spec, 20000, RngSeed(3).generator(), 10**6)
+        _, drawn, seen, _ = avoid.sample_avoiding_values(spec, 20000, RngSeed(3).generator(), 10**6)
         rates.append(seen / drawn)
     assert rates[1] < rates[0]  # finer grid rejects more near-touches
 
@@ -243,35 +243,33 @@ def test_rejection_exhaustion_error():
     spec = _spec((1.0, 0.5), (1.0, 0.5), grid=64)
     bad = avoid.AvoidSpec(spec.interval, spec.x, spec.y, g=0.49, grid_points=64)
     with pytest.raises(walk.RejectionExhausted) as exc:
-        avoid.sample_avoiding_batch(bad, 50000, RngSeed(4).generator(), max_attempts=2000)
+        avoid.sample_avoiding_values(bad, 50000, RngSeed(4).generator(), max_attempts=2000)
     assert exc.value.attempts == 2000
 
 
 def test_affine_transform_examples():
     iv = Interval(0, 1)
-    ens = LineEnsemble(iv, np.array([[1.0, 2.0, 1.5], [0.0, -1.0, 0.5]]))
-    same = avoid.affine_transform(ens, 1.0, 0.0, 0.0)
-    assert same.interval == iv and np.array_equal(same.values, ens.values)
-    shifted = avoid.affine_transform(ens, 1.0, 0.0, 5.0)
-    assert shifted.interval == iv
-    assert np.array_equal(shifted.values, ens.values + 5)
-    moved = avoid.affine_transform(ens, 2.0, 3.0, -1.0)
-    assert moved.interval == Interval(3.0, 7.0)
-    assert np.array_equal(moved.values, 2 * ens.values - 1)
+    vals = np.array([[[1.0, 2.0, 1.5], [0.0, -1.0, 0.5]]])
+    same_iv, same = avoid.affine_transform(iv, vals, 1.0, 0.0, 0.0)
+    assert same_iv == iv and np.array_equal(same, vals)
+    shifted_iv, shifted = avoid.affine_transform(iv, vals, 1.0, 0.0, 5.0)
+    assert shifted_iv == iv
+    assert np.array_equal(shifted, vals + 5)
+    moved_iv, moved = avoid.affine_transform(iv, vals, 2.0, 3.0, -1.0)
+    assert moved_iv == Interval(3.0, 7.0)
+    assert np.array_equal(moved, 2 * vals - 1)
     with pytest.raises(DomainError):
-        avoid.affine_transform(ens, 0.0, 0.0, 0.0)
+        avoid.affine_transform(iv, vals, 0.0, 0.0, 0.0)
 
 
 def test_flip_transform_involution_and_ordering():
-    iv = Interval(0, 1)
-    ens = LineEnsemble(iv, np.array([[2.0, 2.0, 2.0]]))
-    flipped = avoid.flip_transform(ens)
-    assert np.all(flipped.values == -2.0)
-    two = LineEnsemble(iv, np.array([[1.0, 2.0, 1.0], [0.0, 0.5, 0.0]]))
+    flipped = avoid.flip_transform(np.array([[[2.0, 2.0, 2.0]]]))
+    assert np.all(flipped == -2.0)
+    two = np.array([[[1.0, 2.0, 1.0], [0.0, 0.5, 0.0]]])
     back = avoid.flip_transform(avoid.flip_transform(two))
-    assert np.array_equal(back.values, two.values)
+    assert np.array_equal(back, two)
     f = avoid.flip_transform(two)
-    assert np.all(f.values[0] > f.values[1])
+    assert np.all(f[:, 0] > f[:, 1])
 
 
 @settings(max_examples=25, deadline=None)
@@ -279,22 +277,21 @@ def test_flip_transform_involution_and_ordering():
 def test_affine_flip_commute_with_sampling_shapes(c, u, r, seed):
     rng = np.random.default_rng(seed)
     vals = np.sort(rng.normal(size=(2, 5)), axis=0)[::-1] + np.array([[1.0], [-1.0]])
-    ens = LineEnsemble(Interval(0, 1), vals)
-    moved = avoid.affine_transform(ens, c, u, r)
-    assert moved.values.shape == vals.shape
-    assert moved.interval.length == pytest.approx(c * c * 1.0)
-    assert np.allclose(avoid.flip_transform(avoid.flip_transform(moved)).values, moved.values)
+    moved_iv, moved = avoid.affine_transform(Interval(0, 1), vals, c, u, r)
+    assert moved.shape == vals.shape
+    assert moved_iv.length == pytest.approx(c * c * 1.0)
+    assert np.allclose(avoid.flip_transform(avoid.flip_transform(moved)), moved)
 
 
 def test_affine_law_matches_direct_sampling():
     src = _spec((1.0, -1.0), (1.0, -1.0), grid=64)
-    svals, _, _ = avoid.sample_avoiding_batch(src, 2500, RngSeed(5).generator())
+    svals, _, _, _ = avoid.sample_avoiding_values(src, 2500, RngSeed(5).generator())
     c, u, r = 1.5, 2.0, 0.5
     tgt = avoid.AvoidSpec(
         Interval(u, c * c + u),
         WeylVector((c + r, -c + r)), WeylVector((c + r, -c + r)), grid_points=64,
     )
-    tvals, _, _ = avoid.sample_avoiding_batch(tgt, 2500, RngSeed(6).generator())
+    tvals, _, _, _ = avoid.sample_avoiding_values(tgt, 2500, RngSeed(6).generator())
     moved = c * svals + r
     for i in range(2):
         for col in (16, 32, 48):
@@ -304,9 +301,9 @@ def test_affine_law_matches_direct_sampling():
 
 def test_flip_law_matches_direct_sampling():
     src = _spec((2.0, 0.0), (1.0, -1.0), grid=64)
-    svals, _, _ = avoid.sample_avoiding_batch(src, 2500, RngSeed(7).generator())
+    svals, _, _, _ = avoid.sample_avoiding_values(src, 2500, RngSeed(7).generator())
     tgt = _spec((0.0, -2.0), (1.0, -1.0), grid=64)
-    tvals, _, _ = avoid.sample_avoiding_batch(tgt, 2500, RngSeed(8).generator())
+    tvals, _, _, _ = avoid.sample_avoiding_values(tgt, 2500, RngSeed(8).generator())
     flipped = -svals[:, ::-1, :]
     for i in range(2):
         for col in (16, 32, 48):
@@ -358,7 +355,7 @@ def test_midpoint_cdf_avoiding_vs_walk_pipeline():
     est, _ = _bottom_midpoint_estimate(r, x_lat.values, 60000, 11)
     wspec = walk.WalkEnsembleSpec(lat, x_lat, x_lat)
     samples, _, _ = walk.sample_avoiding_walks_batch(wspec, 50000, RngSeed(12).generator(), 10**7)
-    mids = np.array([ens.values[1, lat.n_steps // 2] for ens in samples])
+    mids = samples[:, 1, lat.n_steps // 2]
     walk_est = float(np.mean(mids <= r))
     walk_se = math.sqrt(walk_est * (1 - walk_est) / 50000)
     est_se = math.sqrt(est * (1 - est) / 60000)

@@ -147,7 +147,7 @@ def test_enumerate_matches_module(tmp_path):
     expect = walk.enumerate_avoiding_configs(spec)
     assert len(got) == len(expect) == 3
     for a, b in zip(got, expect):
-        assert np.allclose(a.values, b.values)
+        assert np.allclose(a.values, b)
 
 
 def test_lattice_barriers_on_dx_multiples_are_strict(tmp_path):
@@ -276,10 +276,13 @@ def test_verify_unknown_suite_and_bad_key(tmp_path, capsys):
         ["--suite", "walk-exact", "--set", "telescope_cases=((3,7),)"],  # |z| > N
         ["--suite", "detect", "--set", "cap=0"],
         ["--suite", "detect", "--set", "n_samples=1"],  # a standard error needs two samples
+        ["--suite", "tails", "--config", str(tmp_path / "no-such-file")],
+        ["--suite", "tails", "--config", str(tmp_path)],  # a directory
     ):
         assert run(["verify", *argv, "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "x").exists()
 
 
 def test_unknown_sample_kind_is_usage_error(tmp_path, capsys):
@@ -304,6 +307,10 @@ def test_unknown_sample_kind_is_usage_error(tmp_path, capsys):
             ["--kind", "glauber", "--x-units", "0,2", "--y-units", "0,2"],
             ["--kind", "glauber", "--x-units", "2,2", "--y-units", "2,0"]]
     enumerate_bad = [["enumerate", "--steps", "2", "--x-units", "0", "--y-units", "0", "--g-const-units", "0"]]
+    # lattice units too large for a float: u * dx would overflow
+    huge = "1" + "0" * 400 + ",0"
+    bad += [["--kind", kind, "--x-units", huge, "--y-units", huge] for kind in ("walk", "glauber")]
+    enumerate_bad += [["enumerate", "--steps", "2", "--x-units", huge, "--y-units", huge]]
     for argv in [["sample", *argv] for argv in bad] + enumerate_bad:
         assert run([*argv, "--out", str(tmp_path / "z")]) == 2
         err = capsys.readouterr().err

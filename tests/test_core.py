@@ -10,6 +10,7 @@ from bridgelines.core import (
     LineEnsemble,
     RejectionExhausted,
     RngSeed,
+    StructuralError,
     WeylVector,
     _avoids,
     _rejection_loop,
@@ -161,7 +162,9 @@ def test_serialization_roundtrip(tmp_path):
         LineEnsemble(Interval(0, 1), rng.normal(size=(1, 3))),
     ]
     path = tmp_path / "curves.txt"
-    write_ensembles(path, ens)
+    for i, e in enumerate(ens):
+        write_ensembles(tmp_path / f"part{i}.txt", e.interval, e.values[None])
+    path.write_bytes(b"".join((tmp_path / f"part{i}.txt").read_bytes() for i in range(len(ens))))
     back = read_ensembles(path)
     assert len(back) == 2
     for orig, got in zip(ens, back):
@@ -178,6 +181,23 @@ def test_serialization_roundtrip(tmp_path):
     assert pos == len(lines)
 
 
+def test_read_ensembles_refuses_malformed_files(tmp_path):
+    # a short row must not be copied into every curve, nor a short file raise IndexError:
+    # a StructuralError is a ValueError, which readers such as the benchmark's checker catch
+    assert issubclass(StructuralError, ValueError)
+    path = tmp_path / "curves.txt"
+    for text, line in (
+        ("2 2 0.0 1.0\n0.0 1.0\n0.5 1.0 0.0\n1.0 1.0 0.0\n", 2),  # one value for k = 2
+        ("2 2 0.0 1.0\n0.0 1.0 0.0\n0.5 1.0 0.0 -1.0\n1.0 1.0 0.0\n", 3),  # three values
+        ("2 1 0.0 1.0\n\n0.0 1.0 0.0\n1.0 1.0\n", 4),  # blank lines are counted
+        ("2 2 0.0 1.0\n0.0 1.0 0.0\n0.5 1.0 0.0\n", 1),  # ends before the header's third row
+        ("1 1 0.0 1.0\n0.0 1.0\n1.0 1.0\n1 1 0.0 1.0\n0.0 2.0\n", 4),  # the second ensemble ends early
+    ):
+        path.write_text(text)
+        with pytest.raises(StructuralError, match=f"^line {line}: "):
+            read_ensembles(path)
+
+
 def test_write_ensembles_byte_format(tmp_path):
     # bytes recorded from the per-value writer: every float is Python's shortest
     # round-trip repr, the header keeps the interval's own repr (ints print as ints)
@@ -188,9 +208,12 @@ def test_write_ensembles_byte_format(tmp_path):
         LineEnsemble(Interval(0, 1), np.array([[3, -2, 0, 7]])),
         LineEnsemble(iv, np.array([[1 / 3, 2 / 3, 1.0]])),
     ]
-    path = tmp_path / "curves.txt"
-    write_ensembles(path, ens)
-    assert path.read_bytes() == (
+    parts = []
+    for i, e in enumerate(ens):
+        path = tmp_path / f"curves{i}.txt"
+        write_ensembles(path, e.interval, e.values[None])
+        parts.append(path.read_bytes())
+    assert b"".join(parts) == (
         b"3 2 -1.0 2.5\n"
         b"-1.0 -0.0 0.30000000000000004 -1e-300\n"
         b"0.75 1e-05 5e-324 -7.0\n"

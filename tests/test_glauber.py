@@ -123,7 +123,7 @@ def test_chain_visits_only_enumerated_states():
     spec = walk.WalkEnsembleSpec(lat, x, x, g=g)
     support = set()
     for ens in walk.enumerate_avoiding_configs(spec):
-        units = np.rint(ens.values / lat.dx).astype(int)
+        units = np.rint(ens / lat.dx).astype(int)
         support.add(tuple(tuple(int(v) for v in row) for row in units))
     init = glauber.maximal_state(lat, [2, 0], [2, 0], g)
     counts = glauber.sample_stationary_keys(init, 1000, 20000, 2, RngSeed(3).generator())

@@ -153,7 +153,6 @@ def test_walk_exact_rejects_a_bad_config_before_any_draw(monkeypatch):
         raise AssertionError("sampled before the config was checked")
 
     monkeypatch.setattr(suites.walk, "sample_walk_steps", no_draw)
-    monkeypatch.setattr(suites.walk, "sample_walk_bridge", no_draw)
     for overrides in (
         dict(n_samples=0),
         dict(max_steps=0),  # no (N, z) case: the chi-square check would pass vacuously
@@ -179,7 +178,6 @@ def test_pw_rejects_a_bad_config_before_any_draw(monkeypatch):
         raise AssertionError("sampled before the config was checked")
 
     monkeypatch.setattr(suites.bridge, "sample_bridge_at", no_draw)
-    monkeypatch.setattr(suites.avoid, "sample_avoiding_batch", no_draw)
     monkeypatch.setattr(suites.avoid, "sample_avoiding_values", no_draw)
     for overrides in (
         dict(n_single=0),
@@ -251,7 +249,7 @@ def test_chain_suites_reject_a_bad_config_before_any_event(monkeypatch):
         raise AssertionError("sampled before the config was checked")
 
     monkeypatch.setattr(suites.glauber, "_run", no_draw)
-    monkeypatch.setattr(suites.avoid, "sample_avoiding_batch", no_draw)
+    monkeypatch.setattr(suites.avoid, "sample_avoiding_values", no_draw)
     for name, overrides in (
         ("glauber-stationarity", dict(retained=0)),
         ("glauber-stationarity", dict(burn_seeds=0)),
@@ -271,7 +269,7 @@ def test_tails_holds_one_batch_at_a_time(monkeypatch):
     # each batch's memory owner (the rejection loop's output, of which the batch is
     # a view) must be freed before the next k's batch is drawn
     owners = []
-    draw = avoid.sample_avoiding_batch
+    draw = avoid.sample_avoiding_values
 
     def tracked(*args, **kwargs):
         assert all(ref() is None for ref in owners), "an earlier batch is still alive"
@@ -280,6 +278,6 @@ def test_tails_holds_one_batch_at_a_time(monkeypatch):
         owners.append(weakref.ref(vals if vals.base is None else vals.base))
         return out
 
-    monkeypatch.setattr(avoid, "sample_avoiding_batch", tracked)
+    monkeypatch.setattr(avoid, "sample_avoiding_values", tracked)
     assert suites.tails_suite(suites.TailsConfig(n_samples=200)).reports
     assert len(owners) == 3

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from bridgelines import walk
-from bridgelines.core import DomainError, Interval, LatticeParams, RngSeed, WeylVector
+from bridgelines.core import DomainError, Interval, LatticeParams, RngSeed, StructuralError, WeylVector
 from bridgelines.verify import SUITE_P_FLOOR
 
 
@@ -72,9 +72,8 @@ def test_telescoping_identity():
     for n, z in [(6, 0), (6, 2), (30, -5), (64, 10)]:
         rng = RngSeed(3).derive(f"{n}/{z}").generator()
         log_count = math.log(float(walk.count_paths(n, z)))
-        for _ in range(20):
-            wb = walk.sample_walk_bridge(n, z, rng)
-            assert abs(walk.walk_log_prob(wb) + log_count) < 1e-9
+        steps = walk.sample_walk_steps(n, z, 20, rng)
+        assert np.all(np.abs(walk.walk_log_prob(steps, z) + log_count) < 1e-9)
 
 
 def _tiny_spec(k=1, steps=2, x_units=(0,), y_units=(0,), g=-np.inf):
@@ -88,12 +87,12 @@ def test_enumerate_tiny_instances():
     spec, lat = _tiny_spec()
     configs = walk.enumerate_avoiding_configs(spec)
     assert len(configs) == 3
-    mids = sorted(c.values[0, 1] / lat.dx for c in configs)
+    mids = sorted(c[0, 1] / lat.dx for c in configs)
     assert mids == [-1.0, 0.0, 1.0]
     # lower barrier at -dx/2 removes the dipping path
     spec_g, lat = _tiny_spec(g=-0.5)
     configs_g = walk.enumerate_avoiding_configs(spec_g)
-    assert sorted(c.values[0, 1] / lat.dx for c in configs_g) == [0.0, 1.0]
+    assert sorted(c[0, 1] / lat.dx for c in configs_g) == [0.0, 1.0]
 
 
 @pytest.mark.parametrize("steps", range(2, 9))
@@ -104,8 +103,8 @@ def test_enumerated_configs_never_touch_an_integer_barrier(steps):
         for above in (1, 2):
             spec, lat = _tiny_spec(steps=steps, x_units=(u + above,), y_units=(u + above,), g=u)
             configs = walk.enumerate_avoiding_configs(spec)
-            units = np.array([np.rint(c.values[0] / lat.dx) for c in configs])
-            assert np.all(units > u) and np.all(np.array([c.values[0] for c in configs]) > spec.g)
+            units = np.array([np.rint(c[0] / lat.dx) for c in configs])
+            assert np.all(units > u) and np.all(np.array([c[0] for c in configs]) > spec.g)
             # paths of `steps` steps from and to u + above that stay at or above u + 1,
             # counted on the shifted walk that starts at above - 1 and stays >= 0
             counts = {above - 1: 1}
@@ -131,13 +130,13 @@ def test_avoiding_walk_sampler_uniform_vs_enumeration():
     x = WeylVector((lat.dx, 0.0))
     spec = walk.WalkEnsembleSpec(lat, x, x)
     configs = walk.enumerate_avoiding_configs(spec)
-    keys = {tuple(np.rint(c.values / lat.dx).astype(int).ravel()): 0 for c in configs}
+    keys = {tuple(np.rint(c / lat.dx).astype(int).ravel()): 0 for c in configs}
     samples, drawn, seen = walk.sample_avoiding_walks_batch(
         spec, 40000, RngSeed(4).generator(), max_attempts=10**6
     )
     assert len(samples) == 40000
     for ens in samples:
-        keys[tuple(np.rint(ens.values / lat.dx).astype(int).ravel())] += 1
+        keys[tuple(np.rint(ens / lat.dx).astype(int).ravel())] += 1
     tv = 0.5 * sum(abs(v / 40000 - 1 / len(configs)) for v in keys.values())
     assert tv <= 0.02
     # acceptance rate consistent with enumeration: accepted / drawn ~ valid / total
@@ -259,7 +258,11 @@ def test_walk_steps_pinned_at_fixed_seeds():
 
 
 def test_walk_bridge_struct_validation():
-    with pytest.raises(Exception):
-        walk.WalkBridge(2, 1, (1, 1))
-    wb = walk.WalkBridge(3, 1, (1, -1, 1))
-    assert list(wb.positions()) == [0, 1, 0, 1]
+    # walk_log_prob scores (n, N) batches of steps in {-1, 0, 1} that sum to z, and refuses others
+    for steps, z in (([[1, 1]], 1), ([[1, 2, -1]], 2), ([[1, 0]], 0), ([1, 0], 1), ([[[1, 0]]], 1),
+                     ([[1, 0], [0, 0]], 1)):
+        with pytest.raises(StructuralError, match="summing to z"):
+            walk.walk_log_prob(np.array(steps), z)
+    lp = walk.walk_log_prob(np.array([[1, -1, 1], [0, 0, 1]], dtype=np.int8), 1)
+    assert lp.shape == (2,)
+    np.testing.assert_allclose(lp, -math.log(walk.count_paths(3, 1)), rtol=0, atol=1e-12)
