@@ -67,13 +67,16 @@ def sample_avoiding_values(
 ) -> tuple[np.ndarray, int, int, int]:
     """Rejection sampling of spec's ensemble on its grid, between its constant barriers f and g.
 
-    Candidates are k independent bridges, drawn _GRID_CHUNK at a time and
-    kept when _avoids passes them. Returns (values, n_drawn,
-    n_accepted_seen, first_hit): values has shape (n_samples, k, M+1), and
-    first_hit is the 0-based draw index of the first acceptance. Candidates
-    are drawn in whole chunks so the acceptance rate n_accepted_seen /
-    n_drawn is unbiased. Raises RejectionExhausted when fewer than n_samples
-    are accepted within max_attempts candidates.
+    Candidates are k independent bridges, kept when _avoids passes them. The
+    first round draws n_samples candidates and each later round twice the
+    last, up to _GRID_CHUNK. Each candidate's normals follow the previous
+    one's in the generator's stream, so the values returned do not depend on
+    the round sizes; only n_drawn and the generator's state after the call
+    do. Returns (values, n_drawn, n_accepted_seen, first_hit): values has
+    shape (n_samples, k, M+1), and first_hit is the 0-based draw index of the
+    first acceptance. Candidates are drawn in whole rounds so the acceptance
+    rate n_accepted_seen / n_drawn is unbiased. Raises RejectionExhausted
+    when fewer than n_samples are accepted within max_attempts candidates.
     """
     m, iv = spec.grid_points, spec.interval
     grid = iv.grid(m)
@@ -87,7 +90,7 @@ def sample_avoiding_values(
         return _avoids(cands, spec.f, spec.g)
 
     vals, drawn, seen, first_hit = _rejection_loop(draw, accept, 1, (spec.k, m + 1), n_samples, max_attempts,
-                                                   _GRID_CHUNK)
+                                                   _GRID_CHUNK, n_samples)
     return vals[0], int(drawn[0]), int(seen[0]), int(first_hit[0])
 
 

@@ -269,6 +269,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # a request too large to hold, such as numpy's failed allocation
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

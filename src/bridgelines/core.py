@@ -171,17 +171,19 @@ class RejectionExhausted(RuntimeError):
 
 
 def _rejection_loop(draw, accept, n_rows: int, shape: tuple, n_samples: int, max_attempts: int,
-                    chunk: int):
-    """The chunked rejection loop over n_rows rows, each keeping the candidates accept passes.
+                    chunk: int, first: int | None = None):
+    """The rejection loop over n_rows rows, each keeping the candidates accept passes.
 
     draw(rows, nc) returns nc candidates for each of the given rows, shape
     (len(rows), nc, *shape), and accept(rows, cands) returns one bool per
     candidate, shape (len(rows), nc); it runs right after each round's draw.
-    Each round, every row still short of n_samples draws max(1, chunk //
-    pending) candidates (capped at max_attempts per row) and keeps its first
-    accepted ones in draw order, so every row samples its own conditional law;
-    with one row the draws are whole chunks. Candidates are drawn in whole
-    rounds so that seen / drawn is an unbiased acceptance rate. Returns
+    The round size starts at min(first, chunk), first defaulting to chunk,
+    and doubles after each round up to chunk. Each round, every row still
+    short of n_samples draws max(1, size // pending) candidates (capped at
+    max_attempts per row) and keeps its first accepted ones in draw order, so
+    every row samples its own conditional law; a one-row caller that passes
+    its request as first draws about what it needs. Candidates are drawn in
+    whole rounds so that seen / drawn is an unbiased acceptance rate. Returns
     (accepted (n_rows, n_samples, *shape), drawn, seen, first_hit), the last
     three per row, with first_hit the 0-based draw index of a row's first
     acceptance, or -1; raises RejectionExhausted, with the largest draw count,
@@ -192,10 +194,12 @@ def _rejection_loop(draw, accept, n_rows: int, shape: tuple, n_samples: int, max
     drawn = np.zeros(n_rows, dtype=np.int64)
     seen = np.zeros(n_rows, dtype=np.int64)
     first_hit = np.full(n_rows, -1, dtype=np.int64)
+    size = chunk if first is None else min(first, chunk)
     pending = np.flatnonzero(got < n_samples)
     # pending rows have all drawn in every round so far, so they share one draw count
     while pending.size and drawn[pending[0]] < max_attempts:
-        nc = int(min(max(1, chunk // pending.size), max_attempts - drawn[pending[0]]))
+        nc = int(min(max(1, size // pending.size), max_attempts - drawn[pending[0]]))
+        size = min(2 * size, chunk)
         cands = draw(pending, nc)
         ok = accept(pending, cands)
         # per-row bookkeeping costs a few Python steps per row and round, less

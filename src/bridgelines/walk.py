@@ -91,15 +91,22 @@ def _step_cuts(n_steps: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sample_walk_steps(
-    n_steps: int, z: int, n_samples: int, rng: np.random.Generator
+    n_steps: int, z, n_samples: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Batch of conditioned walks: int8 array (n_samples, N) of steps summing to z."""
-    if abs(z) > n_steps:
-        raise DomainError(f"|z| = {abs(z)} exceeds N = {n_steps}")
+    """Batch of conditioned walks: int8 array (n_samples, N) of steps, walk i summing to z or z[i].
+
+    z is one integer for every walk or an integer array with one entry per walk.
+    """
+    z = np.asarray(z, dtype=np.int64)
+    if z.ndim and z.shape != (n_samples,):
+        raise StructuralError(f"z needs one entry per walk ({n_samples}), got shape {z.shape}")
+    if np.any(np.abs(z) > n_steps):
+        raise DomainError(f"|z| = {np.abs(z).max()} exceeds N = {n_steps}")
     p_dn, p_le = _step_cuts(n_steps)
     u = np.ascontiguousarray(rng.random((n_samples, n_steps)).T)
     steps = np.empty((n_steps, n_samples), dtype=np.int8)
-    col = np.full(n_samples, z + n_steps + 1, dtype=np.int64)  # displacement still needed, as a column
+    # displacement still needed, as a column
+    col = np.broadcast_to(z + n_steps + 1, (n_samples,)).astype(np.int64)
     for m in range(n_steps):
         rem = n_steps - m
         step, um = steps[m], u[m]
@@ -188,10 +195,14 @@ def sample_avoiding_walks_batch(
     """Accepted ensembles of k independent walk bridges; raises RejectionExhausted when short.
 
     The rejection loop (core._rejection_loop) over the spec's one row, each
-    candidate kept when _avoids passes it. Returns (values (n_samples, k,
-    N+1), n_drawn, n_accepted_seen): candidates are drawn in whole chunks, so
-    n_accepted_seen / n_drawn is an unbiased acceptance-rate estimate even
-    when more than n_samples acceptances landed in the final chunk.
+    candidate kept when _avoids passes it. The first round draws n_samples
+    candidates and each later round twice the last, up to _AVOID_CHUNK. A
+    round's walks come from one sample_walk_steps call, candidate after
+    candidate, so the values returned do not depend on the round sizes.
+    Returns (values (n_samples, k, N+1), n_drawn, n_accepted_seen):
+    candidates are drawn in whole rounds, so n_accepted_seen / n_drawn is an
+    unbiased acceptance-rate estimate even when more than n_samples
+    acceptances landed in the final round.
     """
     lat = spec.lattice
     n = lat.n_steps
@@ -199,11 +210,10 @@ def sample_avoiding_walks_batch(
     z_units = np.array([lat.snap_units(v) for v in spec.y.values]) - x_units
 
     def draw(rows, nc):  # the loop runs one row here, the spec's
+        steps = sample_walk_steps(n, np.tile(z_units, nc), nc * spec.k, rng)
         units = np.empty((nc, spec.k, n + 1), dtype=np.int64)
         units[:, :, 0] = 0
-        for i in range(spec.k):
-            steps = sample_walk_steps(n, int(z_units[i]), nc, rng)
-            units[:, i, 1:] = np.cumsum(steps, axis=1, dtype=np.int64)
+        np.cumsum(steps.reshape(nc, spec.k, n), axis=2, dtype=np.int64, out=units[:, :, 1:])
         units += x_units[None, :, None]
         return units[None] * lat.dx
 
@@ -211,7 +221,7 @@ def sample_avoiding_walks_batch(
         return _avoids(cands, spec.f, spec.g)
 
     vals, drawn, seen, _ = _rejection_loop(draw, accept, 1, (spec.k, n + 1), n_samples, max_attempts,
-                                           _AVOID_CHUNK)
+                                           _AVOID_CHUNK, n_samples)
     return vals[0], int(drawn[0]), int(seen[0])
 
 

@@ -16,8 +16,9 @@ def _spec(x, y, grid=128, f=np.inf, g=-np.inf, iv=None):
 
 
 def test_sample_avoiding_values_pinned_at_fixed_seeds(monkeypatch):
-    # values recorded before the rejection loop gained its row axis: the
-    # one-row stream (draws, kept candidates, counts, generator state) is unchanged
+    # values recorded before the rejection loop gained its row axis. Rounds sized from the
+    # request (n_samples first, then doubling up to the chunk) keep every value line, first
+    # and the exhaustion case; they moved (drawn, seen) and the next draw of cases 1 and 2
     iv = Interval(0.0, 1.0)
     inf = np.inf
 
@@ -28,22 +29,23 @@ def test_sample_avoiding_values_pinned_at_fixed_seeds(monkeypatch):
         return out, float(rng.random())
 
     (vals, drawn, seen, first), nxt = run(np.array([0.5, -0.5]), inf, -inf, 3, 10**4, 2048)
-    assert vals.shape == (3, 2, 5) and (drawn, seen, first) == (2048, 1750, 0)
+    assert vals.shape == (3, 2, 5) and (drawn, seen, first) == (9, 6, 0)
     assert vals[:, :, 2].tolist() == [
         [1.2203003903366865, -0.032433789348743504],
         [0.7289939759327692, -0.7726972674248657],
         [0.8219410634739965, -0.35870574461935445],
     ]
-    assert nxt == 0.0894586821003025
-    # a tight lower barrier and chunks of 4: the two acceptances come from different chunks
+    assert nxt == 0.59151126172779
+    # a tight lower barrier and chunks of 4, in rounds of 2, 4, 4, ...: the two acceptances
+    # come from different rounds
     (vals, drawn, seen, first), nxt = run(np.array([0.15, -0.15]), inf, -0.3, 2, 100, 4)
-    assert vals.shape == (2, 2, 5) and (drawn, seen, first) == (28, 2, 23)
+    assert vals.shape == (2, 2, 5) and (drawn, seen, first) == (30, 2, 23)
     assert vals[:, :, 2].tolist() == [
         [0.3167902207378811, -0.14598353422343416],
         [-0.17089475000503515, -0.28531594732534665],
     ]
-    assert nxt == 0.011735130404212257
-    # exhaustion: 10 attempts in chunks of 4, 4, 2
+    assert nxt == 0.12717017115157214
+    # exhaustion: 10 attempts in rounds of 1, 2, 4, 3
     rng, x = RngSeed(21).generator(), np.array([0.1, -0.1])
     with pytest.raises(walk.RejectionExhausted, match="^0/1 accepted in 10 draws$") as exc:
         avoid.sample_avoiding_values(_spec(x, x, 4, 0.2, -0.2, iv), 1, rng, 10)
@@ -214,7 +216,31 @@ def test_unconstrained_single_bridge_accepts_first_try():
     vals, drawn, seen, first = avoid.sample_avoiding_values(_spec((0.0,), (0.0,)), 1, RngSeed(1).generator(),
                                                             10**6)
     assert first == 0
-    assert vals.shape == (1, 1, 129) and seen == drawn
+    assert vals.shape == (1, 1, 129) and seen == drawn == 1
+    # a small request draws only its first round, sized from the request
+    vals, drawn, seen, _ = avoid.sample_avoiding_values(_spec((0.0,), (0.0,)), 3, RngSeed(1).generator())
+    assert vals.shape == (3, 1, 129) and drawn == seen == 3
+
+
+def test_round_sizes_never_change_the_samples(monkeypatch):
+    # each candidate's draws follow the previous one's in the stream, so any round schedule
+    # returns the same values: a barriered grid spec and a barriered walk spec
+    grid_spec = _spec((0.3, -0.3), (0.2, -0.4), 16, f=0.8, g=-0.7)
+    lat = LatticeParams(Interval(0, 1), 9)
+    walk_spec = walk.WalkEnsembleSpec(lat, WeylVector((2 * lat.dx, 0.0)), WeylVector((lat.dx, -lat.dx)),
+                                      g=-1.5 * lat.dx)
+    runs = {}
+    for chunk in (1, 4, 7, None):
+        if chunk is not None:
+            monkeypatch.setattr(avoid, "_GRID_CHUNK", chunk)
+            monkeypatch.setattr(walk, "_AVOID_CHUNK", chunk)
+        grid_vals = avoid.sample_avoiding_values(grid_spec, 25, RngSeed(8).generator())[0]
+        walk_vals = walk.sample_avoiding_walks_batch(walk_spec, 25, RngSeed(9).generator(), 10**5)[0]
+        runs[chunk] = grid_vals, walk_vals
+        monkeypatch.undo()
+    for grid_vals, walk_vals in runs.values():
+        assert np.array_equal(grid_vals, runs[None][0]) and np.array_equal(walk_vals, runs[None][1])
+    assert runs[None][0].shape == (25, 2, 17) and runs[None][1].shape == (25, 2, 10)
 
 
 def test_acceptance_rate_matches_reflection_formula():

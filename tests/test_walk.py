@@ -66,6 +66,20 @@ def test_sampler_first_step_marginal():
 def test_sampler_rejects_unreachable():
     with pytest.raises(DomainError):
         walk.sample_walk_steps(3, 4, 1, RngSeed(0).generator())
+    with pytest.raises(DomainError):
+        walk.sample_walk_steps(3, np.array([0, -4, 1]), 3, RngSeed(0).generator())
+
+
+def test_walk_steps_take_one_end_per_walk():
+    # an all-equal array of ends reads the scalar call's stream
+    scalar = walk.sample_walk_steps(12, -2, 40, RngSeed(11).generator())
+    assert np.array_equal(walk.sample_walk_steps(12, np.full(40, -2), 40, RngSeed(11).generator()), scalar)
+    # mixed ends: walk i sums to its own end
+    z = np.tile([3, 0, -5], 10)
+    steps = walk.sample_walk_steps(12, z, 30, RngSeed(12).generator())
+    assert steps.shape == (30, 12) and np.array_equal(steps.sum(axis=1), z)
+    with pytest.raises(StructuralError):
+        walk.sample_walk_steps(12, z, 29, RngSeed(12).generator())
 
 
 def test_telescoping_identity():
