@@ -117,7 +117,7 @@ def cmd_sample(args) -> int:
         raise ValueError(f"--max-attempts must be at least 1, got {args.max_attempts}")
     if args.kind == "glauber" and args.events_per_sample < 1:
         raise ValueError(f"--events-per-sample must be at least 1, got {args.events_per_sample}")
-    if args.kind in ("bridge", "glauber") and args.f_const != float("inf"):
+    if args.kind == "bridge" and args.f_const != float("inf"):
         raise ValueError(f"--kind {args.kind} takes no upper barrier, got --f-const {args.f_const}")
     if args.kind == "bridge" and args.g_const != float("-inf"):
         raise ValueError(f"--kind bridge takes no lower barrier, got --g-const {args.g_const}")
@@ -147,10 +147,7 @@ def cmd_sample(args) -> int:
             ]
         elif args.kind == "walk":
             lat = LatticeParams.scaled(interval, args.n_scale)
-            xu, yu = _units(args.x_units), _units(args.y_units)
-            xv = WeylVector(tuple(u * lat.dx for u in xu))
-            yv = WeylVector(tuple(u * lat.dx for u in yu))
-            spec = walk.WalkEnsembleSpec(lat, xv, yv, args.f_const, args.g_const)
+            spec = walk.WalkEnsembleSpec(lat, _units(args.x_units), _units(args.y_units), args.f_const, args.g_const)
             values, drawn, seen = walk.sample_avoiding_walks_batch(
                 spec, args.n_samples, seed.derive("sample/walk").generator(), args.max_attempts
             )
@@ -163,9 +160,9 @@ def cmd_sample(args) -> int:
             ]
         else:  # glauber, the last of argparse's choices
             lat = LatticeParams.scaled(interval, args.n_scale)
-            xu, yu = _units(args.x_units), _units(args.y_units)
+            spec = walk.WalkEnsembleSpec(lat, _units(args.x_units), _units(args.y_units), args.f_const, args.g_const)
+            init = glauber.maximal_state(spec)
             rng = seed.derive("sample/glauber").generator()
-            init = glauber.maximal_state(lat, xu, yu, args.g_const)
             state, _ = glauber.simulate_chain(init, args.burn_in, rng)
             _, units = glauber.simulate_chain(
                 state, args.n_samples * args.events_per_sample, rng, record_every=args.events_per_sample
@@ -194,14 +191,11 @@ def cmd_sample(args) -> int:
 def cmd_enumerate(args) -> int:
     interval = Interval(args.a, args.b)
     lat = LatticeParams(interval, args.steps)
-    xu, yu = _units(args.x_units), _units(args.y_units)
-    xv = WeylVector(tuple(u * lat.dx for u in xu))
-    yv = WeylVector(tuple(u * lat.dx for u in yu))
-    spec = walk.WalkEnsembleSpec(lat, xv, yv, g=args.g_const_units * lat.dx)
+    spec = walk.WalkEnsembleSpec(lat, _units(args.x_units), _units(args.y_units), g=args.g_const_units * lat.dx)
     configs = walk.enumerate_avoiding_configs(spec)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "configs.txt")
-    write_ensembles(path, lat.interval, configs)
+    write_ensembles(path, lat.interval, configs * lat.dx)
     print(f"{len(configs)} avoiding configurations -> {path}")
     return 0
 

@@ -255,14 +255,6 @@ class LatticeParams:
             raise DomainError("n must be a positive integer")
         return cls(interval, n * n)
 
-    def snap_units(self, x: float) -> int:
-        """Nearest lattice index of x; errors if x is off-lattice beyond 1e-12*dx."""
-        u = x / self.dx
-        r = round(u)
-        if abs(u - r) > 1e-12 * max(1.0, abs(u)):
-            raise DomainError(f"{x} is not an integer multiple of dx={self.dx}")
-        return int(r)
-
 
 # ---------------------------------------------------------------------------
 # seeded RNG streams

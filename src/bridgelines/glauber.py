@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, LatticeParams, StructuralError, _avoids, _check_barriers
+from .core import DomainError, LatticeParams, StructuralError, _avoids
+from .walk import WalkEnsembleSpec
 
 
 class InfeasibleState(ValueError):
@@ -59,42 +60,31 @@ def _config(like: GlauberConfig, rows: list[list[int]]) -> GlauberConfig:
     return GlauberConfig(like.lattice, tuple(tuple(r) for r in rows), like.g)
 
 
-def _check_ends(lattice: LatticeParams, x_units: list[int], y_units: list[int], g: float) -> None:
-    """DomainError unless the ends are strictly decreasing, reachable and clear of g.
+def _check_no_upper_barrier(spec: WalkEnsembleSpec) -> None:
+    """DomainError unless f is +inf: the chain takes a lower barrier only.
 
-    Such ends always give feasible maximal and minimal states.
+    The spec has checked its ends, and such ends always give feasible maximal
+    and minimal states.
     """
-    if len(x_units) != len(y_units):
-        raise StructuralError(
-            f"entrance and exit units must have equal length, got {len(x_units)} and {len(y_units)}"
-        )
-    if not x_units or any(a <= b for units in (x_units, y_units) for a, b in zip(units, units[1:])):
-        raise DomainError(f"entrance and exit units must be strictly decreasing, got {x_units} and {y_units}")
-    if any(abs(yi - xi) > lattice.n_steps for xi, yi in zip(x_units, y_units)):
-        raise DomainError("endpoints not reachable")
-    # u * dx is the product _feasible compares with g
-    _check_barriers([u * lattice.dx for u in x_units], [u * lattice.dx for u in y_units], np.inf, g)
+    if spec.f != np.inf:
+        raise DomainError(f"the chain takes no upper barrier, got f = {spec.f}")
 
 
-def maximal_state(
-    lattice: LatticeParams, x_units: list[int], y_units: list[int], g: float = -np.inf
-) -> GlauberConfig:
+def maximal_state(spec: WalkEnsembleSpec) -> GlauberConfig:
     """Highest feasible configuration: every curve rises at full slope then descends.
 
     Per curve this is the upper envelope min(x + j, y + (n - j)), equivalently
     the lexicographically maximal symbol list (all up-steps, one 0 on odd
     parity, then down-steps).
     """
-    n = lattice.n_steps
-    _check_ends(lattice, x_units, y_units, g)
+    _check_no_upper_barrier(spec)
+    n = spec.lattice.n_steps
     cols = np.arange(n + 1)
-    rows = [np.minimum(x + cols, y + (n - cols)) for x, y in zip(x_units, y_units)]
-    return GlauberConfig(lattice, tuple(tuple(int(v) for v in r) for r in rows), g)
+    rows = [np.minimum(x + cols, y + (n - cols)) for x, y in zip(spec.x_units, spec.y_units)]
+    return GlauberConfig(spec.lattice, tuple(tuple(int(v) for v in r) for r in rows), spec.g)
 
 
-def minimal_state(
-    lattice: LatticeParams, x_units: list[int], y_units: list[int], g: float = -np.inf
-) -> GlauberConfig:
+def minimal_state(spec: WalkEnsembleSpec) -> GlauberConfig:
     """Lowest feasible configuration, built bottom curve first.
 
     Each curve is the lower envelope max(x - j, y - (n - j), barrier floor,
@@ -102,16 +92,16 @@ def minimal_state(
     increments stay in {-1, 0, +1}. With no barrier this is the mirror of the
     maximal construction (all down-steps first).
     """
-    n = lattice.n_steps
-    _check_ends(lattice, x_units, y_units, g)
+    _check_no_upper_barrier(spec)
+    n = spec.lattice.n_steps
     cols = np.arange(n + 1)
     rows: list[np.ndarray] = []
     # the bottom curve sits at floor + 1 or higher: strictly above the barrier
-    below = _barrier_units_floor(lattice, g)
-    for xi, yi in zip(x_units[::-1], y_units[::-1]):
+    below = _barrier_units_floor(spec.lattice, spec.g)
+    for xi, yi in zip(spec.x_units[::-1], spec.y_units[::-1]):
         below = np.maximum(np.maximum(xi - cols, yi - (n - cols)), below + 1)
         rows.insert(0, below)
-    return GlauberConfig(lattice, tuple(tuple(int(v) for v in r) for r in rows), g)
+    return GlauberConfig(spec.lattice, tuple(tuple(int(v) for v in r) for r in rows), spec.g)
 
 
 def _barrier_units_floor(lattice: LatticeParams, g: float) -> float:
@@ -153,9 +143,11 @@ def _run(
     iff it is at most both and stays below the one above. With upper = (rows_b,
     g_b) a second chain sees the same events; the touched site must keep rows
     <= rows_b, else AssertionError. stop_at_meet ends the loop where the pair
-    coincides. rows is recorded every `every` events. Events are drawn in
-    pieces of _CHUNK, the same stream as one draw. Returns (events run, (n, k,
-    w) int64 snapshots).
+    coincides. rows is recorded every `every` events into an (num_events //
+    every, k, w) int64 array allocated before the first event, so a request
+    too large to hold raises MemoryError at once. Events are drawn in pieces
+    of _CHUNK, the same stream as one draw. Returns (events run, (n, k, w)
+    int64 snapshots).
     """
     if num_events < 0 or every < 0:
         raise DomainError("event counts must be non-negative")
@@ -165,6 +157,7 @@ def _run(
     x = [float("inf")] * w + sum(rows, []) + [g_units] * w
     y = upper and [float("inf")] * w + sum(upper[0], []) + [upper[1]] * w
     curves = slice(w, w + k * w)
+    snaps = np.empty((num_events // every if every else 0, k, w), dtype=np.int64)
     flat: list[int] = []
     met = stop_at_meet and x[curves] == y[curves]
     if not site and num_events and not met:
@@ -215,7 +208,9 @@ def _run(
     for dest, z in ((rows, x), (upper[0] if upper else [], y)):
         for i, row in enumerate(dest):
             row[:] = z[w * (i + 1):w * (i + 2)]
-    return done, np.array(flat, dtype=np.int64).reshape(-1, k, w)
+    snaps = snaps[:len(flat) // (k * w)]  # fewer when the pair met early
+    snaps.reshape(-1)[:] = flat
+    return done, snaps
 
 
 def simulate_chain(
@@ -316,15 +311,9 @@ def mixing_diagnostic(
     return done
 
 
-def coalescence_burn_in(
-    lattice: LatticeParams,
-    x_units: list[int],
-    y_units: list[int],
-    g: float,
-    rngs,
-) -> int:
+def coalescence_burn_in(spec: WalkEnsembleSpec, rngs) -> int:
     """Burn-in = 4 x median coalescence count from the extremal states, one run per generator."""
-    hi = maximal_state(lattice, x_units, y_units, g)
-    lo = minimal_state(lattice, x_units, y_units, g)
+    hi = maximal_state(spec)
+    lo = minimal_state(spec)
     counts = sorted(mixing_diagnostic(hi, lo, rng) for rng in rngs)
     return 4 * counts[len(counts) // 2]

@@ -263,14 +263,6 @@ def convergence_suite(cfg: ConvergenceConfig) -> SuiteResult:
 # glauber stationarity
 # ---------------------------------------------------------------------------
 
-def _chain_support(lat: LatticeParams, x_units, y_units, g: float) -> list[tuple]:
-    x = WeylVector(tuple(u * lat.dx for u in x_units))
-    y = WeylVector(tuple(u * lat.dx for u in y_units))
-    spec = walk.WalkEnsembleSpec(lat, x, y, g=g)
-    units = np.rint(walk.enumerate_avoiding_configs(spec) / lat.dx).astype(int)
-    return [tuple(map(tuple, config)) for config in units.tolist()]
-
-
 @dataclass(frozen=True)
 class StationarityConfig(SuiteConfig):
     retained: int = _at_least(100000)
@@ -283,15 +275,16 @@ def glauber_stationarity_suite(cfg: StationarityConfig) -> SuiteResult:
     reports = []
     lat4 = LatticeParams(Interval(0.0, 1.0), 4)
     instances = [
-        ("3state-k1", LatticeParams(Interval(0.0, 1.0), 2), [0], [0], -np.inf),
-        ("104state-k2", lat4, [2, 0], [2, 0], -0.5 * lat4.dx),
+        ("3state-k1", walk.WalkEnsembleSpec(LatticeParams(Interval(0.0, 1.0), 2), (0,), (0,))),
+        ("104state-k2", walk.WalkEnsembleSpec(lat4, (2, 0), (2, 0), g=-0.5 * lat4.dx)),
     ]
-    for name, lat, xu, yu, g in instances:
-        support = _chain_support(lat, xu, yu, g)
+    for name, spec in instances:
+        # the chain's state keys: each configuration as a tuple of curves of units
+        support = [tuple(map(tuple, config)) for config in walk.enumerate_avoiding_configs(spec).tolist()]
         burn_streams = [root.derive(f"stationarity/{name}/burn/{i}").generator() for i in range(cfg.burn_seeds)]
-        burn = glauber.coalescence_burn_in(lat, xu, yu, g, burn_streams)
+        burn = glauber.coalescence_burn_in(spec, burn_streams)
         thin = max(1, burn // 16)
-        init = glauber.maximal_state(lat, xu, yu, g)
+        init = glauber.maximal_state(spec)
         counts = glauber.sample_stationary_keys(
             init, burn, cfg.retained, thin, root.derive(f"stationarity/{name}/run").generator()
         )
@@ -343,8 +336,8 @@ def coupling_suite(cfg: CouplingConfig) -> SuiteResult:
             g_t = (min(xb[1], yb[1]) - 2.5) * lat.dx
         else:
             g_b = g_t = -np.inf
-        init_a = glauber.maximal_state(lat, xa, ya, g_b)
-        init_b = glauber.maximal_state(lat, xb, yb, g_t)
+        init_a = glauber.maximal_state(walk.WalkEnsembleSpec(lat, xa, ya, g=g_b))
+        init_b = glauber.maximal_state(walk.WalkEnsembleSpec(lat, xb, yb, g=g_t))
         try:
             glauber.simulate_coupled(
                 init_a, init_b, cfg.chain_events,

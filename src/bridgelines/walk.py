@@ -8,28 +8,23 @@ The forward sampler walks time-major: one uniform per (walk, step), drawn up fro
 each step every walk compares its uniform with two cuts, P(step = -1) and P(step <= 0), read
 for its (steps left, displacement) from tables built once per N from the log counts.
 Paths travel as (n, N) int8 step arrays: walk_log_prob scores such a batch against the
-table. Ensembles of k walks on the lattice, from the avoiding-walk rejection sampler and
-the exhaustive enumeration oracle, are one float array (n, k, N+1) of values units * dx.
+table. An ensemble of k walks is a WalkEnsembleSpec: its entrance and exit data are
+integer tuples in dx units, checked once when the spec is made, and its barriers f and g
+are constant levels compared with the values units * dx. The avoiding-walk rejection
+sampler returns those values, one float array (n, k, N+1); the exhaustive enumeration
+oracle returns the units themselves, one int64 array (n_configs, k, N+1).
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .core import (
-    DomainError,
-    LatticeParams,
-    RejectionExhausted,  # noqa: F401  re-exported: callers catch it as walk.RejectionExhausted
-    StructuralError,
-    WeylVector,
-    _avoids,
-    _check_barriers,
-    _rejection_loop,
-)
+from .core import DomainError, LatticeParams, StructuralError, _avoids, _check_barriers, _rejection_loop
 
 
 @lru_cache(maxsize=256)
@@ -163,27 +158,36 @@ def sample_walk_midpoints(n_steps: int, z: int, n_samples: int, rng: np.random.G
 
 @dataclass(frozen=True)
 class WalkEnsembleSpec:
-    """k walk bridges on a lattice with entrance/exit data on the dx-grid, between constants f and g."""
+    """k walk bridges on a lattice from x_units to y_units (integer dx units), between constants f and g.
+
+    The one check of lattice ends, for the walk sampler, the enumerator and the
+    chain: equal lengths (StructuralError), then DomainError unless both unit
+    tuples decrease strictly, each walk can reach its exit in n_steps steps and
+    core._check_barriers passes the ends as the samplers compare them, u * dx.
+    """
 
     lattice: LatticeParams
-    x: WeylVector
-    y: WeylVector
+    x_units: tuple[int, ...]
+    y_units: tuple[int, ...]
     f: float = np.inf
     g: float = -np.inf
 
     def __post_init__(self):
-        if len(self.x) != len(self.y):
-            raise StructuralError("entrance and exit vectors must have equal length")
-        lat = self.lattice
-        xu, yu = ([lat.snap_units(v) for v in ends.values] for ends in (self.x, self.y))
-        if any(abs(b - a) > lat.n_steps for a, b in zip(xu, yu)):
-            raise DomainError("endpoints not reachable in n^2 steps")
-        # the ends as the samplers compare them with the barriers: units * dx
-        _check_barriers([u * lat.dx for u in xu], [u * lat.dx for u in yu], self.f, self.g)
+        xu, yu = (tuple(map(operator.index, units)) for units in (self.x_units, self.y_units))
+        object.__setattr__(self, "x_units", xu)
+        object.__setattr__(self, "y_units", yu)
+        if len(xu) != len(yu):
+            raise StructuralError(f"entrance and exit units must have equal length, got {len(xu)} and {len(yu)}")
+        if not xu or any(a <= b for units in (xu, yu) for a, b in zip(units, units[1:])):
+            raise DomainError(f"entrance and exit units must be strictly decreasing, got {list(xu)} and {list(yu)}")
+        if any(abs(b - a) > self.lattice.n_steps for a, b in zip(xu, yu)):
+            raise DomainError(f"endpoints not reachable in {self.lattice.n_steps} steps")
+        dx = self.lattice.dx
+        _check_barriers([u * dx for u in xu], [u * dx for u in yu], self.f, self.g)
 
     @property
     def k(self) -> int:
-        return len(self.x)
+        return len(self.x_units)
 
 
 def sample_avoiding_walks_batch(
@@ -206,8 +210,8 @@ def sample_avoiding_walks_batch(
     """
     lat = spec.lattice
     n = lat.n_steps
-    x_units = np.array([lat.snap_units(v) for v in spec.x.values])
-    z_units = np.array([lat.snap_units(v) for v in spec.y.values]) - x_units
+    x_units = np.array(spec.x_units)
+    z_units = np.array(spec.y_units) - x_units
 
     def draw(rows, nc):  # the loop runs one row here, the spec's
         steps = sample_walk_steps(n, np.tile(z_units, nc), nc * spec.k, rng)
@@ -226,28 +230,26 @@ def sample_avoiding_walks_batch(
 
 
 def enumerate_avoiding_configs(spec: WalkEnsembleSpec, guard: int = 10**7) -> np.ndarray:
-    """Every avoiding lattice configuration, values (n_configs, k, N+1), lexicographic in the step lists."""
+    """Every avoiding lattice configuration, int64 dx units (n_configs, k, N+1), lexicographic in the step lists."""
     lat = spec.lattice
     n = lat.n_steps
     if 3 ** (spec.k * n) > guard:
         raise DomainError(f"state space 3^{spec.k * n} exceeds the enumeration guard")
-    x_units = [lat.snap_units(v) for v in spec.x.values]
-    z_units = [lat.snap_units(spec.y.values[i]) - x_units[i] for i in range(spec.k)]
 
     per_curve: list[list[np.ndarray]] = []
-    for i in range(spec.k):
+    for x, y in zip(spec.x_units, spec.y_units):
         paths = []
         for steps in itertools.product((-1, 0, 1), repeat=n):
-            if sum(steps) != z_units[i]:
+            if sum(steps) != y - x:
                 continue
             pos = np.zeros(n + 1, dtype=np.int64)
             pos[1:] = np.cumsum(steps)
-            paths.append(pos + x_units[i])
+            paths.append(pos + x)
         per_curve.append(paths)
 
     out: list[np.ndarray] = []
     for combo in itertools.product(*per_curve):
-        vals = np.stack(combo) * lat.dx
-        if _avoids(vals, spec.f, spec.g):
-            out.append(vals)
-    return np.reshape(out, (len(out), spec.k, n + 1))
+        units = np.stack(combo)
+        if _avoids(units * lat.dx, spec.f, spec.g):
+            out.append(units)
+    return np.array(out, dtype=np.int64).reshape(len(out), spec.k, n + 1)

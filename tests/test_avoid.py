@@ -8,7 +8,7 @@ from scipy import stats
 from scipy.integrate import quad
 
 from bridgelines import avoid, bridge, walk
-from bridgelines.core import DomainError, Interval, LatticeParams, RngSeed, WeylVector
+from bridgelines.core import DomainError, Interval, LatticeParams, RejectionExhausted, RngSeed, WeylVector
 
 
 def _spec(x, y, grid=128, f=np.inf, g=-np.inf, iv=None):
@@ -47,7 +47,7 @@ def test_sample_avoiding_values_pinned_at_fixed_seeds(monkeypatch):
     assert nxt == 0.12717017115157214
     # exhaustion: 10 attempts in rounds of 1, 2, 4, 3
     rng, x = RngSeed(21).generator(), np.array([0.1, -0.1])
-    with pytest.raises(walk.RejectionExhausted, match="^0/1 accepted in 10 draws$") as exc:
+    with pytest.raises(RejectionExhausted, match="^0/1 accepted in 10 draws$") as exc:
         avoid.sample_avoiding_values(_spec(x, x, 4, 0.2, -0.2, iv), 1, rng, 10)
     assert exc.value.attempts == 10
     assert rng.random() == 0.33930018248772564
@@ -186,7 +186,7 @@ def test_sample_avoiding_at_bottom_midpoint_matches_km_quadrature(times):
 def test_sample_avoiding_at_errors():
     iv = Interval(0.0, 1.0)
     x = np.array([0.01, -0.01])
-    with pytest.raises(walk.RejectionExhausted) as exc:
+    with pytest.raises(RejectionExhausted) as exc:
         avoid.sample_avoiding_at(iv, x, x, [0.5], 100, RngSeed(33).generator(), max_attempts=50)
     assert exc.value.attempts == 50
     for times in ([0.0, 0.5], [0.5, 1.0], [0.5, 0.25, 0.5], [], [0.5, np.nan], [[0.25, 0.5]], 0.5):
@@ -227,8 +227,7 @@ def test_round_sizes_never_change_the_samples(monkeypatch):
     # returns the same values: a barriered grid spec and a barriered walk spec
     grid_spec = _spec((0.3, -0.3), (0.2, -0.4), 16, f=0.8, g=-0.7)
     lat = LatticeParams(Interval(0, 1), 9)
-    walk_spec = walk.WalkEnsembleSpec(lat, WeylVector((2 * lat.dx, 0.0)), WeylVector((lat.dx, -lat.dx)),
-                                      g=-1.5 * lat.dx)
+    walk_spec = walk.WalkEnsembleSpec(lat, (2, 0), (1, -1), g=-1.5 * lat.dx)
     runs = {}
     for chunk in (1, 4, 7, None):
         if chunk is not None:
@@ -268,7 +267,7 @@ def test_grid_over_acceptance_shrinks_with_density():
 def test_rejection_exhaustion_error():
     spec = _spec((1.0, 0.5), (1.0, 0.5), grid=64)
     bad = avoid.AvoidSpec(spec.interval, spec.x, spec.y, g=0.49, grid_points=64)
-    with pytest.raises(walk.RejectionExhausted) as exc:
+    with pytest.raises(RejectionExhausted) as exc:
         avoid.sample_avoiding_values(bad, 50000, RngSeed(4).generator(), max_attempts=2000)
     assert exc.value.attempts == 2000
 
@@ -375,11 +374,12 @@ def test_midpoint_cdf_avoiding_vs_walk_pipeline():
     # lattice values, so the walk's CDF there carries no lattice atom
     iv = Interval(0, 1)
     lat = LatticeParams.scaled(iv, 16)
-    level = round(1.0 / lat.dx) * lat.dx
+    u = round(1.0 / lat.dx)
+    level = u * lat.dx
     r = -level - 0.5 * lat.dx
     x_lat = WeylVector((level, -level))
     est, _ = _bottom_midpoint_estimate(r, x_lat.values, 60000, 11)
-    wspec = walk.WalkEnsembleSpec(lat, x_lat, x_lat)
+    wspec = walk.WalkEnsembleSpec(lat, (u, -u), (u, -u))
     samples, _, _ = walk.sample_avoiding_walks_batch(wspec, 50000, RngSeed(12).generator(), 10**7)
     mids = samples[:, 1, lat.n_steps // 2]
     walk_est = float(np.mean(mids <= r))

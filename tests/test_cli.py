@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from bridgelines import cli, walk
-from bridgelines.core import Interval, LatticeParams, WeylVector, check_avoiding, read_ensembles
+from bridgelines.core import Interval, LatticeParams, RejectionExhausted, check_avoiding, read_ensembles
 
 
 def run(argv):
@@ -145,11 +145,11 @@ def test_enumerate_matches_module(tmp_path):
     assert rc == 0
     got = read_ensembles(out / "configs.txt")
     lat = LatticeParams(Interval(0, 1), 2)
-    spec = walk.WalkEnsembleSpec(lat, WeylVector((0.0,)), WeylVector((0.0,)))
+    spec = walk.WalkEnsembleSpec(lat, (0,), (0,))
     expect = walk.enumerate_avoiding_configs(spec)
     assert len(got) == len(expect) == 3
     for a, b in zip(got, expect):
-        assert np.allclose(a.values, b)
+        assert np.allclose(a.values, b * lat.dx)
 
 
 def test_lattice_barriers_on_dx_multiples_are_strict(tmp_path):
@@ -213,7 +213,7 @@ def test_verify_reflection_bad_config_is_usage_error(tmp_path, capsys, setting):
 
 def test_verify_reports_exhausted_rejection_as_failure(tmp_path, capsys, monkeypatch):
     def exhausted(interval, x_vec, y_vec, times, n, rng, max_attempts=0):
-        raise walk.RejectionExhausted(1234, "0/5 accepted in 1234 draws")
+        raise RejectionExhausted(1234, "0/5 accepted in 1234 draws")
 
     monkeypatch.setattr(cli.suites.avoid, "sample_avoiding_at", exhausted)
     out = tmp_path / "v"
@@ -311,6 +311,14 @@ def test_unknown_sample_kind_is_usage_error(tmp_path, capsys):
     # requests too large to allocate: numpy refuses the allocation at once, touching no memory
     bad += [["--kind", kind, "--n-samples", str(10**12)] for kind in ("avoid", "walk", "bridge")]
     enumerate_bad = [["enumerate", "--steps", "2", "--x-units", "0", "--y-units", "0", "--g-const-units", "0"]]
+    # one spec checks the ends of the walk sampler, the chain and the enumerator alike: units that do not
+    # decrease strictly, and entrance and exit of unequal lengths
+    ends = [["--x-units", "0,2", "--y-units", "0,2"], ["--x-units", "2,2", "--y-units", "2,0"],
+            ["--x-units", "2,0", "--y-units", "2"]]
+    bad += [["--kind", "walk", *e] for e in ends]
+    enumerate_bad += [["enumerate", "--steps", "2", *e] for e in ends]
+    # the chain refuses an upper barrier even where it clears the ends
+    bad += [["--kind", "glauber", "--f-const", "5"]]
     # lattice units too large for a float: u * dx would overflow
     huge = "1" + "0" * 400 + ",0"
     bad += [["--kind", kind, "--x-units", huge, "--y-units", huge] for kind in ("walk", "glauber")]
@@ -320,6 +328,20 @@ def test_unknown_sample_kind_is_usage_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not (tmp_path / "z").exists()
+
+
+def test_glauber_request_too_large_to_hold_fails_at_once(tmp_path):
+    # the chain allocates its snapshots before the first event, so numpy refuses 10^12 of them at
+    # once; run in a fresh interpreter under a timeout, so that a run that never ends fails here
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "g"
+    proc = subprocess.run([sys.executable, "-m", "bridgelines", "sample", "--kind", "glauber",
+                           "--n-samples", str(10**12), "--out", str(out)],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stdout == "" and not out.exists()
 
 
 def test_non_finite_inputs_are_usage_errors(tmp_path, capsys):

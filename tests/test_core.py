@@ -103,9 +103,6 @@ def test_lattice_params_invariants():
     assert lat.n_steps == 16
     assert lat.dt * lat.n_steps == pytest.approx(2.0, rel=1e-12)
     assert lat.dx**2 == pytest.approx(1.5 * lat.dt, rel=1e-12)
-    assert lat.snap_units(3 * lat.dx) == 3
-    with pytest.raises(DomainError):
-        lat.snap_units(0.4999 * lat.dx)
 
 
 def test_rng_seed_reproducible_and_derivation():

@@ -2,38 +2,52 @@ import numpy as np
 import pytest
 
 from bridgelines import glauber, walk
-from bridgelines.core import DomainError, Interval, LatticeParams, RngSeed, WeylVector
+from bridgelines.core import DomainError, Interval, LatticeParams, RngSeed
 
 
 def _lat(steps=2):
     return LatticeParams(Interval(0, 1), steps)
 
 
+def _spec(lat, x_units, y_units, g=-np.inf):
+    return walk.WalkEnsembleSpec(lat, x_units, y_units, g=g)
+
+
 def test_maximal_state_examples():
     lat = _lat(2)
-    assert glauber.maximal_state(lat, [0], [0]).units == ((0, 1, 0),)
+    assert glauber.maximal_state(_spec(lat, [0], [0])).units == ((0, 1, 0),)
     # odd parity inserts the single flat step after the rise
-    assert glauber.maximal_state(lat, [0], [1]).units == ((0, 1, 1),)
-    two = glauber.maximal_state(_lat(4), [2, 0], [2, 0])
+    assert glauber.maximal_state(_spec(lat, [0], [1])).units == ((0, 1, 1),)
+    two = glauber.maximal_state(_spec(_lat(4), [2, 0], [2, 0]))
     assert two.units == ((2, 3, 4, 3, 2), (0, 1, 2, 1, 0))
     assert two.is_feasible()
 
 
 def test_minimal_state_mirrors_and_respects_barrier():
     lat = _lat(2)
-    assert glauber.minimal_state(lat, [0], [0]).units == ((0, -1, 0),)
+    assert glauber.minimal_state(_spec(lat, [0], [0])).units == ((0, -1, 0),)
     # a barrier just below zero forbids the dip
     g = -0.5 * lat.dx
-    assert glauber.minimal_state(lat, [0], [0], g).units == ((0, 0, 0),)
-    lo = glauber.minimal_state(_lat(4), [2, 0], [2, 0])
-    hi = glauber.maximal_state(_lat(4), [2, 0], [2, 0])
+    assert glauber.minimal_state(_spec(lat, [0], [0], g)).units == ((0, 0, 0),)
+    lo = glauber.minimal_state(_spec(_lat(4), [2, 0], [2, 0]))
+    hi = glauber.maximal_state(_spec(_lat(4), [2, 0], [2, 0]))
     assert all(a <= b for ra, rb in zip(lo.units, hi.units) for a, b in zip(ra, rb))
 
 
 def test_maximal_state_infeasible_barrier_raises():
     lat = _lat(2)
     with pytest.raises(DomainError, match="lower barrier must clear the bottom endpoints"):
-        glauber.maximal_state(lat, [0], [0], 0.5 * lat.dx)
+        glauber.maximal_state(_spec(lat, [0], [0], 0.5 * lat.dx))
+
+
+@pytest.mark.parametrize("state", [glauber.maximal_state, glauber.minimal_state])
+def test_extremal_states_refuse_an_upper_barrier(state):
+    # the spec accepts f well above the ends; the chain takes a lower barrier only
+    lat = _lat(4)
+    with pytest.raises(DomainError, match="^the chain takes no upper barrier, got f = "):
+        state(walk.WalkEnsembleSpec(lat, (2, 0), (2, 0), f=5 * lat.dx))
+    with pytest.raises(DomainError, match="^the chain takes no upper barrier"):
+        state(walk.WalkEnsembleSpec(lat, (2, 0), (2, 0), f=5 * lat.dx, g=-1.5 * lat.dx))
 
 
 class _ScriptedCodes:
@@ -51,7 +65,7 @@ class _ScriptedCodes:
 def test_zero_move_is_always_kept_and_peak_moves_rejected():
     # one curve, one interior site: code 0 moves it by -1, code 1 by 0, code 2 by +1
     lat = _lat(2)
-    cfg = glauber.maximal_state(lat, [0], [0])  # (0, 1, 0)
+    cfg = glauber.maximal_state(_spec(lat, [0], [0]))  # (0, 1, 0)
     g_units = glauber._barrier_units_floor(cfg.lattice, cfg.g)
     rows = [list(r) for r in cfg.units]
     done, snaps = glauber._run(rows, g_units, 6, _ScriptedCodes([2, 1, 0, 0, 0, 2]), every=1)
@@ -73,7 +87,7 @@ def test_local_feasibility_matches_full_validation():
     # replay every event of the kernel from an identically seeded generator
     lat = _lat(6)
     g_level = -2.5 * lat.dx
-    cfg = glauber.maximal_state(lat, [2, 0], [2, 0], g_level)
+    cfg = glauber.maximal_state(_spec(lat, [2, 0], [2, 0], g_level))
     n_events, k, n_int = 5000, 2, lat.n_steps - 1
     _, snaps = glauber.simulate_chain(cfg, n_events, RngSeed(0).generator(), record_every=1)
     replay = RngSeed(0).generator()
@@ -99,7 +113,7 @@ def test_local_feasibility_matches_full_validation():
 
 def test_boundary_columns_never_change():
     lat = _lat(4)
-    init = glauber.maximal_state(lat, [2, 0], [2, 0])
+    init = glauber.maximal_state(_spec(lat, [2, 0], [2, 0]))
     final, _ = glauber.simulate_chain(init, 20000, RngSeed(1).generator())
     arr = np.asarray(final.units)
     assert list(arr[:, 0]) == [2, 0] and list(arr[:, -1]) == [2, 0]
@@ -108,7 +122,7 @@ def test_boundary_columns_never_change():
 
 def test_three_state_chain_uniform():
     lat = _lat(2)
-    init = glauber.maximal_state(lat, [0], [0])
+    init = glauber.maximal_state(_spec(lat, [0], [0]))
     counts = glauber.sample_stationary_keys(init, 500, 30000, 3, RngSeed(2).generator())
     assert set(k[0][1] for k in counts) == {-1, 0, 1}
     total = sum(counts.values())
@@ -118,22 +132,17 @@ def test_three_state_chain_uniform():
 
 def test_chain_visits_only_enumerated_states():
     lat = _lat(4)
-    g = -0.5 * lat.dx
-    x = WeylVector((2 * lat.dx, 0.0))
-    spec = walk.WalkEnsembleSpec(lat, x, x, g=g)
-    support = set()
-    for ens in walk.enumerate_avoiding_configs(spec):
-        units = np.rint(ens / lat.dx).astype(int)
-        support.add(tuple(tuple(int(v) for v in row) for row in units))
-    init = glauber.maximal_state(lat, [2, 0], [2, 0], g)
+    spec = _spec(lat, [2, 0], [2, 0], -0.5 * lat.dx)
+    support = {tuple(map(tuple, units)) for units in walk.enumerate_avoiding_configs(spec).tolist()}
+    init = glauber.maximal_state(spec)
     counts = glauber.sample_stationary_keys(init, 1000, 20000, 2, RngSeed(3).generator())
     assert set(counts) <= support
 
 
 def test_coupled_chain_preserves_order():
     lat = _lat(16)
-    a = glauber.maximal_state(lat, [1, -1], [1, -1])
-    b = glauber.maximal_state(lat, [3, 0], [2, 0])
+    a = glauber.maximal_state(_spec(lat, [1, -1], [1, -1]))
+    b = glauber.maximal_state(_spec(lat, [3, 0], [2, 0]))
     state = glauber.simulate_coupled(a, b, 30000, RngSeed(4).generator())
     for ra, rb in zip(state.a.units, state.b.units):
         assert all(x <= y for x, y in zip(ra, rb))
@@ -141,23 +150,23 @@ def test_coupled_chain_preserves_order():
 
 def test_coupled_identical_inputs_stay_identical():
     lat = _lat(4)
-    init = glauber.maximal_state(lat, [2, 0], [2, 0])
+    init = glauber.maximal_state(_spec(lat, [2, 0], [2, 0]))
     state = glauber.simulate_coupled(init, init, 5000, RngSeed(5).generator())
     assert state.a.units == state.b.units
 
 
 def test_coupled_state_validates_order():
     lat = _lat(2)
-    hi = glauber.maximal_state(lat, [0], [0])
-    lo = glauber.minimal_state(lat, [0], [0])
+    hi = glauber.maximal_state(_spec(lat, [0], [0]))
+    lo = glauber.minimal_state(_spec(lat, [0], [0]))
     with pytest.raises(glauber.InfeasibleState):
         glauber.CoupledState(hi, lo)  # hi above lo: wrong order for (a, b)
 
 
 def test_mixing_diagnostic():
     lat = _lat(2)
-    hi = glauber.maximal_state(lat, [0], [0])
-    lo = glauber.minimal_state(lat, [0], [0])
+    hi = glauber.maximal_state(_spec(lat, [0], [0]))
+    lo = glauber.minimal_state(_spec(lat, [0], [0]))
     assert glauber.mixing_diagnostic(hi, hi, RngSeed(6).generator()) == 0
     # crossing start states: the differences sum to 0 but the pair is not ordered
     lat4 = _lat(4)
@@ -171,7 +180,7 @@ def test_mixing_diagnostic():
     ]
     assert all(0 < c < 10**6 for c in counts)
     seeds = [RngSeed(8).derive(i) for i in range(9)]
-    burn = glauber.coalescence_burn_in(lat, [0], [0], -np.inf, [s.generator() for s in seeds])
+    burn = glauber.coalescence_burn_in(_spec(lat, [0], [0], -np.inf), [s.generator() for s in seeds])
     replay = sorted(glauber.mixing_diagnostic(hi, lo, s.generator()) for s in seeds)
     assert burn == 4 * replay[4]
 
@@ -179,8 +188,8 @@ def test_mixing_diagnostic():
 def test_marginal_law_matches_enumeration_after_coupling_run():
     # the A-component of a long coupled run is still uniform on its state space
     lat = _lat(2)
-    a0 = glauber.minimal_state(lat, [0], [0])
-    b0 = glauber.maximal_state(lat, [0], [0])
+    a0 = glauber.minimal_state(_spec(lat, [0], [0]))
+    b0 = glauber.maximal_state(_spec(lat, [0], [0]))
     rng = RngSeed(9).generator()
     counts = {}
     state = glauber.simulate_coupled(a0, b0, 2000, rng)
@@ -197,13 +206,13 @@ def test_chain_outputs_pinned_at_fixed_seeds():
     # values recorded before the four event loops were merged into one kernel
     lat = _lat(4)
     g = -1.5 * lat.dx
-    hi = glauber.maximal_state(lat, [2, 0], [2, 0], g)
-    lo = glauber.minimal_state(lat, [2, 0], [2, 0], g)
+    hi = glauber.maximal_state(_spec(lat, [2, 0], [2, 0], g))
+    lo = glauber.minimal_state(_spec(lat, [2, 0], [2, 0], g))
     assert lo.units == ((2, 1, 0, 1, 2), (0, -1, -1, -1, 0))
     counts = [glauber.mixing_diagnostic(hi, lo, RngSeed(7).derive(i).generator()) for i in range(6)]
     assert counts == [110, 140, 192, 140, 132, 116]
     rngs = [RngSeed(8).derive(i).generator() for i in range(5)]
-    assert glauber.coalescence_burn_in(lat, [2, 0], [2, 0], g, rngs) == 728
+    assert glauber.coalescence_burn_in(_spec(lat, [2, 0], [2, 0], g), rngs) == 728
     # 10,000 events cross several draw pieces
     final, snaps = glauber.simulate_chain(hi, 10000, RngSeed(1).generator(), record_every=2500)
     assert final.units == ((2, 2, 2, 1, 2), (0, 1, 0, -1, 0))
@@ -217,7 +226,7 @@ def test_chain_outputs_pinned_at_fixed_seeds():
     state = glauber.simulate_coupled(lo, hi, 40, RngSeed(2).generator())
     assert state.a.units == ((2, 2, 2, 1, 2), (0, -1, 0, 0, 0))
     assert state.b.units == ((2, 2, 3, 2, 2), (0, -1, 0, 1, 0))
-    top = glauber.maximal_state(_lat(2), [0], [0])
+    top = glauber.maximal_state(_spec(_lat(2), [0], [0]))
     keys = glauber.sample_stationary_keys(top, 50, 300, 3, RngSeed(3).generator())
     assert keys == {((0, -1, 0),): 96, ((0, 0, 0),): 107, ((0, 1, 0),): 97}
 
@@ -227,7 +236,7 @@ def test_coupling_check_fires_on_non_monotone_rule():
     # refuses this pair): a -1 move at the bottom curve is then kept by the
     # upper chain only, which breaks the order; the touched-site check must catch it
     lat = _lat(4)
-    init = glauber.maximal_state(lat, [2, 0], [2, 0])
+    init = glauber.maximal_state(_spec(lat, [2, 0], [2, 0]))
     low_g = glauber._barrier_units_floor(lat, -0.5 * lat.dx)  # the bottom curve may not go below 0
     free_g = glauber._barrier_units_floor(lat, -np.inf)
     rows_a, rows_b = [list(r) for r in init.units], [list(r) for r in init.units]
@@ -246,8 +255,8 @@ def test_integer_barrier_level_is_strict(n):
         assert glauber._barrier_units_floor(lat, g) == u
         assert glauber._barrier_units_floor(lat, (u - 0.5) * lat.dx) == u - 1
         ends = [u + 2, u + 1]
-        lo = glauber.minimal_state(lat, ends, ends, g)
-        hi = glauber.maximal_state(lat, ends, ends, g)
+        lo = glauber.minimal_state(_spec(lat, ends, ends, g))
+        hi = glauber.maximal_state(_spec(lat, ends, ends, g))
         assert min(lo.units[-1]) == u + 1
         _, snaps = glauber.simulate_chain(hi, 20000, RngSeed(n).derive(u).generator(), record_every=10)
         assert snaps[:, -1].min() == u + 1

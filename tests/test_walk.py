@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from bridgelines import walk
-from bridgelines.core import DomainError, Interval, LatticeParams, RngSeed, StructuralError, WeylVector
+from bridgelines.core import DomainError, Interval, LatticeParams, RejectionExhausted, RngSeed, StructuralError
 from bridgelines.verify import SUITE_P_FLOOR
 
 
@@ -92,21 +92,18 @@ def test_telescoping_identity():
 
 def _tiny_spec(k=1, steps=2, x_units=(0,), y_units=(0,), g=-np.inf):
     lat = LatticeParams(Interval(0, 1), steps)
-    x = WeylVector(tuple(u * lat.dx for u in x_units))
-    y = WeylVector(tuple(u * lat.dx for u in y_units))
-    return walk.WalkEnsembleSpec(lat, x, y, g=g * lat.dx), lat
+    return walk.WalkEnsembleSpec(lat, x_units, y_units, g=g * lat.dx), lat
 
 
 def test_enumerate_tiny_instances():
-    spec, lat = _tiny_spec()
+    spec, _ = _tiny_spec()
     configs = walk.enumerate_avoiding_configs(spec)
-    assert len(configs) == 3
-    mids = sorted(c[0, 1] / lat.dx for c in configs)
-    assert mids == [-1.0, 0.0, 1.0]
+    assert len(configs) == 3 and configs.dtype == np.int64
+    assert sorted(configs[:, 0, 1].tolist()) == [-1, 0, 1]
     # lower barrier at -dx/2 removes the dipping path
-    spec_g, lat = _tiny_spec(g=-0.5)
+    spec_g, _ = _tiny_spec(g=-0.5)
     configs_g = walk.enumerate_avoiding_configs(spec_g)
-    assert sorted(c[0, 1] / lat.dx for c in configs_g) == [0.0, 1.0]
+    assert configs_g.dtype == np.int64 and sorted(configs_g[:, 0, 1].tolist()) == [0, 1]
 
 
 @pytest.mark.parametrize("steps", range(2, 9))
@@ -117,8 +114,7 @@ def test_enumerated_configs_never_touch_an_integer_barrier(steps):
         for above in (1, 2):
             spec, lat = _tiny_spec(steps=steps, x_units=(u + above,), y_units=(u + above,), g=u)
             configs = walk.enumerate_avoiding_configs(spec)
-            units = np.array([np.rint(c[0] / lat.dx) for c in configs])
-            assert np.all(units > u) and np.all(np.array([c[0] for c in configs]) > spec.g)
+            assert np.all(configs[:, 0] > u) and np.all(configs[:, 0] * lat.dx > spec.g)
             # paths of `steps` steps from and to u + above that stay at or above u + 1,
             # counted on the shifted walk that starts at above - 1 and stays >= 0
             counts = {above - 1: 1}
@@ -141,16 +137,16 @@ def test_enumerate_guard():
 def test_avoiding_walk_sampler_uniform_vs_enumeration():
     # k = 2 tiny instance: acceptance must be uniform over enumerated configs
     lat = LatticeParams(Interval(0, 1), 2)
-    x = WeylVector((lat.dx, 0.0))
-    spec = walk.WalkEnsembleSpec(lat, x, x)
+    spec = walk.WalkEnsembleSpec(lat, (1, 0), (1, 0))
     configs = walk.enumerate_avoiding_configs(spec)
-    keys = {tuple(np.rint(c / lat.dx).astype(int).ravel()): 0 for c in configs}
+    # keyed by values: the sampler returns units * dx, the same products
+    keys = {tuple((c * lat.dx).ravel()): 0 for c in configs}
     samples, drawn, seen = walk.sample_avoiding_walks_batch(
         spec, 40000, RngSeed(4).generator(), max_attempts=10**6
     )
     assert len(samples) == 40000
     for ens in samples:
-        keys[tuple(np.rint(ens / lat.dx).astype(int).ravel())] += 1
+        keys[tuple(ens.ravel())] += 1
     tv = 0.5 * sum(abs(v / 40000 - 1 / len(configs)) for v in keys.values())
     assert tv <= 0.02
     # acceptance rate consistent with enumeration: accepted / drawn ~ valid / total
@@ -172,7 +168,7 @@ def test_impossible_barrier_exhausts():
     # three walks one unit apart for 16 steps, above -0.5 dx: about 4 in 10^6 candidates pass
     spec, _ = _tiny_spec(steps=16, x_units=(2, 1, 0), y_units=(2, 1, 0), g=-0.5)
     # the batch sampler raises rather than returning fewer ensembles
-    with pytest.raises(walk.RejectionExhausted) as exc:
+    with pytest.raises(RejectionExhausted) as exc:
         walk.sample_avoiding_walks_batch(spec, 3, RngSeed(6).generator(), max_attempts=500)
     assert exc.value.attempts == 500
 
