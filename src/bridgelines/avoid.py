@@ -5,10 +5,13 @@ Every sampler and transform here passes ensembles on as one array of shape
 entry point, sample_avoiding_values: rejection over k independent bridges,
 accepted iff the strict ordering and barrier constraints hold at every grid
 point. Without barriers, sample_avoiding_at samples the continuous law exactly
-at a few times instead, accepting with Karlin-McGregor weights; the same
-weights give the top curve's closed-form law in a window above a given second
-curve. Closed-form tail bounds for the bottom curve and the affine/flip
-distributional identities, which act on whole batches, live here too.
+at a few times instead: two curves in closed form, as a free centre and a
+Bessel(3)-bridge gap with no rejection, and any other k by accepting with
+Karlin-McGregor weights. The same weights redraw blocks of curves for
+verify.resample_block and give the top curve's closed-form law in a window
+above a given second curve. Closed-form tail bounds for the bottom curve and
+the affine/flip distributional identities, which act on whole batches, live
+here too.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 # midpoint_cdf_single is re-exported: perfbench's tracer test wraps it under this name too
-from .bridge import SQRT2PI, _bridge_paths, _exact_times, certify_c0, midpoint_cdf_single  # noqa: F401
+from .bridge import SQRT2, SQRT2PI, _bridge_paths, _exact_times, certify_c0, midpoint_cdf_single  # noqa: F401
 from .core import (
     DomainError, Interval, StructuralError, WeylVector,
     _avoids, _check_barriers, _rejection_loop,
@@ -187,6 +190,43 @@ def window_top_cdf(x1, a, b, h, dt: float) -> np.ndarray:
     return np.where((alpha > 0) & (beta > 0), out, np.nan)
 
 
+def _two_avoiding_at(x: np.ndarray, y: np.ndarray, knots: np.ndarray, n_samples: int,
+                     rng: np.random.Generator) -> np.ndarray:
+    """n_samples exact draws of two barrier-free avoiding bridges from x to y, shape (n, 2, len(knots)).
+
+    knots are the increasing times, interval ends included, where the ends x
+    and y are written exactly. For unit-rate bridges X0, X1 the centre
+    c = (X0 + X1)/sqrt(2) is a free bridge independent of the gap (X0 - X1),
+    and non-intersection conditions the gap alone, so rho = (X0 - X1)/sqrt(2)
+    is a Bessel(3) bridge from r0 = (x0 - x1)/sqrt(2) to r1 = (y0 - y1)/sqrt(2)
+    (Revuz & Yor, ch. XI): the norm of a 3-d Brownian bridge from (r0, 0, 0)
+    to r1 Theta, Theta von Mises-Fisher with kappa = r0 r1 / T. Its cosine w
+    has density proportional to exp(kappa w) on [-1, 1] and is drawn by
+    inversion, w = 1 + log1p(u expm1(-2 kappa)) / kappa, which stays finite
+    where exp(-2 kappa) underflows; below the smallest normal kappa it is the
+    limit 1 - 2u. Two uniforms (u, then the azimuth) per sample come first in
+    the stream, then four normals per time, drawn for all samples at once.
+    """
+    r0, r1 = (x[0] - x[1]) / SQRT2, (y[0] - y[1]) / SQRT2
+    kappa = r0 * r1 / (knots[-1] - knots[0])
+    u, phi = rng.random((2, n_samples))
+    phi *= 2.0 * np.pi
+    if kappa >= np.finfo(float).tiny:
+        w = np.maximum(1.0 + np.log1p(u * np.expm1(-2.0 * kappa)) / kappa, -1.0)  # rounding can pass -1
+    else:
+        w = 1.0 - 2.0 * u
+    side = r1 * np.sqrt(1.0 - w * w)
+    start = np.array([SQRT2 * (x[0] + x[1]) / 2.0, r0, 0.0, 0.0])
+    end = np.stack([np.full(n_samples, SQRT2 * (y[0] + y[1]) / 2.0), r1 * w, side * np.cos(phi),
+                    side * np.sin(phi)], axis=-1)
+    z = rng.standard_normal((n_samples, 4, knots.size - 2))
+    paths = _bridge_paths(start, end, knots[0], knots[1:-1], knots[-1], z)
+    c, rho = paths[:, 0], np.sqrt((paths[:, 1:] ** 2).sum(axis=1))
+    out = np.stack([c + rho, c - rho], axis=1) / SQRT2
+    out[..., 0], out[..., -1] = x, y
+    return out
+
+
 def sample_avoiding_at(
     interval: Interval,
     x_vec: np.ndarray,
@@ -199,11 +239,14 @@ def sample_avoiding_at(
     """Exact joint samples of k barrier-free avoiding bridges at the given interior times.
 
     The k-curve counterpart of bridge.sample_bridge_at: no grid is involved, so
-    the values follow the continuous non-intersecting law at those times. This
-    is one row of _km_rejection whose block is every curve. Returns (values
-    (n_samples, k, len(times)) with columns in time order, n_drawn,
-    n_accepted_seen) and raises RejectionExhausted when fewer than n_samples
-    are accepted within max_attempts candidates.
+    the values follow the continuous non-intersecting law at those times.
+    Two curves are drawn in closed form by _two_avoiding_at, with no
+    rejection, so n_drawn = n_accepted_seen = n_samples; any other k is one
+    row of _km_rejection whose block is every curve, and only there does
+    max_attempts apply. Returns (values (n_samples, k, len(times)) with
+    columns in time order, n_drawn, n_accepted_seen) and raises
+    RejectionExhausted when fewer than n_samples are accepted within
+    max_attempts candidates.
     """
     x, y = np.asarray(x_vec, dtype=float), np.asarray(y_vec, dtype=float)
     times = _exact_times(interval, times, x, y)
@@ -212,6 +255,8 @@ def sample_avoiding_at(
     if x.shape != y.shape or np.any(np.diff(x) >= 0) or np.any(np.diff(y) >= 0):
         raise DomainError("entrance and exit vectors must be strictly decreasing and of equal length")
     knots = np.concatenate([[interval.a], times, [interval.b]])
+    if x.size == 2:
+        return _two_avoiding_at(x, y, knots, n_samples, rng)[..., 1:-1], n_samples, n_samples
     stack = np.zeros((1, x.size, knots.size))  # the ends; the interior is drawn
     stack[0, :, 0], stack[0, :, -1] = x, y
     vals, drawn, seen = _km_rejection(stack, knots, (0, x.size - 1), n_samples, rng, max_attempts)

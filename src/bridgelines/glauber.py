@@ -51,9 +51,13 @@ class GlauberConfig:
 
 
 def _feasible(units: np.ndarray, lattice: LatticeParams, g: float) -> np.ndarray:
-    """Increments in {-1, 0, +1} plus core._avoids over (..., k, cols) units; one bool per state."""
+    """Increments in {-1, 0, +1} plus core._avoids over (..., k, cols) units; one bool per state.
+
+    The bottom curve is compared in units with _barrier_units_floor, which
+    keeps exactly the states whose u * dx clears g.
+    """
     steps_ok = (np.abs(np.diff(units, axis=-1)) <= 1).all(axis=(-2, -1))
-    return steps_ok & _avoids(units * lattice.dx, np.inf, g)
+    return steps_ok & _avoids(units, np.inf, _barrier_units_floor(lattice, g))
 
 
 def _config(like: GlauberConfig, rows: list[list[int]]) -> GlauberConfig:
@@ -146,8 +150,9 @@ def _run(
     coincides. rows is recorded every `every` events into an (num_events //
     every, k, w) int64 array allocated before the first event, so a request
     too large to hold raises MemoryError at once. Events are drawn in pieces
-    of _CHUNK, the same stream as one draw. Returns (events run, (n, k, w)
-    int64 snapshots).
+    of _CHUNK, the same stream as one draw, and each piece's records move
+    from a flat list into the array at its end. Returns (events run, (n, k,
+    w) int64 snapshots).
     """
     if num_events < 0 or every < 0:
         raise DomainError("event counts must be non-negative")
@@ -159,6 +164,7 @@ def _run(
     curves = slice(w, w + k * w)
     snaps = np.empty((num_events // every if every else 0, k, w), dtype=np.int64)
     flat: list[int] = []
+    filled = 0  # values moved into snaps
     met = stop_at_meet and x[curves] == y[curves]
     if not site and num_events and not met:
         raise DomainError(f"a lattice of {w - 1} step has no interior site for the chain to move")
@@ -205,12 +211,13 @@ def _run(
                 flat.extend(x[curves])
             a = b
         done += b  # the last event of the piece, or the one where the pair met
+        snaps.reshape(-1)[filled:filled + len(flat)] = flat
+        filled += len(flat)
+        flat.clear()
     for dest, z in ((rows, x), (upper[0] if upper else [], y)):
         for i, row in enumerate(dest):
             row[:] = z[w * (i + 1):w * (i + 2)]
-    snaps = snaps[:len(flat) // (k * w)]  # fewer when the pair met early
-    snaps.reshape(-1)[:] = flat
-    return done, snaps
+    return done, snaps[:filled // (k * w)]  # fewer when the pair met early
 
 
 def simulate_chain(
@@ -223,12 +230,13 @@ def simulate_chain(
 
     With record_every > 0 the state after every record_every-th event is
     recorded: one int64 array of shape (num_events // record_every, k,
-    n_steps + 1) in dx units, checked in one call of _feasible.
+    n_steps + 1) in dx units, checked by _feasible in pieces of _CHUNK
+    snapshots so that its temporaries stay small beside the array.
     """
     rows = [list(r) for r in init.units]
     g_units = _barrier_units_floor(init.lattice, init.g)
     _, snaps = _run(rows, g_units, num_events, rng, every=record_every)
-    if not _feasible(snaps, init.lattice, init.g).all():
+    if not all(_feasible(snaps[i:i + _CHUNK], init.lattice, init.g).all() for i in range(0, len(snaps), _CHUNK)):
         raise InfeasibleState("chain snapshot violates increments, ordering, or barrier")
     return _config(init, rows), snaps
 

@@ -212,9 +212,10 @@ def gibbs_resample_test(
     Marginals are (curve, grid column) pairs, columns strictly inside sub_cols;
     only those columns' grid times are drawn. Two independent outer batches of
     the barrier-free spec come from avoid.sample_avoiding_at, and the second has
-    its block redrawn between the sub_cols times by resample_block. Arguments are
-    checked before any draw; the aggregate multiplicity rule is the per-test
-    suite floor.
+    its block redrawn between the sub_cols times by resample_block; for two
+    curves the batches are closed-form draws, so the test checks them against
+    the Karlin-McGregor redraw. Arguments are checked before any draw; the
+    aggregate multiplicity rule is the per-test suite floor.
     """
     (i0, i1), (j0, j1) = block, sub_cols
     if spec.f != np.inf or spec.g != -np.inf or num_samples < 1:

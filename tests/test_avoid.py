@@ -53,12 +53,27 @@ def test_sample_avoiding_values_pinned_at_fixed_seeds(monkeypatch):
     assert rng.random() == 0.33930018248772564
 
 
+def _km_at(iv, x, y, times, n_samples, rng, max_attempts=avoid._KM_ATTEMPTS):
+    """avoid._km_rejection on the one-row stack and knots that sample_avoiding_at builds for k != 2.
+
+    Calling it for k = 2 keeps the Karlin-McGregor sampler under the tests
+    that sample_avoiding_at passes on to its closed-form two-curve sampler.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    knots = np.concatenate([[iv.a], np.sort(times), [iv.b]])
+    stack = np.zeros((1, x.size, knots.size))
+    stack[0, :, 0], stack[0, :, -1] = x, y
+    vals, drawn, seen = avoid._km_rejection(stack, knots, (0, x.size - 1), n_samples, rng, max_attempts)
+    return vals[0, ..., 1:-1], int(drawn[0]), int(seen[0])
+
+
 def test_sample_avoiding_at_pinned_at_a_fixed_seed():
-    # the Karlin-McGregor stream that detect, gibbs and pw read: values, counts and the
-    # generator's next draw, recorded before the sampler was shared with verify.resample_block
+    # the Karlin-McGregor stream at k = 2, which sample_avoiding_at draws in closed form
+    # instead: values, counts and the generator's next draw, recorded before the sampler
+    # was shared with verify.resample_block
     x = np.array([0.3, -0.3])
     rng = RngSeed(5).generator()
-    vals, drawn, seen = avoid.sample_avoiding_at(Interval(0.0, 1.0), x, x, [0.75, 0.25, 0.5], 4, rng)
+    vals, drawn, seen = _km_at(Interval(0.0, 1.0), x, x, [0.75, 0.25, 0.5], 4, rng)
     assert vals.shape == (4, 2, 3) and (drawn, seen) == (8192, 2396)
     assert vals[:, :, 1].tolist() == [
         [0.6765777206366458, -0.8341930864134968],
@@ -71,6 +86,26 @@ def test_sample_avoiding_at_pinned_at_a_fixed_seed():
         [-0.45801012029472243, -0.46754156081331016, -0.29807600448277455],
     ]
     assert rng.random() == 0.830235500182843
+
+
+def test_sample_avoiding_at_two_curves_pinned_at_a_fixed_seed():
+    # the closed-form stream that detect, gibbs and pw_profile read: two uniforms per
+    # sample, then four normals per time; every draw is kept
+    x = np.array([0.3, -0.3])
+    rng = RngSeed(5).generator()
+    vals, drawn, seen = avoid.sample_avoiding_at(Interval(0.0, 1.0), x, x, [0.75, 0.25, 0.5], 4, rng)
+    assert vals.shape == (4, 2, 3) and (drawn, seen) == (4, 4)
+    assert vals[:, :, 1].tolist() == [
+        [1.310798799065851, -0.0612821882526363],
+        [0.6153260816833747, -0.5870418373950372],
+        [0.48579151411065125, -0.6769677855652977],
+        [0.16218764852336165, -0.5928759833518981],
+    ]
+    assert vals[3].tolist() == [
+        [0.253226801258764, 0.16218764852336165, 0.35267750054221475],
+        [-0.9278876959371251, -0.5928759833518981, -0.5462056716717723],
+    ]
+    assert rng.random() == 0.5561597755338971
 
 
 # detect's window times: t1 = 1/2 and t1 +/- 1/w for w = 4, 8, 16, 32
@@ -92,8 +127,9 @@ def _km_ratio(T, x, y):
 def test_sample_avoiding_at_acceptance_matches_karlin_mcgregor(iv, x, y, times):
     # accepting a candidate at any set of times happens with the probability that
     # the continuous curves never meet; for k = 2 that is 1 - exp(-(x0-x1)(y0-y1)/T)
-    rng = RngSeed(31).generator()
-    vals, drawn, seen = avoid.sample_avoiding_at(iv, np.array(x), np.array(y), times, 3000, rng)
+    # (two curves: the Karlin-McGregor sampler that sample_avoiding_at does not call for them)
+    sampler = _km_at if len(x) == 2 else avoid.sample_avoiding_at
+    vals, drawn, seen = sampler(iv, np.array(x), np.array(y), times, 3000, RngSeed(31).generator())
     assert vals.shape == (3000, len(x), len(times))
     assert np.all(vals[:, :-1] > vals[:, 1:])
     target = _km_ratio(iv.length, x, y)
@@ -173,22 +209,82 @@ def _bottom_midpoint_cdf(T, x, y, h=0.004, lim=3.0):
     return lambda r: np.interp(r, u + h / 2, cdf / cdf[-1])
 
 
-@pytest.mark.parametrize("times", [[0.5], DETECT_TIMES])
-def test_sample_avoiding_at_bottom_midpoint_matches_km_quadrature(times):
-    # the grid-checked sampler at M = 128 fails this test (KS p ~ 1e-20 at this size)
-    x = np.array([0.15, -0.15])
+@pytest.mark.parametrize("times, end", [([0.5], 0.15), (DETECT_TIMES, 0.15), ([0.5], 1.0), (DETECT_TIMES, 1.0)],
+                         ids=["times0", "times1", "times0-ends1", "times1-ends1"])
+def test_sample_avoiding_at_bottom_midpoint_matches_km_quadrature(times, end):
+    # the grid-checked sampler at M = 128 fails this test at ends +/-0.15 (KS p ~ 1e-20 at
+    # this size). There kappa = 0.045 and the end direction's law barely moves the bottom
+    # curve; at ends +/-1 (kappa = 2) a doubled kappa reads p ~ 1e-38
+    x = np.array([end, -end])
     cdf = _bottom_midpoint_cdf(1.0, x, x)
     vals, _, _ = avoid.sample_avoiding_at(Interval(0.0, 1.0), x, x, times, 20000, RngSeed(32).generator())
     mid = vals[:, 1, int(np.searchsorted(times, 0.5))]
     assert stats.kstest(mid, cdf).pvalue > 1e-4
 
 
+@pytest.mark.parametrize("end", [0.15, 1.0])
+def test_two_curves_top_midpoint_matches_the_window_law(end):
+    # given the top curve at 1/4 and 3/4 and the bottom curve at all three times, the top
+    # curve at 1/2 follows avoid.window_top_cdf, so that CDF at the drawn values is uniform
+    x = np.array([end, -end])
+    vals, _, _ = avoid.sample_avoiding_at(Interval(0.0, 1.0), x, x, [0.25, 0.5, 0.75], 20000,
+                                          RngSeed(34).generator())
+    u = avoid.window_top_cdf(vals[:, 0, 1], vals[:, 0, 0], vals[:, 0, 2], vals[:, 1], 0.25)
+    assert stats.kstest(u, "uniform").pvalue > 1e-4
+
+
+def test_two_curves_match_km_rejection():
+    # each curve and the gap at every time against the Karlin-McGregor sampler, at unequal
+    # ends that cross sides (kappa = 0.48); a doubled kappa reads min p ~ 1e-10 here and a
+    # uniform end direction ~ 1e-14
+    iv, x, y, times = Interval(0.0, 1.0), np.array([1.0, 0.2]), np.array([0.3, -0.9]), [0.25, 0.5, 0.75]
+    got, _, _ = avoid.sample_avoiding_at(iv, x, y, times, 50000, RngSeed(35).generator())
+    want, _, _ = _km_at(iv, x, y, times, 50000, RngSeed(36).generator())
+    got, want = [np.concatenate([v, v[:, :1] - v[:, 1:]], axis=1) for v in (got, want)]  # curves, then gap
+    pairs = [(got[:, i, j], want[:, i, j]) for i in range(3) for j in range(3)]
+    assert min(stats.ks_2samp(a, b).pvalue for a, b in pairs) > 1e-4
+
+
+class _EdgeUniforms:
+    """A generator whose uniforms alternate between the ends of [0, 1): 0 and the largest double below 1."""
+
+    def __init__(self, seed):
+        self._rng = RngSeed(seed).generator()
+
+    def random(self, shape):
+        return np.resize([0.0, np.nextafter(1.0, 0.0)], shape)
+
+    def standard_normal(self, shape):
+        return self._rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("iv, end", [
+    (Interval(0.0, 1.0), 20.0),  # exp(-2 kappa) underflows: kappa = 600
+    (Interval(0.0, 1.0), 1e-170),  # kappa underflows to 0
+    (Interval(2.0, 3.5), 0.4),  # an interval that does not start at 0
+])
+@pytest.mark.parametrize("edge", [False, True])
+def test_two_curves_at_extreme_inputs(iv, end, edge):
+    # finite, strictly ordered values and exact ends, also where the end direction's
+    # cosine is drawn from u = 0 and from the largest u below 1
+    x, y = np.array([end, -end]), np.array([end, -0.5 * end])
+    knots = np.concatenate([[iv.a], iv.a + iv.length * DETECT_TIMES, [iv.b]])
+    rng = _EdgeUniforms(37) if edge else RngSeed(37).generator()
+    vals = avoid._two_avoiding_at(x, y, knots, 2000, rng)
+    assert np.isfinite(vals).all() and np.all(vals[:, 0] > vals[:, 1])
+    assert np.all(vals[:, :, 0] == x) and np.all(vals[:, :, -1] == y)
+
+
 def test_sample_avoiding_at_errors():
     iv = Interval(0.0, 1.0)
     x = np.array([0.01, -0.01])
     with pytest.raises(RejectionExhausted) as exc:
-        avoid.sample_avoiding_at(iv, x, x, [0.5], 100, RngSeed(33).generator(), max_attempts=50)
+        _km_at(iv, x, x, [0.5], 100, RngSeed(33).generator(), max_attempts=50)
     assert exc.value.attempts == 50
+    # Karlin-McGregor keeps about 0.04% of candidates there; sample_avoiding_at draws two
+    # curves with no rejection, so max_attempts does not bind them
+    vals, drawn, seen = avoid.sample_avoiding_at(iv, x, x, [0.5], 100, RngSeed(33).generator(), max_attempts=50)
+    assert vals.shape == (100, 2, 1) and drawn == seen == 100 and np.all(vals[:, 0] > vals[:, 1])
     for times in ([0.0, 0.5], [0.5, 1.0], [0.5, 0.25, 0.5], [], [0.5, np.nan], [[0.25, 0.5]], 0.5):
         with pytest.raises(DomainError):
             avoid.sample_avoiding_at(iv, x, x, times, 1, RngSeed(33).generator())

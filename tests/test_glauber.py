@@ -260,3 +260,31 @@ def test_integer_barrier_level_is_strict(n):
         assert min(lo.units[-1]) == u + 1
         _, snaps = glauber.simulate_chain(hi, 20000, RngSeed(n).derive(u).generator(), record_every=10)
         assert snaps[:, -1].min() == u + 1
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_feasible_integer_floor_matches_float_barrier(n):
+    # _feasible compares units with _barrier_units_floor; the float form compares
+    # units * dx with g. They must agree on every state, also where the bottom curve
+    # sits exactly at the floor or one unit above it, and for g on, just off and
+    # half a cell off an integer level
+    lat = LatticeParams.scaled(Interval(0, 1), n)
+    rng = RngSeed(n).generator()
+    cols = lat.n_steps + 1
+    steps = rng.integers(-1, 2, size=(3000, 2, cols - 1))
+    units = np.concatenate([np.zeros((3000, 2, 1), dtype=np.int64), np.cumsum(steps, axis=-1)], axis=-1)
+    units[:, 0] += 3 + rng.integers(0, 3, size=(3000, 1))  # mostly ordered, some curves meet
+    units[::7, 1, cols // 2] += 2  # some increments of 2
+    for u in (-3, -2, -1):
+        for g in (u * lat.dx, np.nextafter(u * lat.dx, 0), np.nextafter(u * lat.dx, -1), (u + 0.5) * lat.dx):
+            floor = glauber._barrier_units_floor(lat, g)
+            shifted = units - units[:, 1].min(axis=-1)[:, None, None] + floor + rng.integers(0, 2, size=(3000, 1, 1))
+            want = (np.abs(np.diff(shifted, axis=-1)) <= 1).all(axis=(-2, -1)) & (
+                (shifted[:, 0] > shifted[:, 1]).all(axis=-1) & (shifted[:, 1] * lat.dx > g).all(axis=-1))
+            got = glauber._feasible(shifted, lat, g)
+            assert np.array_equal(got, want)
+            assert want.any() and not want.all()
+            assert (shifted[:, 1].min(axis=-1) == floor).any()  # bottom curves at the floor itself
+    free = glauber._feasible(units, lat, -np.inf)
+    assert np.array_equal(free, (np.abs(np.diff(units, axis=-1)) <= 1).all(axis=(-2, -1))
+                          & (units[:, 0] > units[:, 1]).all(axis=-1))

@@ -74,19 +74,19 @@ EXPECTED = {
         ('SUITE PASS coupling', None),
     ],
     'gibbs': [
-        ('PASS         gibbs-marginal-curve0-col72                  stat=0.065 p=0.767 ci=- n=(200,200) seed=1',
+        ('PASS         gibbs-marginal-curve0-col72                  stat=0.06 p=0.843 ci=- n=(200,200) seed=1',
          'alternative=two-sided floor=1e-05'),
-        ('PASS         gibbs-marginal-curve0-col96                  stat=0.085 p=0.441 ci=- n=(200,200) seed=1',
+        ('PASS         gibbs-marginal-curve0-col96                  stat=0.055 p=0.906 ci=- n=(200,200) seed=1',
          'alternative=two-sided floor=1e-05'),
-        ('PASS         gibbs-marginal-curve0-col120                 stat=0.05 p=0.953 ci=- n=(200,200) seed=1',
+        ('PASS         gibbs-marginal-curve0-col120                 stat=0.095 p=0.308 ci=- n=(200,200) seed=1',
          'alternative=two-sided floor=1e-05'),
-        ('PASS         gibbs-marginal-curve0-col136                 stat=0.065 p=0.767 ci=- n=(200,200) seed=1',
+        ('PASS         gibbs-marginal-curve0-col136                 stat=0.095 p=0.308 ci=- n=(200,200) seed=1',
          'alternative=two-sided floor=1e-05'),
-        ('PASS         gibbs-marginal-curve0-col160                 stat=0.085 p=0.441 ci=- n=(200,200) seed=1',
+        ('PASS         gibbs-marginal-curve0-col160                 stat=0.06 p=0.843 ci=- n=(200,200) seed=1',
          'alternative=two-sided floor=1e-05'),
-        ('PASS         gibbs-marginal-curve0-col184                 stat=0.05 p=0.953 ci=- n=(200,200) seed=1',
+        ('PASS         gibbs-marginal-curve0-col184                 stat=0.08 p=0.518 ci=- n=(200,200) seed=1',
          'alternative=two-sided floor=1e-05'),
-        ('FAIL         gibbs-negative-control                       stat=0.0735893 p=0.0736 ci=- n=(400,0) seed=1',
+        ('FAIL         gibbs-negative-control                       stat=0.0416548 p=0.0417 ci=- n=(400,0) seed=1',
          'planted defect must be detected: min p < 1e-06'),
         ('SUITE FAIL gibbs', None),
     ],
