@@ -4,7 +4,7 @@ Every sampler and transform here passes ensembles on as one array of shape
 (n, k, M+1), or (n, k, times) for the exact sampler. The grid law has one
 entry point, sample_avoiding_values: rejection over k independent bridges,
 accepted iff the strict ordering and barrier constraints hold at every grid
-point. Without barriers, sample_avoiding_at samples the continuous law exactly
+point, whose caller may keep a reduced record of each path instead. Without barriers, sample_avoiding_at samples the continuous law exactly
 at a few times instead: two curves in closed form, as a free centre and a
 Bessel(3)-bridge gap with no rejection, and any other k by accepting with
 Karlin-McGregor weights. The same weights redraw blocks of curves for
@@ -67,6 +67,7 @@ def sample_avoiding_values(
     n_samples: int,
     rng: np.random.Generator,
     max_attempts: int = 10**7,
+    keep=None,
 ) -> tuple[np.ndarray, int, int, int]:
     """Rejection sampling of spec's ensemble on its grid, between its constant barriers f and g.
 
@@ -77,9 +78,13 @@ def sample_avoiding_values(
     the round sizes; only n_drawn and the generator's state after the call
     do. Returns (values, n_drawn, n_accepted_seen, first_hit): values has
     shape (n_samples, k, M+1), and first_hit is the 0-based draw index of the
-    first acceptance. Candidates are drawn in whole rounds so the acceptance
-    rate n_accepted_seen / n_drawn is unbiased. Raises RejectionExhausted
-    when fewer than n_samples are accepted within max_attempts candidates.
+    first acceptance. keep, if given, maps accepted values (n, k, M+1) to
+    records (n, *record), and values holds keep's records in place of the
+    paths, so a caller that reads a few columns never holds the whole batch;
+    the draws, counts and stream are those of the call without it.
+    Candidates are drawn in whole rounds so the acceptance rate
+    n_accepted_seen / n_drawn is unbiased. Raises RejectionExhausted when
+    fewer than n_samples are accepted within max_attempts candidates.
     """
     m, iv = spec.grid_points, spec.interval
     grid = iv.grid(m)
@@ -92,8 +97,11 @@ def sample_avoiding_values(
     def accept(rows, cands):
         return _avoids(cands, spec.f, spec.g)
 
-    vals, drawn, seen, first_hit = _rejection_loop(draw, accept, 1, (spec.k, m + 1), n_samples, max_attempts,
-                                                   _GRID_CHUNK, n_samples)
+    shape = (spec.k, m + 1)
+    if keep is not None:
+        shape = keep(np.empty((0, *shape))).shape[1:]
+    vals, drawn, seen, first_hit = _rejection_loop(draw, accept, 1, shape, n_samples, max_attempts,
+                                                   _GRID_CHUNK, n_samples, keep)
     return vals[0], int(drawn[0]), int(seen[0]), int(first_hit[0])
 
 

@@ -171,12 +171,16 @@ class RejectionExhausted(RuntimeError):
 
 
 def _rejection_loop(draw, accept, n_rows: int, shape: tuple, n_samples: int, max_attempts: int,
-                    chunk: int, first: int | None = None):
+                    chunk: int, first: int | None = None, keep=None):
     """The rejection loop over n_rows rows, each keeping the candidates accept passes.
 
     draw(rows, nc) returns nc candidates for each of the given rows, shape
-    (len(rows), nc, *shape), and accept(rows, cands) returns one bool per
+    (len(rows), nc, *cand_shape), and accept(rows, cands) returns one bool per
     candidate, shape (len(rows), nc); it runs right after each round's draw.
+    keep, if given, maps a row's accepted candidates of a round, (n, *cand_shape)
+    in draw order, to the records (n, *shape) that are stored in their place,
+    so a caller holds only what it reads; without it a record is the whole
+    candidate and shape is cand_shape.
     The round size starts at min(first, chunk), first defaulting to chunk,
     and doubles after each round up to chunk. Each round, every row still
     short of n_samples draws max(1, size // pending) candidates (capped at
@@ -184,7 +188,7 @@ def _rejection_loop(draw, accept, n_rows: int, shape: tuple, n_samples: int, max
     every row samples its own conditional law; a one-row caller that passes
     its request as first draws about what it needs. Candidates are drawn in
     whole rounds so that seen / drawn is an unbiased acceptance rate. Returns
-    (accepted (n_rows, n_samples, *shape), drawn, seen, first_hit), the last
+    (records (n_rows, n_samples, *shape), drawn, seen, first_hit), the last
     three per row, with first_hit the 0-based draw index of a row's first
     acceptance, or -1; raises RejectionExhausted, with the largest draw count,
     when a row is still short after max_attempts candidates.
@@ -213,7 +217,8 @@ def _rejection_loop(draw, accept, n_rows: int, shape: tuple, n_samples: int, max
             # most rows of a high-acceptance round keep a prefix, which a slice copies
             # without the gather
             prefix = take.size == 0 or take[-1] == take.size - 1
-            out[r, got[r] : got[r] + take.size] = cands[i, : take.size] if prefix else cands[i, take]
+            kept = cands[i, : take.size] if prefix else cands[i, take]
+            out[r, got[r] : got[r] + take.size] = kept if keep is None else keep(kept)
             got[r] += take.size
         drawn[pending] += nc
         pending = pending[got[pending] < n_samples]

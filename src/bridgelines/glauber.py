@@ -248,14 +248,25 @@ def sample_stationary_keys(
     thin: int,
     rng: np.random.Generator,
 ) -> dict[tuple, int]:
-    """Visit counts of state keys after burn-in, one sample every `thin` events."""
+    """Visit counts of state keys after burn-in, one sample every `thin` events.
+
+    Keys are counted in pieces of _CHUNK snapshots, each snapshot's bytes one
+    sort key, so that the sorts' copies stay small beside the snapshots; the
+    keys come in np.unique's order, which compares them as bytes.
+    """
     rows = [list(r) for r in init.units]
     g_units = _barrier_units_floor(init.lattice, init.g)
     _run(rows, g_units, burn_in, rng)
     _, snaps = _run(rows, g_units, n_samples * thin, rng, every=thin)
-    as_bytes = snaps.reshape(-1).view(f"V{snaps.strides[0]}")  # one flat sort key per snapshot
-    _, first, counts = np.unique(as_bytes, return_index=True, return_counts=True)
-    return {tuple(map(tuple, key)): n for key, n in zip(snaps[first].tolist(), counts.tolist())}
+    as_bytes = snaps.reshape(-1).view(f"V{snaps.strides[0]}")
+    total: dict[bytes, int] = {}
+    for i in range(0, len(as_bytes), _CHUNK):
+        uniq, counts = np.unique(as_bytes[i:i + _CHUNK], return_counts=True)
+        for key, n in zip(uniq.tolist(), counts.tolist()):
+            total[key] = total.get(key, 0) + n
+    keys = sorted(total)
+    states = np.frombuffer(b"".join(keys), dtype=snaps.dtype).reshape(-1, *snaps.shape[1:])
+    return {tuple(map(tuple, state)): total[key] for state, key in zip(states.tolist(), keys)}
 
 
 @dataclass(frozen=True)

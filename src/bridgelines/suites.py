@@ -170,13 +170,17 @@ def walk_exact_suite(cfg: WalkExactConfig) -> SuiteResult:
             valid = [s for s in itertools.product((-1, 0, 1), repeat=n) if sum(s) == z]
             if len(valid) == 1:
                 continue  # forced path, nothing to test
-            codes = np.array([sum((s + 1) * 3**j for j, s in enumerate(seq)) for seq in valid])
-            order = np.argsort(codes)
+            codes = np.sort([sum((s + 1) * 3**j for j, s in enumerate(seq)) for seq in valid])
             rng = root.derive(f"walk-exact/{n}/{z}").generator()
             steps = walk.sample_walk_steps(n, z, cfg.n_samples, rng).astype(np.int64)
             sample_codes = (steps + 1) @ (3 ** np.arange(n, dtype=np.int64))
-            idx = np.searchsorted(codes[order], sample_codes)
-            observed = np.bincount(idx, minlength=len(valid))
+            observed = np.bincount(sample_codes, minlength=3**n)[codes]
+            outside = cfg.n_samples - int(observed.sum())
+            if outside:  # a sampled step list that no valid path has
+                reports.append(_report(
+                    f"walk-invalid-N{n}-z{z}", outside, "FAIL", f"{cfg.seed}", n1=cfg.n_samples,
+                    details=f"sampled step lists outside the {len(valid)} paths of sum {z}",
+                ))
             rep = verify.chi_square_uniform(observed, f"walk-chi2-N{n}-z{z}", f"{cfg.seed}")
             worst_p = min(worst_p, rep.p_value)
             if rep.verdict == "FAIL":
@@ -237,7 +241,8 @@ def convergence_suite(cfg: ConvergenceConfig) -> SuiteResult:
         lat = LatticeParams.scaled(interval, n)
         rng = root.derive(f"convergence/{n}").generator()
         mids = walk.sample_walk_midpoints(lat.n_steps, 0, cfg.n_samples, rng) * lat.dx
-        d = float(stats.kstest(mids, "norm", args=(0.0, sd)).statistic)
+        # only D is read; the asymptotic method skips the exact p-value's kstwo.sf
+        d = float(stats.kstest(mids, "norm", args=(0.0, sd), method="asymp").statistic)
         distances.append(d)
         reports.append(_report(
             f"convergence-ks-n{n}", d, "INFO", f"{cfg.seed}", n1=cfg.n_samples,
@@ -302,6 +307,11 @@ def glauber_stationarity_suite(cfg: StationarityConfig) -> SuiteResult:
 # monotone coupling
 # ---------------------------------------------------------------------------
 
+def _grid_columns(spec: avoid.AvoidSpec, cols: list[int], n_samples: int, rng: np.random.Generator) -> np.ndarray:
+    """n_samples draws of spec's grid law that keep only the grid columns cols, shape (n, k, len(cols))."""
+    return avoid.sample_avoiding_values(spec, n_samples, rng, keep=lambda vals: vals[..., cols])[0]
+
+
 @dataclass(frozen=True)
 class CouplingConfig(SuiteConfig):
     n_chain_seeds: int = _at_least(100)
@@ -355,25 +365,25 @@ def coupling_suite(cfg: CouplingConfig) -> SuiteResult:
     iv = Interval(0.0, 1.0)
     lo_spec = avoid.AvoidSpec(iv, WeylVector((1.0, -1.0)), WeylVector((1.0, -1.0)), grid_points=cfg.grid_points)
     hi_spec = avoid.AvoidSpec(iv, WeylVector((2.0, 0.0)), WeylVector((2.0, 0.0)), grid_points=cfg.grid_points)
-    lo_vals, _, _, _ = avoid.sample_avoiding_values(lo_spec, cfg.n_marginal_samples,
-                                                    root.derive("coupling/xy/lo").generator())
-    hi_vals, _, _, _ = avoid.sample_avoiding_values(hi_spec, cfg.n_marginal_samples,
-                                                    root.derive("coupling/xy/hi").generator())
     cols = [cfg.grid_points // 4, cfg.grid_points // 2, 3 * cfg.grid_points // 4]
+
+    def marginals(spec, label):
+        return _grid_columns(spec, cols, cfg.n_marginal_samples, root.derive(label).generator())
+
+    lo_vals = marginals(lo_spec, "coupling/xy/lo")
+    hi_vals = marginals(hi_spec, "coupling/xy/hi")
     # dominance: cdf(hi) <= cdf(lo) everywhere; the one-sided statistic
     # sup(cdf_hi - cdf_lo) detects violations of that direction
     reports += verify.marginal_ks(hi_vals, lo_vals, itertools.product(range(2), cols),
-                                  "dominance-endpoints", f"{cfg.seed}", alternative="greater")
+                                  "dominance-endpoints", f"{cfg.seed}", alternative="greater", cols=cols)
     # dominance under a raised lower barrier
     base = avoid.AvoidSpec(iv, WeylVector((1.0, -1.0)), WeylVector((1.0, -1.0)), grid_points=cfg.grid_points)
     raised = avoid.AvoidSpec(iv, WeylVector((1.0, -1.0)), WeylVector((1.0, -1.0)), g=-2.0,
                              grid_points=cfg.grid_points)
-    b_vals, _, _, _ = avoid.sample_avoiding_values(base, cfg.n_marginal_samples,
-                                                   root.derive("coupling/fg/base").generator())
-    r_vals, _, _, _ = avoid.sample_avoiding_values(raised, cfg.n_marginal_samples,
-                                                   root.derive("coupling/fg/raised").generator())
+    b_vals = marginals(base, "coupling/fg/base")
+    r_vals = marginals(raised, "coupling/fg/raised")
     reports += verify.marginal_ks(r_vals, b_vals, [(i, cfg.grid_points // 2) for i in range(2)],
-                                  "dominance-barrier", f"{cfg.seed}", alternative="greater")
+                                  "dominance-barrier", f"{cfg.seed}", alternative="greater", cols=cols)
     return SuiteResult("coupling", reports)
 
 
@@ -437,15 +447,16 @@ def tails_suite(cfg: TailsConfig) -> SuiteResult:
     length = iv.length
     c0 = avoid.default_c0()
     reports = []
+
+    def bottom(vals):  # the bottom curve's midpoint and grid minimum, all that is read
+        return np.stack([vals[:, -1, cfg.grid_points // 2], vals[:, -1].min(axis=1)], axis=-1)
+
     for k in cfg.ks:
         ends = WeylVector(tuple(cfg.spacing * (k - 1) / 2 - cfg.spacing * i for i in range(k)))
         spec = avoid.AvoidSpec(iv, ends, ends, grid_points=cfg.grid_points)
-        vals, _, _, _ = avoid.sample_avoiding_values(spec, cfg.n_samples,
-                                                     root.derive(f"tails/k{k}").generator())
-        # copies of the bottom curve's midpoint and grid minimum, so the batch is freed
-        # before the next k's fills
-        mid, inf_vals = vals[:, -1, cfg.grid_points // 2].copy(), vals[:, -1].min(axis=1)
-        del vals
+        recs, _, _, _ = avoid.sample_avoiding_values(spec, cfg.n_samples,
+                                                     root.derive(f"tails/k{k}").generator(), keep=bottom)
+        mid, inf_vals = recs.T
         ref = ends[k - 1]  # x = y, so max and min of the endpoint pair coincide
         for r in cfg.rs:
             hits_max = int(np.count_nonzero(mid >= ref + np.sqrt(length) * r))
@@ -699,10 +710,13 @@ def transforms_suite(cfg: TransformsConfig) -> SuiteResult:
     root = RngSeed(cfg.seed)
     iv = Interval(0.0, 1.0)
     src_spec = avoid.AvoidSpec(iv, WeylVector((2.0, 0.0)), WeylVector((1.0, -1.0)), grid_points=cfg.grid_points)
-    src, _, _, _ = avoid.sample_avoiding_values(src_spec, cfg.n_samples,
-                                                root.derive("transforms/src").generator())
     cols = [cfg.grid_points // 4, cfg.grid_points // 2, 3 * cfg.grid_points // 4]
     cells = list(itertools.product(range(2), cols))
+
+    def marginals(spec, label):  # the affine and flip maps act on any subset of columns
+        return _grid_columns(spec, cols, cfg.n_samples, root.derive(label).generator())
+
+    src = marginals(src_spec, "transforms/src")
     # affine: transformed source law must match the directly sampled target law
     # on the transformed interval; grid columns correspond under the affine time map
     c, u, r = cfg.affine
@@ -713,9 +727,8 @@ def transforms_suite(cfg: TransformsConfig) -> SuiteResult:
         WeylVector(tuple(c * v + r for v in src_spec.y.values)),
         grid_points=cfg.grid_points,
     )
-    tgt, _, _, _ = avoid.sample_avoiding_values(tgt_spec, cfg.n_samples,
-                                                root.derive("transforms/affine-tgt").generator())
-    reports = verify.marginal_ks(moved, tgt, cells, "affine", f"{cfg.seed}")
+    tgt = marginals(tgt_spec, "transforms/affine-tgt")
+    reports = verify.marginal_ks(moved, tgt, cells, "affine", f"{cfg.seed}", cols=cols)
     # flip: negate and reverse curve order; target swaps and negates boundary data
     flip_spec = avoid.AvoidSpec(
         iv,
@@ -723,9 +736,8 @@ def transforms_suite(cfg: TransformsConfig) -> SuiteResult:
         WeylVector(tuple(-v for v in reversed(src_spec.y.values))),
         grid_points=cfg.grid_points,
     )
-    flp, _, _, _ = avoid.sample_avoiding_values(flip_spec, cfg.n_samples,
-                                                root.derive("transforms/flip-tgt").generator())
-    reports += verify.marginal_ks(avoid.flip_transform(src), flp, cells, "flip", f"{cfg.seed}")
+    flp = marginals(flip_spec, "transforms/flip-tgt")
+    reports += verify.marginal_ks(avoid.flip_transform(src), flp, cells, "flip", f"{cfg.seed}", cols=cols)
     return SuiteResult("transforms", reports)
 
 

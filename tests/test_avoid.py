@@ -53,6 +53,29 @@ def test_sample_avoiding_values_pinned_at_fixed_seeds(monkeypatch):
     assert rng.random() == 0.33930018248772564
 
 
+@pytest.mark.parametrize("chunk", [8, avoid._GRID_CHUNK])
+def test_sample_avoiding_values_keeps_records_of_the_same_draws(monkeypatch, chunk):
+    # a reducer changes what is stored, never what is drawn: records equal keep(full) and the
+    # counts and the next draw match the whole-path call, with chunks of 8 taking the
+    # accepted candidates of many rounds, most of them not a prefix of their round
+    monkeypatch.setattr(avoid, "_GRID_CHUNK", chunk)
+    barriered = _spec([0.5, -0.5], [0.6, -0.3], 32, 1.5, -1.2)
+    tails = _spec([1.0, 0.0, -1.0], [1.0, 0.0, -1.0], 32)
+
+    def bottom(vals):
+        return np.stack([vals[:, -1, 16], vals[:, -1].min(axis=1)], axis=-1)
+
+    for spec, keep in ((barriered, lambda vals: vals[..., [8, 16, 24]]), (tails, bottom)):
+        runs = []
+        for reducer in (None, keep):
+            rng = RngSeed(5).generator()
+            runs.append((avoid.sample_avoiding_values(spec, 60, rng, keep=reducer), rng.random()))
+        ((full, *counts), nxt), ((recs, *kept_counts), kept_nxt) = runs
+        assert recs.shape == keep(full).shape and np.array_equal(recs, keep(full))
+        assert kept_counts == counts and kept_nxt == nxt
+        assert counts[0] > counts[1] >= 60  # some candidates were rejected
+
+
 def _km_at(iv, x, y, times, n_samples, rng, max_attempts=avoid._KM_ATTEMPTS):
     """avoid._km_rejection on the one-row stack and knots that sample_avoiding_at builds for k != 2.
 

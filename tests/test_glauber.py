@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,22 @@ def test_chain_visits_only_enumerated_states():
     init = glauber.maximal_state(spec)
     counts = glauber.sample_stationary_keys(init, 1000, 20000, 2, RngSeed(3).generator())
     assert set(counts) <= support
+
+
+def test_stationary_counting_holds_about_one_snapshot_array():
+    # keys are counted in pieces, so beside the snapshots only a piece's sort copy and the
+    # few distinct keys are held, where one np.unique over all of them holds about 3x
+    lat = _lat(4)
+    init = glauber.maximal_state(_spec(lat, [2, 0], [2, 0], -0.5 * lat.dx))
+    n = 100000
+    tracemalloc.start()
+    try:
+        counts = glauber.sample_stationary_keys(init, 100, n, 1, RngSeed(3).generator())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(counts.values()) == n and len(counts) <= 104
+    assert peak < 1.2 * n * init.k * (lat.n_steps + 1) * 8
 
 
 def test_coupled_chain_preserves_order():

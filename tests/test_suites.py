@@ -6,7 +6,7 @@ report shows up. The sizes are small for speed, so verdicts here carry no
 meaning: at 200 samples (400 in its control) the gibbs negative control lacks the power to fire.
 """
 
-import weakref
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +20,7 @@ CASES = {
     "glauber-stationarity": dict(retained=5000, burn_seeds=8),
     "coupling": dict(n_chain_seeds=4, chain_events=500, n_marginal_samples=300),
     "gibbs": dict(n_samples=200),
+    "tails": dict(n_samples=300),
     "transforms": dict(n_samples=300),
 }
 
@@ -89,6 +90,63 @@ EXPECTED = {
         ('FAIL         gibbs-negative-control                       stat=0.0416548 p=0.0417 ci=- n=(400,0) seed=1',
          'planted defect must be detected: min p < 1e-06'),
         ('SUITE FAIL gibbs', None),
+    ],
+    'tails': [
+        ('PASS         tail-mid-high-k1-r0.5                        stat=0.14 p=- ci=[0.0903461,0.210625] n=(300,0) seed=1',
+         'upper bound=0.15938'),
+        ('PASS         tail-mid-low-k1-r0.5                         stat=0.16 p=- ci=[0.106558,0.233248] n=(300,0) seed=1',
+         'lower bound=0.0918399'),
+        ('VACUOUS      tail-inf-k1-r0.5                             stat=0.326667 p=- ci=[0.251516,0.411915] n=(300,0) seed=1',
+         'upper bound=1.39221'),
+        ('PASS         tail-mid-high-k1-r1.0                        stat=0.0333333 p=- ci=[0.0134105,0.0804406] n=(300,0) seed=1',
+         'upper bound=0.0237083'),
+        ('PASS         tail-mid-low-k1-r1.0                         stat=0.02 p=- ci=[0.00629791,0.0616633] n=(300,0) seed=1',
+         'lower bound=0.0136615'),
+        ('PASS         tail-inf-k1-r1.0                             stat=0.0166667 p=- ci=[0.00475343,0.0567352] n=(300,0) seed=1',
+         'upper bound=0.0693141'),
+        ('PASS         tail-mid-high-k1-r1.5                        stat=0 p=- ci=[0,0.0291262] n=(300,0) seed=1',
+         'upper bound=0.00145957'),
+        ('PASS         tail-mid-low-k1-r1.5                         stat=0.00333333 p=- ci=[0.000305655,0.0352931] n=(300,0) seed=1',
+         'lower bound=0.000841054'),
+        ('PASS         tail-inf-k1-r1.5                             stat=0 p=- ci=[0,0.0291262] n=(300,0) seed=1',
+         'upper bound=0.000467035'),
+        ('PASS         tail-mid-high-k2-r0.5                        stat=0.0633333 p=- ci=[0.0325824,0.119521] n=(300,0) seed=1',
+         'upper bound=0.15938'),
+        ('PASS         tail-mid-low-k2-r0.5                         stat=0.216667 p=- ci=[0.154127,0.295711] n=(300,0) seed=1',
+         'lower bound=0.0918399'),
+        ('VACUOUS      tail-inf-k2-r0.5                             stat=0 p=- ci=[0,0.0291262] n=(300,0) seed=1',
+         'upper bound=5.26872'),
+        ('PASS         tail-mid-high-k2-r1.0                        stat=0 p=- ci=[0,0.0291262] n=(300,0) seed=1',
+         'upper bound=0.0237083'),
+        ('PASS         tail-mid-low-k2-r1.0                         stat=0.0533333 p=- ci=[0.0258486,0.106838] n=(300,0) seed=1',
+         'lower bound=0.0136615'),
+        ('PASS         tail-inf-k2-r1.0                             stat=0 p=- ci=[0,0.0291262] n=(300,0) seed=1',
+         'upper bound=0.262314'),
+        ('PASS         tail-mid-high-k2-r1.5                        stat=0 p=- ci=[0,0.0291262] n=(300,0) seed=1',
+         'upper bound=0.00145957'),
+        ('PASS         tail-mid-low-k2-r1.5                         stat=0 p=- ci=[0,0.0291262] n=(300,0) seed=1',
+         'lower bound=0.000841054'),
+        ('PASS         tail-inf-k2-r1.5                             stat=0 p=- ci=[0,0.0291262] n=(300,0) seed=1',
+         'upper bound=0.00176746'),
+        ('PASS         tail-mid-high-k3-r0.5                        stat=0.05 p=- ci=[0.0236697,0.102544] n=(300,0) seed=1',
+         'upper bound=0.15938'),
+        ('PASS         tail-mid-low-k3-r0.5                         stat=0.27 p=- ci=[0.200636,0.352763] n=(300,0) seed=1',
+         'lower bound=0.0918399'),
+        ('VACUOUS      tail-inf-k3-r0.5                             stat=0 p=- ci=[0,0.0291262] n=(300,0) seed=1',
+         'upper bound=19.939'),
+        ('PASS         tail-mid-high-k3-r1.0                        stat=0 p=- ci=[0,0.0291262] n=(300,0) seed=1',
+         'upper bound=0.0237083'),
+        ('PASS         tail-mid-low-k3-r1.0                         stat=0.0366667 p=- ci=[0.0153635,0.0849601] n=(300,0) seed=1',
+         'lower bound=0.0136615'),
+        ('PASS         tail-inf-k3-r1.0                             stat=0 p=- ci=[0,0.0291262] n=(300,0) seed=1',
+         'upper bound=0.992707'),
+        ('PASS         tail-mid-high-k3-r1.5                        stat=0 p=- ci=[0,0.0291262] n=(300,0) seed=1',
+         'upper bound=0.00145957'),
+        ('PASS         tail-mid-low-k3-r1.5                         stat=0.00333333 p=- ci=[0.000305655,0.0352931] n=(300,0) seed=1',
+         'lower bound=0.000841054'),
+        ('PASS         tail-inf-k3-r1.5                             stat=0 p=- ci=[0,0.0291262] n=(300,0) seed=1',
+         'upper bound=0.0066888'),
+        ('SUITE PASS tails', None),
     ],
     'transforms': [
         ('PASS         affine-curve0-col32                          stat=0.06 p=0.631 ci=- n=(300,300) seed=1',
@@ -265,19 +323,35 @@ def test_chain_suites_reject_a_bad_config_before_any_event(monkeypatch):
             suites.run_suite(name, seed=1, **overrides)
 
 
-def test_tails_holds_one_batch_at_a_time(monkeypatch):
-    # each batch's memory owner (the rejection loop's output, of which the batch is
-    # a view) must be freed before the next k's batch is drawn
-    owners = []
-    draw = avoid.sample_avoiding_values
+def test_tails_holds_less_than_one_batch():
+    # tails keeps two numbers per sample, so its peak is the rejection rounds' workspace,
+    # not the (n, k, M+1) batch that a whole-path draw would hold (about 1.6 batches)
+    cfg = suites.TailsConfig(ks=(3,), n_samples=10000)
+    avoid.default_c0()  # cached; its scan is not the suite's sampling
+    tracemalloc.start()
+    try:
+        assert suites.tails_suite(cfg).reports
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cfg.n_samples * 3 * (cfg.grid_points + 1) * 8
 
-    def tracked(*args, **kwargs):
-        assert all(ref() is None for ref in owners), "an earlier batch is still alive"
-        out = draw(*args, **kwargs)
-        vals = out[0]
-        owners.append(weakref.ref(vals if vals.base is None else vals.base))
-        return out
 
-    monkeypatch.setattr(avoid, "sample_avoiding_values", tracked)
-    assert suites.tails_suite(suites.TailsConfig(n_samples=200)).reports
-    assert len(owners) == 3
+def test_walk_exact_fails_on_a_path_outside_the_valid_set(monkeypatch):
+    # one sampled step list of the wrong sum must fail the suite, not be counted as a
+    # neighbouring valid path
+    draw = suites.walk.sample_walk_steps
+    calls = []
+
+    def one_wrong_sum(n, z, n_samples, rng):
+        steps = draw(n, z, n_samples, rng)
+        if not calls:
+            steps[0, 0] += -1 if steps[0, 0] == 1 else 1
+        calls.append(n)
+        return steps
+
+    monkeypatch.setattr(suites.walk, "sample_walk_steps", one_wrong_sum)
+    result = suites.run_suite("walk-exact", seed=1, max_steps=2, n_samples=1000)
+    assert not result.passed
+    # the first sampled case is N = 2, z = -1, whose first path now sums to 0 or -2
+    assert [(r.name, r.statistic) for r in result.reports if r.verdict == "FAIL"] == [("walk-invalid-N2-z-1", 1)]
